@@ -11,39 +11,34 @@ approximation guarantees.
 
 __version__ = "0.1.0"
 
-from .greedy import (Curvature, GreedyTrace, UndefinedCurvatureError,
-                     greedy_maximize, matroid_curvature, total_curvature)
+from .greedy import GreedyTrace, greedy_maximize
 from .matroid import (ENUMERATION_CAP, EnumerationCapError, GroundSet, Matroid,
                       PartitionMatroid, UniformMatroid, matroid_from_json,
                       matroid_to_json)
-from .objective import (Scenario, ScenarioSet, StochasticObjective,
-                        check_sample_count, child_seed)
+from .objective import (ScenarioSet, StochasticObjective, check_sample_count,
+                        child_seed)
 from .problems import (OccupancyGrid, SensorCoverage, VehicleAssignment,
                        load_instance, visible_cells)
-from .risk import (UtilitySample, auxiliary_from_values, auxiliary_value,
-                   check_risk_level, cvar_of_set, empirical_cvar, empirical_var,
-                   required_sample_count, utility_sample)
+from .risk import (auxiliary_from_values, auxiliary_value, check_risk_level,
+                   cvar_of_set, empirical_cvar, empirical_var,
+                   required_sample_count)
 from .sga import (AlphaSweepPoint, AlphaSweepTable, BoundReport,
-                  BruteForceResult, SCENARIO_POLICIES, SgaConfig, SgaResult,
-                  SweepPoint, additive_penalty, alpha_sweep,
-                  approximation_bound, auxiliary_curvature, brute_force_opt,
-                  run_sga)
+                  BruteForceResult, Curvature, SgaConfig, SgaResult, SweepPoint,
+                  additive_penalty, alpha_sweep, approximation_bound,
+                  auxiliary_curvature, brute_force_opt, run_sga)
 from .synthetic import (RandomCoverageObjective, random_instance, random_matroid)
 
 __all__ = [
     "ENUMERATION_CAP", "AlphaSweepPoint", "AlphaSweepTable", "BoundReport",
     "BruteForceResult", "Curvature", "EnumerationCapError", "GreedyTrace",
     "GroundSet", "Matroid", "OccupancyGrid", "PartitionMatroid",
-    "RandomCoverageObjective", "SCENARIO_POLICIES", "Scenario", "ScenarioSet",
-    "SensorCoverage", "SgaConfig", "SgaResult", "StochasticObjective",
-    "SweepPoint", "UndefinedCurvatureError", "UniformMatroid", "UtilitySample",
+    "RandomCoverageObjective", "ScenarioSet", "SensorCoverage", "SgaConfig",
+    "SgaResult", "StochasticObjective", "SweepPoint", "UniformMatroid",
     "VehicleAssignment", "additive_penalty", "alpha_sweep",
     "approximation_bound", "auxiliary_curvature", "auxiliary_from_values",
     "auxiliary_value", "brute_force_opt", "check_risk_level",
-    "check_sample_count", "child_seed",
-    "cvar_of_set", "empirical_cvar", "empirical_var", "greedy_maximize",
-    "load_instance", "matroid_curvature", "matroid_from_json",
+    "check_sample_count", "child_seed", "cvar_of_set", "empirical_cvar",
+    "empirical_var", "greedy_maximize", "load_instance", "matroid_from_json",
     "matroid_to_json", "random_instance", "random_matroid",
-    "required_sample_count", "run_sga", "total_curvature", "utility_sample",
-    "visible_cells", "__version__",
+    "required_sample_count", "run_sga", "visible_cells", "__version__",
 ]

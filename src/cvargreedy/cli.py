@@ -5,8 +5,13 @@ level), ``sweep`` (solve a list of risk levels and emit plot-ready CSV) and
 ``verify`` (brute-force check of the approximation guarantee on a small
 instance). Every output file embeds a manifest (command line, config hash,
 instance seed, library version, timestamp); rerunning with identical flags
-reproduces the data sections byte for byte. The environment variable
-CVARGREEDY_WORKERS sets the default worker count; it never changes results.
+reproduces the data sections byte for byte. Every run draws one scenario
+batch from --seed and reuses it for every evaluation (common random numbers).
+
+The environment variable CVARGREEDY_WORKERS sets how many threads solve tau
+grid points in parallel (default 1); it never changes results. Threads help
+objectives whose utilities kernel releases the GIL (the sensor matmul) and
+slow down the Python-bound vehicle kernel.
 
 Exit codes: 0 success (and guarantee holds when verifying), 1 guarantee
 violated, 2 usage or input error.
@@ -25,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .greedy import Curvature, UndefinedCurvatureError
 from .matroid import ENUMERATION_CAP, EnumerationCapError
 from .objective import child_seed
 from .problems import OccupancyGrid, SensorCoverage, VehicleAssignment, load_instance
@@ -104,26 +108,24 @@ def _workers() -> int:
 
 
 def _load_objective(path: str):
-    data = json.loads(Path(path).read_text())
-    return load_instance(data), data
+    """Read and rebuild an instance; malformed content is a ValueError naming the file."""
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+        return load_instance(data), data
+    except (ValueError, TypeError, OverflowError, KeyError) as err:
+        raise ValueError(f"instance file {path}: {err}") from err
 
 
 def _config_dict(cfg: SgaConfig) -> dict:
+    # scenario_policy is a constant, kept so the data sections stay unchanged
     return {"alpha": cfg.alpha, "gamma": cfg.gamma, "delta": cfg.delta,
             "samples": cfg.samples, "seed": cfg.seed,
-            "scenario_policy": cfg.scenario_policy}
+            "scenario_policy": "common_random_numbers"}
 
 
 def _risk_label(alpha: float) -> str:
     return "risk-neutral" if alpha == 1.0 else "risk-averse"
-
-
-def _safe_total_curvature(objective, scenarios, taus) -> Curvature:
-    try:
-        return auxiliary_curvature(objective, objective.matroid, scenarios, taus,
-                                   method="total_over_ground_set")
-    except UndefinedCurvatureError:
-        return Curvature(1.0, "total_over_ground_set")  # conservative fallback
 
 
 # --------------------------------------------------------------------------
@@ -162,9 +164,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _build_config(args: argparse.Namespace, objective, alpha: float) -> SgaConfig:
     gamma = args.gamma if args.gamma is not None else objective.gamma_hint
     return SgaConfig(alpha=alpha, gamma=gamma, delta=args.delta,
-                     samples=args.samples, seed=args.seed,
-                     scenario_policy=getattr(args, "scenario_policy",
-                                             "common_random_numbers"))
+                     samples=args.samples, seed=args.seed)
 
 
 def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
@@ -200,18 +200,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     objective, instance_data = _load_objective(args.instance)
     cfg = _build_config(args, objective, args.alpha)
     workers = _workers()
-    if args.verify and cfg.scenario_policy != "common_random_numbers":
-        raise ValueError("--verify requires the common_random_numbers policy")
-    scenarios = None
-    if cfg.scenario_policy == "common_random_numbers":
-        scenarios = objective.sample_scenarios(cfg.samples, cfg.seed)
+    scenarios = objective.sample_scenarios(cfg.samples, cfg.seed)
     result = run_sga(objective, objective.matroid, cfg, scenarios=scenarios,
                      workers=workers)
-    taus = cfg.tau_grid()
-    curvature_batch = scenarios if scenarios is not None else \
-        objective.sample_scenarios(cfg.samples, cfg.seed)
     bound = approximation_bound(
-        _safe_total_curvature(objective, curvature_batch, taus), cfg)
+        auxiliary_curvature(objective, objective.matroid, scenarios,
+                            cfg.tau_grid()), cfg)
     payload = {
         "config": _config_dict(cfg),
         "risk_label": _risk_label(cfg.alpha),
@@ -340,7 +334,7 @@ def _alpha_list(raw: str) -> list[float]:
     return values
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, with_policy: bool = True) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=None,
                    help="top of the tau sweep (default: the instance gamma hint)")
     p.add_argument("--delta", type=float, default=1.0,
@@ -348,12 +342,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, with_policy: bool = True) -> N
     p.add_argument("--samples", type=int, default=1000,
                    help="scenario batch size per evaluation (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
-    if with_policy:
-        p.add_argument("--scenario-policy", dest="scenario_policy",
-                       choices=["common_random_numbers", "fresh_per_tau"],
-                       default="common_random_numbers",
-                       help="reuse one scenario batch everywhere (default) or "
-                            "redraw a child-seeded batch per tau grid point")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,8 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-averse maximization of stochastic monotone submodular "
                     "set utilities under matroid constraints (alpha = 1 is the "
                     "risk-neutral expectation).",
-        epilog=_CSV_COLUMNS + f"\n\n{WORKERS_ENV} sets the worker count "
-               "(results never depend on it).",
+        epilog=_CSV_COLUMNS + f"\n\n{WORKERS_ENV} sets the number of threads "
+               "that solve tau grid points\n(default 1; results never depend "
+               "on it). Threads speed up sensor instances,\nwhose matmul kernel "
+               "releases the GIL, and slow down vehicle instances.",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -410,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("instance")
     sweep.add_argument("--alphas", type=_alpha_list, required=True,
                        help="comma separated risk levels, e.g. 0.1,0.5,1")
-    _add_solver_flags(sweep, with_policy=False)
-    sweep.set_defaults(scenario_policy="common_random_numbers")
+    _add_solver_flags(sweep)
     sweep.add_argument("--eval-samples", type=int, default=None,
                        dest="eval_samples",
                        help="fresh batch size for utility histograms "
@@ -425,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "violation)")
     verify.add_argument("instance")
     verify.add_argument("--alpha", type=float, required=True)
-    _add_solver_flags(verify, with_policy=False)
-    verify.set_defaults(scenario_policy="common_random_numbers")
+    _add_solver_flags(verify)
     verify.add_argument("--out", default=None, help="optional report JSON path")
     verify.set_defaults(func=cmd_verify)
     return parser

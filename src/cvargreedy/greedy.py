@@ -1,4 +1,4 @@
-"""Greedy maximization over a matroid, with curvature measurement.
+"""Greedy maximization over a matroid.
 
 The greedy loop keeps adding the candidate with the largest value gain until
 no feasible extension remains, so the output is always a maximal independent
@@ -9,13 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .matroid import ENUMERATION_CAP, EnumerationCapError, GroundSet, Matroid
+from .matroid import Matroid
 
 SetFunction = Callable[[frozenset], float]
-
-
-class UndefinedCurvatureError(ValueError):
-    """Curvature is undefined when some singleton has zero value."""
 
 
 @dataclass
@@ -52,70 +48,3 @@ def greedy_maximize(objective_fn: SetFunction, matroid: Matroid) -> tuple[frozen
         selected = selected | {best_element}
         current = best_value
     return selected, trace
-
-
-@dataclass(frozen=True)
-class Curvature:
-    """Curvature in [0, 1]: 0 for modular functions, 1 for a fully redundant element."""
-
-    value: float
-    method: str  # "total_over_ground_set" or "exact_matroid_enumeration"
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
-def total_curvature(fn: SetFunction, ground: GroundSet) -> Curvature:
-    """1 - min_s [fn(X) - fn(X - s)] / fn({s}) over the full ground set.
-
-    ``fn`` must be normalized monotone submodular with fn({s}) > 0 for every
-    element (otherwise the ratio is undefined and an error is raised).
-    """
-    full = frozenset(ground.elements)
-    f_full = fn(full)
-    worst = float("inf")
-    for e in ground.elements:
-        single = fn(frozenset((e,)))
-        if single <= 0.0:
-            raise UndefinedCurvatureError(
-                f"element {e} has nonpositive singleton value {single}; "
-                "curvature is undefined")
-        worst = min(worst, (f_full - fn(full - {e})) / single)
-    return Curvature(_clamp01(1.0 - worst), "total_over_ground_set")
-
-
-def matroid_curvature(fn: SetFunction, matroid: Matroid,
-                      cap: int = ENUMERATION_CAP) -> Curvature:
-    """Exact curvature restricted to the feasible family of the matroid.
-
-    Minimizes [fn(S) - fn(S - s)] / fn({s}) over every independent S and
-    s in S. Never larger than ``total_curvature`` when the full ground set
-    is feasible. Refuses oversized ground sets; use ``total_curvature`` then.
-    """
-    try:
-        feasible = matroid.enumerate_feasible(cap)
-    except EnumerationCapError as err:
-        raise EnumerationCapError(
-            f"{err}; total_curvature avoids the enumeration entirely") from err
-    cache: dict[frozenset, float] = {}
-
-    def value(s: frozenset) -> float:
-        if s not in cache:
-            cache[s] = float(fn(s))
-        return cache[s]
-
-    for e in matroid.ground.elements:
-        single = value(frozenset((e,)))
-        if single <= 0.0:
-            raise UndefinedCurvatureError(
-                f"element {e} has nonpositive singleton value {single}; "
-                "curvature is undefined")
-    worst = float("inf")
-    for s in feasible:
-        for e in s:
-            ratio = (value(s) - value(s - {e})) / value(frozenset((e,)))
-            worst = min(worst, ratio)
-    if worst == float("inf"):  # single-element grounds still hit the loop; guard anyway
-        return Curvature(0.0, "exact_matroid_enumeration")
-    return Curvature(_clamp01(1.0 - worst), "exact_matroid_enumeration")

@@ -8,7 +8,7 @@ batches are fully reproducible from an integer seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -28,20 +28,6 @@ def child_seed(seed: int, stream: int) -> int:
     """
     ss = np.random.SeedSequence([_u64(seed), _u64(stream)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One sampled realization; payload layout is objective specific."""
-
-    index: int
-    payload: Any
-
-
-def _row(data: Any, i: int) -> Any:
-    if isinstance(data, tuple):
-        return tuple(d[i] for d in data)
-    return data[i]
 
 
 @dataclass(frozen=True)
@@ -68,18 +54,6 @@ class ScenarioSet:
     def __len__(self) -> int:
         return self.size
 
-    def scenario(self, i: int) -> Scenario:
-        if not 0 <= i < self.size:
-            raise IndexError(f"scenario index {i} out of range 0..{self.size - 1}")
-        return Scenario(i, _row(self.data, i))
-
-    def __iter__(self) -> Iterator[Scenario]:
-        return (self.scenario(i) for i in range(self.size))
-
-    @property
-    def scenarios(self) -> tuple[Scenario, ...]:
-        return tuple(self)
-
 
 def check_sample_count(count: int) -> int:
     count = int(count)
@@ -93,20 +67,17 @@ class StochasticObjective:
 
     Subclasses set ``ground``, ``matroid`` and ``gamma_hint`` (an upper bound
     on any attainable utility, used as the default top of the tau sweep) and
-    implement ``evaluate`` plus ``sample_scenarios``. Override ``utilities``
-    when a vectorized evaluation over a whole batch is cheaper than a loop.
+    implement ``sample_scenarios`` plus ``utilities``, the per-scenario
+    utilities of one set over a whole batch. ``utilities`` validates the set.
     """
 
     ground: GroundSet
     matroid: Matroid
     gamma_hint: float
 
-    def evaluate(self, subset, scenario: Scenario) -> float:
-        raise NotImplementedError
-
     def sample_scenarios(self, count: int, seed: int) -> ScenarioSet:
         raise NotImplementedError
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
         """Per-scenario utilities of ``subset`` as a float array."""
-        return np.array([self.evaluate(subset, sc) for sc in scenarios], dtype=float)
+        raise NotImplementedError

@@ -45,6 +45,8 @@ class VehicleAssignment(StochasticObjective):
             raise ValueError("demand positions must be a nonempty (N, 2) array")
         if vehicle_xy.ndim != 2 or vehicle_xy.shape[1] != 2 or vehicle_xy.shape[0] < 1:
             raise ValueError("vehicle positions must be a nonempty (R, 2) array")
+        if not (np.all(np.isfinite(demand_xy)) and np.all(np.isfinite(vehicle_xy))):
+            raise ValueError("demand and vehicle positions must be finite numbers")
         self.demand_xy = demand_xy
         self.vehicle_xy = vehicle_xy
         self.side = float(side)
@@ -111,14 +113,6 @@ class VehicleAssignment(StochasticObjective):
             i, j = self.pair_of(e)
             grouped[i].append(j)
         return grouped
-
-    def evaluate(self, subset, scenario) -> float:
-        subset = self.ground.check_subset(subset)
-        eff = np.asarray(scenario.payload)
-        total = 0.0
-        for i, js in self._by_demand(subset).items():
-            total += max(eff[i, j] for j in js)
-        return float(total)
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
         subset = self.ground.check_subset(subset)
@@ -297,7 +291,6 @@ class SensorCoverage(StochasticObjective):
         for i, s in enumerate(sets):
             for cell in s:
                 cover[i, col[cell]] = True
-        self._cover = cover
         self._cover_f = cover.astype(np.float32)
         self.success_prob = 1.0 - sizes / free_cell_count
 
@@ -325,14 +318,6 @@ class SensorCoverage(StochasticObjective):
         rng = np.random.default_rng(_u64(seed))
         bits = (rng.random((count, len(self.coverage_sets))) < self.success_prob)
         return ScenarioSet(bits.astype(np.uint8), count, int(seed))
-
-    def evaluate(self, subset, scenario) -> float:
-        subset = self.ground.check_subset(subset)
-        bits = np.asarray(scenario.payload)
-        active = [e for e in subset if bits[e]]
-        if not active:
-            return 0.0
-        return float(self._cover[active].any(axis=0).sum())
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
         subset = self.ground.check_subset(subset)
@@ -394,6 +379,9 @@ _PROBLEMS = {"vehicle": VehicleAssignment, "sensor": SensorCoverage}
 
 def load_instance(data: dict) -> StochasticObjective:
     """Rebuild an objective from its JSON dict (see ``to_json`` of each problem)."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"an instance must be a JSON object, got {type(data).__name__}")
     kind = data.get("problem")
     if kind not in _PROBLEMS:
         raise ValueError(

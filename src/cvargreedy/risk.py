@@ -15,7 +15,6 @@ alpha = 1 is the risk-neutral case: cvar reduces to the sample mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def required_sample_count(epsilon: float, delta: float) -> int:
 
 
 def _values(sample) -> np.ndarray:
-    values = np.asarray(getattr(sample, "values", sample), dtype=float)
+    values = np.asarray(sample, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("a nonempty 1-d value sample is required")
     return values
@@ -50,26 +49,6 @@ def _values(sample) -> np.ndarray:
 def _tail_index(alpha: float, n: int) -> int:
     k = math.ceil(alpha * n - _INDEX_TOL)
     return min(max(k, 1), n)
-
-
-@dataclass(frozen=True)
-class UtilitySample:
-    """Nonnegative per-scenario utilities of one set, with optional provenance."""
-
-    values: np.ndarray
-    source: tuple | None = None
-
-    def __post_init__(self) -> None:
-        values = _values(self.values)
-        if np.any(values < 0):
-            raise ValueError("utilities must be nonnegative")
-        object.__setattr__(self, "values", values)
-
-
-def utility_sample(objective, subset, scenarios) -> UtilitySample:
-    subset = objective.ground.check_subset(subset)
-    return UtilitySample(objective.utilities(subset, scenarios),
-                         source=(subset, scenarios.seed))
 
 
 def empirical_var(sample, alpha: float) -> float:
@@ -110,12 +89,10 @@ def auxiliary_from_values(values, tau: float, alpha: float) -> float:
 
 def auxiliary_value(objective, subset, tau: float, scenarios, alpha: float) -> float:
     """Scalarized objective of one (set, tau) pair on a scenario batch."""
-    subset = objective.ground.check_subset(subset)
     return auxiliary_from_values(objective.utilities(subset, scenarios), tau, alpha)
 
 
 def cvar_of_set(objective, subset, scenarios, alpha: float) -> tuple[float, float]:
     """(empirical cvar, maximizing tau) for one set; the tau is the empirical var."""
-    subset = objective.ground.check_subset(subset)
     u = objective.utilities(subset, scenarios)
     return empirical_cvar(u, alpha), empirical_var(u, alpha)

@@ -16,15 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .greedy import Curvature, UndefinedCurvatureError, greedy_maximize
+from .greedy import greedy_maximize
 from .matroid import ENUMERATION_CAP, Matroid
 from .objective import ScenarioSet, StochasticObjective, child_seed
 from .risk import (auxiliary_value, check_risk_level, empirical_cvar,
                    empirical_var)
 
-SCENARIO_POLICIES = ("common_random_numbers", "fresh_per_tau")
-
-# substream id for evaluation scenarios in alpha_sweep; far above any tau index
+# substream id of the fresh evaluation batch in alpha_sweep
 _EVAL_STREAM = 1 << 32
 
 # grid count backoff against float noise in gamma/delta near an integer
@@ -40,21 +38,16 @@ class SgaConfig:
     delta: float
     samples: int
     seed: int = 0
-    scenario_policy: str = "common_random_numbers"
 
     def __post_init__(self) -> None:
         check_risk_level(self.alpha)
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.delta <= self.gamma:
             raise ValueError(
                 f"delta must lie in (0, gamma={self.gamma}], got {self.delta}")
         if int(self.samples) < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.scenario_policy not in SCENARIO_POLICIES:
-            raise ValueError(
-                f"scenario policy must be one of {SCENARIO_POLICIES}, "
-                f"got {self.scenario_policy!r}")
 
     def tau_grid(self) -> list[float]:
         """0, delta, 2*delta, ... up to ceil(gamma/delta) steps.
@@ -89,45 +82,32 @@ def run_sga(objective: StochasticObjective, matroid: Matroid, config: SgaConfig,
             scenarios: ScenarioSet | None = None, workers: int = 1) -> SgaResult:
     """Sweep the tau grid, greedily solving each scalarized problem.
 
-    Under the default common_random_numbers policy one scenario batch (drawn
-    from ``config.seed``, or passed in via ``scenarios``) is reused for every
-    evaluation. fresh_per_tau redraws a child-seeded batch per grid point.
+    Every evaluation uses one common-random-numbers scenario batch: the one
+    passed in via ``scenarios``, or else one drawn from ``config.seed``.
     Ties in the final argmax go to the smallest tau. ``workers`` only
     parallelizes independent grid points; results do not depend on it.
     """
-    taus = config.tau_grid()
-    common = config.scenario_policy == "common_random_numbers"
-    if scenarios is not None:
-        if not common:
-            raise ValueError(
-                "an explicit scenario batch requires the common_random_numbers policy")
-        if len(scenarios) != config.samples:
-            raise ValueError(
-                f"scenario batch size {len(scenarios)} does not match "
-                f"config.samples={config.samples}")
-        shared = scenarios
-    elif common:
-        shared = objective.sample_scenarios(config.samples, config.seed)
-    else:
-        shared = None
+    if scenarios is None:
+        scenarios = objective.sample_scenarios(config.samples, config.seed)
+    elif len(scenarios) != config.samples:
+        raise ValueError(
+            f"scenario batch size {len(scenarios)} does not match "
+            f"config.samples={config.samples}")
 
-    def solve_point(i: int) -> SweepPoint:
-        tau = taus[i]
-        batch = shared if shared is not None else objective.sample_scenarios(
-            config.samples, child_seed(config.seed, i))
-
+    def solve_point(tau: float) -> SweepPoint:
         def h(subset) -> float:
-            return auxiliary_value(objective, subset, tau, batch, config.alpha)
+            return auxiliary_value(objective, subset, tau, scenarios, config.alpha)
 
         selected, trace = greedy_maximize(h, matroid)
         return SweepPoint(tau=tau, selected=selected, h_value=h(selected),
                           evaluations=trace.evaluations + 1)
 
+    taus = config.tau_grid()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve_point, range(len(taus))))
+            points = list(pool.map(solve_point, taus))
     else:
-        points = [solve_point(i) for i in range(len(taus))]
+        points = [solve_point(tau) for tau in taus]
 
     best = points[0]
     for p in points[1:]:
@@ -199,6 +179,14 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
 # --------------------------------------------------------------------------
 # curvature of the scalarized objective
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Curvature:
+    """Curvature in [0, 1]: 0 for modular functions, 1 for a fully redundant element."""
+
+    value: float
+    method: str  # "total_over_ground_set" or "exact_matroid_enumeration"
+
 
 def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
                         scenarios: ScenarioSet, taus,
@@ -333,23 +321,19 @@ def alpha_sweep(objective: StochasticObjective, matroid: Matroid,
 
     All runs share one scenario batch (config.seed), so results across alphas
     differ only through the risk level. Each chosen set is then evaluated on a
-    fresh child-seeded batch for the utility histogram statistics. The
-    curvature of the scalarized objective is alpha-independent and computed
-    once.
+    fresh child-seeded batch of ``eval_samples`` (default ``config.samples``)
+    for the utility histogram statistics. The curvature of the scalarized
+    objective is alpha-independent and computed once.
     """
     alphas = [check_risk_level(a) for a in alphas]
     if not alphas:
         raise ValueError("at least one risk level is required")
-    if config.scenario_policy != "common_random_numbers":
-        raise ValueError("alpha_sweep requires the common_random_numbers policy")
     scenarios = objective.sample_scenarios(config.samples, config.seed)
-    taus = config.tau_grid()
-    try:
-        curvature = auxiliary_curvature(objective, matroid, scenarios, taus,
-                                        method=curvature_method)
-    except UndefinedCurvatureError:
-        curvature = Curvature(1.0, curvature_method)  # worst case still valid
-    fresh = objective.sample_scenarios(eval_samples or config.samples,
+    curvature = auxiliary_curvature(objective, matroid, scenarios,
+                                    config.tau_grid(), method=curvature_method)
+    if eval_samples is None:
+        eval_samples = config.samples
+    fresh = objective.sample_scenarios(eval_samples,
                                        child_seed(config.seed, _EVAL_STREAM))
     points = []
     for alpha in alphas:

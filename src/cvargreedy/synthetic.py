@@ -54,16 +54,6 @@ class RandomCoverageObjective(StochasticObjective):
         factors = rng.uniform(_FACTOR_LO, _FACTOR_HI, (count, n))
         return ScenarioSet((bits, factors), count, int(seed))
 
-    def evaluate(self, subset, scenario) -> float:
-        subset = self.ground.check_subset(subset)
-        bits, factors = scenario.payload
-        total = 0.0
-        active = [e for e in subset if bits[e]]
-        if active:
-            total += float(self.cell_weights[self._cover[active].any(axis=0)].sum())
-        total += float(sum(self.modular_base[e] * factors[e] for e in subset))
-        return total
-
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
         subset = self.ground.check_subset(subset)
         if not subset:

@@ -1,5 +1,6 @@
-"""Shared test helpers: tiny deterministic objectives and brute-force oracles
-written independently of the library code paths they check."""
+"""Shared test helpers: tiny deterministic objectives and reference oracles
+written independently of the library code paths they check (brute force,
+per-scenario utilities, generic curvature)."""
 from __future__ import annotations
 
 from itertools import chain, combinations
@@ -7,7 +8,10 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from cvargreedy import GroundSet, ScenarioSet, StochasticObjective
+from cvargreedy import (ENUMERATION_CAP, Curvature, EnumerationCapError,
+                        ScenarioSet, StochasticObjective)
+from cvargreedy.problems import SensorCoverage, VehicleAssignment
+from cvargreedy.synthetic import RandomCoverageObjective
 
 
 def powerset(elements):
@@ -43,39 +47,111 @@ class ModularDeterministic(StochasticObjective):
             raise ValueError("sample count must be at least 1")
         return ScenarioSet(np.zeros((count, 1)), count, int(seed))
 
-    def evaluate(self, subset, scenario):
-        subset = self.ground.check_subset(subset)
-        return float(sum(self.weights[e] for e in subset))
-
     def utilities(self, subset, scenarios):
         subset = self.ground.check_subset(subset)
         return np.full(len(scenarios), sum(self.weights[e] for e in subset))
 
 
-class CoverageDeterministic(StochasticObjective):
-    """Deterministic weighted coverage; the classic submodular test function."""
+# ------------------------------------------------ per-scenario utilities
 
-    def __init__(self, cover_sets, weights, matroid):
-        self.cover_sets = [frozenset(s) for s in cover_sets]
-        self.weights = dict(weights)
-        self.ground = matroid.ground
-        self.matroid = matroid
-        self.gamma_hint = float(sum(self.weights.values()))
+def scenario_row(scenarios: ScenarioSet, i: int):
+    """Scenario i of a batch: row i of the payload array (or of each array)."""
+    if isinstance(scenarios.data, tuple):
+        return tuple(d[i] for d in scenarios.data)
+    return scenarios.data[i]
 
-    def sample_scenarios(self, count, seed):
-        if count < 1:
-            raise ValueError("sample count must be at least 1")
-        return ScenarioSet(np.zeros((count, 1)), count, int(seed))
 
-    def value(self, subset):
-        covered = set().union(*(self.cover_sets[e] for e in subset)) if subset else set()
-        return float(sum(self.weights.get(c, 0.0) for c in covered))
+def scalar_utility(objective, subset, row) -> float:
+    """f(S, y) of one set in one scenario, as a plain loop per problem family."""
+    subset = objective.ground.check_subset(subset)
+    if isinstance(objective, VehicleAssignment):
+        best: dict[int, float] = {}
+        for e in subset:
+            demand, vehicle = divmod(e, objective.vehicles)
+            eff = float(row[demand, vehicle])
+            best[demand] = max(best.get(demand, eff), eff)
+        return float(sum(best.values()))
+    if isinstance(objective, SensorCoverage):
+        alive = [objective.coverage_sets[e] for e in subset if row[e]]
+        return float(len(set().union(*alive)))
+    if isinstance(objective, RandomCoverageObjective):
+        bits, factors = row
+        covered = np.zeros(objective.cell_weights.size, dtype=bool)
+        for e in subset:
+            if bits[e]:
+                covered |= objective._cover[e]
+        modular = sum(objective.modular_base[e] * factors[e] for e in subset)
+        return float(objective.cell_weights[covered].sum() + modular)
+    raise TypeError(f"no scalar reference for {type(objective).__name__}")
 
-    def evaluate(self, subset, scenario):
-        return self.value(self.ground.check_subset(subset))
 
-    def utilities(self, subset, scenarios):
-        return np.full(len(scenarios), self.value(self.ground.check_subset(subset)))
+def scalar_utilities(objective, subset, scenarios: ScenarioSet) -> np.ndarray:
+    return np.array([scalar_utility(objective, subset, scenario_row(scenarios, i))
+                     for i in range(len(scenarios))])
+
+
+# --------------------------------------------------------- generic curvature
+
+class UndefinedCurvatureError(ValueError):
+    """Curvature is undefined when some singleton has zero value."""
+
+
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def total_curvature(fn, ground) -> Curvature:
+    """1 - min_s [fn(X) - fn(X - s)] / fn({s}) over the full ground set.
+
+    ``fn`` must be normalized monotone submodular with fn({s}) > 0 for every
+    element (otherwise the ratio is undefined and an error is raised).
+    """
+    full = frozenset(ground.elements)
+    f_full = fn(full)
+    worst = float("inf")
+    for e in ground.elements:
+        single = fn(frozenset((e,)))
+        if single <= 0.0:
+            raise UndefinedCurvatureError(
+                f"element {e} has nonpositive singleton value {single}; "
+                "curvature is undefined")
+        worst = min(worst, (f_full - fn(full - {e})) / single)
+    return Curvature(_clamp01(1.0 - worst), "total_over_ground_set")
+
+
+def matroid_curvature(fn, matroid, cap: int = ENUMERATION_CAP) -> Curvature:
+    """Exact curvature restricted to the feasible family of the matroid.
+
+    Minimizes [fn(S) - fn(S - s)] / fn({s}) over every independent S and
+    s in S. Never larger than ``total_curvature`` when the full ground set
+    is feasible. Refuses oversized ground sets; use ``total_curvature`` then.
+    """
+    try:
+        feasible = matroid.enumerate_feasible(cap)
+    except EnumerationCapError as err:
+        raise EnumerationCapError(
+            f"{err}; total_curvature avoids the enumeration entirely") from err
+    cache: dict[frozenset, float] = {}
+
+    def value(s: frozenset) -> float:
+        if s not in cache:
+            cache[s] = float(fn(s))
+        return cache[s]
+
+    for e in matroid.ground.elements:
+        single = value(frozenset((e,)))
+        if single <= 0.0:
+            raise UndefinedCurvatureError(
+                f"element {e} has nonpositive singleton value {single}; "
+                "curvature is undefined")
+    worst = float("inf")
+    for s in feasible:
+        for e in s:
+            ratio = (value(s) - value(s - {e})) / value(frozenset((e,)))
+            worst = min(worst, ratio)
+    if worst == float("inf"):  # single-element grounds still hit the loop; guard anyway
+        return Curvature(0.0, "exact_matroid_enumeration")
+    return Curvature(_clamp01(1.0 - worst), "exact_matroid_enumeration")
 
 
 @pytest.fixture

@@ -166,14 +166,6 @@ def test_run_verify_refuses_large_ground(tmp_path, capsys):
     assert "20 elements" in err and "cap" in err
 
 
-def test_run_verify_rejects_fresh_policy(tmp_path, capsys):
-    instance = gen_vehicle(tmp_path)
-    code = main(run_flags(instance, tmp_path / "x",
-                          extra=["--verify", "--scenario-policy", "fresh_per_tau"]))
-    assert code == 2
-    assert "common_random_numbers" in capsys.readouterr().err
-
-
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_outputs(tmp_path, capsys):
@@ -193,6 +185,15 @@ def test_sweep_outputs(tmp_path, capsys):
     assert len(curves) == 1 + 2 * 6
     hist = data_section(tmp_path / "sw_histograms.csv")
     assert len(hist) == 1 + 2 * 5
+
+
+def test_sweep_rejects_zero_eval_samples(tmp_path, capsys):
+    instance = gen_sensor(tmp_path)
+    code = main(["sweep", str(instance), "--alphas", "0.5", "--delta", "4",
+                 "--samples", "20", "--eval-samples", "0",
+                 "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert "sample count" in capsys.readouterr().err
 
 
 def test_sweep_reproducible(tmp_path, monkeypatch):
@@ -246,6 +247,50 @@ def test_unknown_problem_kind(tmp_path, capsys):
     code = main(["run", str(bad), "--alpha", "0.5", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown problem" in capsys.readouterr().err
+
+
+def test_non_finite_gamma(tmp_path, capsys):
+    instance = gen_vehicle(tmp_path)
+    code = main(["run", str(instance), "--alpha", "0.5", "--gamma", "inf",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def _top_level_list(doc):
+    return [1]
+
+
+def _null_select(doc):
+    doc["select"] = None
+    return doc
+
+
+def _infinite_coverage(doc):
+    doc["coverage_sets"][0][0] = float("inf")
+    return doc
+
+
+def _infinite_position(doc):
+    doc["demand_positions"][0][0] = float("inf")
+    return doc
+
+
+@pytest.mark.parametrize("problem,corrupt", [
+    ("vehicle", _top_level_list),
+    ("sensor", _null_select),
+    ("sensor", _infinite_coverage),
+    ("vehicle", _infinite_position),
+], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position"])
+def test_malformed_instance_file(tmp_path, capsys, problem, corrupt):
+    good = gen_vehicle(tmp_path) if problem == "vehicle" else gen_sensor(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(read_json(good))))  # inf is written as Infinity
+    code = main(["run", str(bad), "--alpha", "0.5", "--delta", "4",
+                 "--samples", "20", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_bad_worker_env(tmp_path, capsys, monkeypatch):

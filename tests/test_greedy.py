@@ -1,4 +1,5 @@
-"""Greedy selection and curvature measurement on deterministic set functions."""
+"""Greedy selection on deterministic set functions, and the generic curvature
+references (kept in conftest) that auxiliary_curvature is checked against."""
 from __future__ import annotations
 
 import math
@@ -9,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvargreedy import (Curvature, EnumerationCapError, GroundSet,
-                        PartitionMatroid, UndefinedCurvatureError,
-                        UniformMatroid, greedy_maximize, matroid_curvature,
-                        total_curvature)
+                        PartitionMatroid, UniformMatroid, greedy_maximize)
 from cvargreedy.synthetic import random_instance
-from conftest import brute_force_max
+from conftest import (UndefinedCurvatureError, brute_force_max,
+                      matroid_curvature, total_curvature)
 
 
 def modular(weights):

@@ -2,12 +2,15 @@
 must satisfy: normalization, monotonicity, submodularity, determinism."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cvargreedy import ScenarioSet, check_sample_count, child_seed
 from cvargreedy.problems import OccupancyGrid, SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import random_instance
+from conftest import scalar_utilities
 
 
 def make_objectives():
@@ -40,21 +43,17 @@ def test_scenario_set_api():
     sc = ScenarioSet(data, 4, seed=9)
     assert len(sc) == 4
     assert sc.seed == 9
-    third = sc.scenario(2)
-    assert third.index == 2
-    assert np.array_equal(third.payload, [6.0, 7.0, 8.0])
-    assert [s.index for s in sc] == [0, 1, 2, 3]
-    assert len(sc.scenarios) == 4
+    assert sc.data is data
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.seed = 1
 
 
 def test_scenario_set_tuple_payload():
     bits = np.zeros((5, 2), dtype=np.uint8)
     factors = np.ones(5)
     sc = ScenarioSet((bits, factors), 5, seed=0)
-    s = sc.scenario(3)
-    assert isinstance(s.payload, tuple)
-    assert s.payload[0].shape == (2,)
-    assert s.payload[1] == 1.0
+    assert len(sc) == 5
+    assert sc.data[0] is bits and sc.data[1] is factors
 
 
 def test_scenario_set_size_mismatch():
@@ -85,7 +84,7 @@ def test_utilities_match_scalar_evaluate(objective):
         s = frozenset(int(e) for e in rng.choice(n, size, replace=False))
         vec = objective.utilities(s, sc)
         assert vec.shape == (15,)
-        loop = [objective.evaluate(s, scenario) for scenario in sc]
+        loop = scalar_utilities(objective, s, sc)
         np.testing.assert_allclose(vec, loop, rtol=1e-12, atol=1e-12)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvargreedy import PartitionMatroid, Scenario, UniformMatroid
+from cvargreedy import PartitionMatroid, ScenarioSet, UniformMatroid
 from cvargreedy import problems
 from cvargreedy.problems import (OccupancyGrid, SensorCoverage,
                                  VehicleAssignment, load_instance,
@@ -41,6 +41,9 @@ def test_vehicle_rejects_zero_distance():
         VehicleAssignment(np.zeros((0, 2)), [[1.0, 2.0]])
     with pytest.raises(ValueError):
         VehicleAssignment([[0.0, 0.0, 0.0]], [[1.0, 2.0]])
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            VehicleAssignment([[0.0, bad]], [[1.0, 2.0]])
 
 
 def test_vehicle_structure():
@@ -68,15 +71,18 @@ def test_vehicle_generate_deterministic():
     np.testing.assert_array_equal(a.demand_xy, b.demand_xy)
 
 
+def one_scenario(payload):
+    return ScenarioSet(np.asarray(payload)[None], 1, seed=0)
+
+
 def test_vehicle_evaluate_best_vehicle_per_demand():
     inst = VehicleAssignment([[0.0, 0.0], [5.0, 5.0]], [[1.0, 0.0], [0.0, 3.0]])
-    eff = np.array([[3.0, 1.0], [2.0, 5.0]])
-    scenario = Scenario(0, eff)
+    scenario = one_scenario([[3.0, 1.0], [2.0, 5.0]])
     p = inst.pair_id
-    assert inst.evaluate({p(0, 0), p(0, 1), p(1, 1)}, scenario) == 8.0
-    assert inst.evaluate({p(0, 0)}, scenario) == 3.0
-    assert inst.evaluate({p(0, 1)}, scenario) == 1.0
-    assert inst.evaluate(frozenset(), scenario) == 0.0
+    assert inst.utilities({p(0, 0), p(0, 1), p(1, 1)}, scenario).tolist() == [8.0]
+    assert inst.utilities({p(0, 0)}, scenario).tolist() == [3.0]
+    assert inst.utilities({p(0, 1)}, scenario).tolist() == [1.0]
+    assert inst.utilities(frozenset(), scenario).tolist() == [0.0]
 
 
 def test_vehicle_generate_resamples_coincident_position(monkeypatch):
@@ -182,10 +188,13 @@ def test_sensor_structure_and_probabilities():
 
 def test_sensor_evaluate_union_of_survivors():
     inst = SensorCoverage([(1, 2), (2, 3)], free_cell_count=10, select=2)
-    assert inst.evaluate({0, 1}, Scenario(0, np.array([1, 1]))) == 3.0
-    assert inst.evaluate({0, 1}, Scenario(0, np.array([1, 0]))) == 2.0
-    assert inst.evaluate({0, 1}, Scenario(0, np.array([0, 0]))) == 0.0
-    assert inst.evaluate(frozenset(), Scenario(0, np.array([1, 1]))) == 0.0
+    def utility(subset, bits):
+        return inst.utilities(subset, one_scenario(np.array(bits, dtype=np.uint8))).tolist()
+
+    assert utility({0, 1}, [1, 1]) == [3.0]
+    assert utility({0, 1}, [1, 0]) == [2.0]
+    assert utility({0, 1}, [0, 0]) == [0.0]
+    assert utility(frozenset(), [1, 1]) == [0.0]
 
 
 def test_sensor_failure_rate_matches_probability():
@@ -256,6 +265,8 @@ def test_sensor_json_missing_pieces():
 def test_load_instance_errors():
     with pytest.raises(ValueError, match="unknown problem"):
         load_instance({"problem": "warehouse"})
+    with pytest.raises(ValueError, match="JSON object"):
+        load_instance([1])
     inst = VehicleAssignment.generate(2, 2, seed=0)
     data = inst.to_json()
     data["matroid"] = {"type": "uniform", "k": 2}

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvargreedy import (UtilitySample, auxiliary_from_values, auxiliary_value,
+from cvargreedy import (auxiliary_from_values, auxiliary_value,
                         check_risk_level, cvar_of_set, empirical_cvar,
-                        empirical_var, required_sample_count, utility_sample)
+                        empirical_var, required_sample_count)
 from cvargreedy.synthetic import random_instance
 
 value_arrays = st.lists(
@@ -63,6 +63,12 @@ def test_cvar_of_set_and_auxiliary_on_objective():
     assert tau_star == empirical_var(u, 0.4)
     assert auxiliary_value(obj, s, 1.0, sc, 0.4) == pytest.approx(
         auxiliary_from_values(u, 1.0, 0.4))
+    # the subset is validated once, by the objective's utilities
+    for bad in ({0, 9}, {-1}, {True}):
+        with pytest.raises(ValueError, match="element"):
+            auxiliary_value(obj, bad, 1.0, sc, 0.4)
+        with pytest.raises(ValueError, match="element"):
+            cvar_of_set(obj, bad, sc, 0.4)
 
 
 def test_two_point_plateau():
@@ -71,23 +77,6 @@ def test_two_point_plateau():
         assert auxiliary_from_values([1.0, 3.0], tau, 0.5) == 1.0
     cvar, tau_star = empirical_cvar([1.0, 3.0], 0.5), empirical_var([1.0, 3.0], 0.5)
     assert (cvar, tau_star) == (1.0, 1.0)
-
-
-def test_utility_sample_validation():
-    with pytest.raises(ValueError):
-        UtilitySample(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        UtilitySample(np.array([]))
-    s = UtilitySample(np.array([0.0, 2.0]), source=(frozenset({1}), 7))
-    assert empirical_cvar(s, 1.0) == 1.0
-
-
-def test_utility_sample_helper():
-    obj = random_instance(1, size=3)
-    sc = obj.sample_scenarios(10, 2)
-    s = utility_sample(obj, {1}, sc)
-    assert s.source == (frozenset({1}), 2)
-    assert np.all(s.values >= 0)
 
 
 def test_required_sample_count():

@@ -11,9 +11,9 @@ from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
                         UniformMatroid, additive_penalty, alpha_sweep,
                         approximation_bound, auxiliary_curvature,
                         brute_force_opt, empirical_cvar, greedy_maximize,
-                        matroid_curvature, run_sga, total_curvature)
+                        run_sga)
 from cvargreedy.synthetic import random_instance
-from conftest import ModularDeterministic
+from conftest import ModularDeterministic, matroid_curvature, total_curvature
 
 
 def two_weight_objective():
@@ -30,7 +30,7 @@ def test_config_validation():
     for bad in (dict(good, alpha=0.0), dict(good, alpha=1.5),
                 dict(good, gamma=0.0), dict(good, delta=0.0),
                 dict(good, delta=2.5), dict(good, samples=0),
-                dict(good, scenario_policy="bootstrap")):
+                dict(good, gamma=float("inf")), dict(good, delta=float("nan"))):
         with pytest.raises(ValueError):
             SgaConfig(**bad)
 
@@ -97,23 +97,6 @@ def test_run_sga_deterministic_and_worker_invariant():
     b = run_sga(obj, obj.matroid, cfg)
     c = run_sga(obj, obj.matroid, cfg, workers=4)
     assert a == b == c
-
-
-def test_fresh_per_tau_policy():
-    obj = random_instance(29, size=5)
-    base = SgaConfig(alpha=0.4, gamma=obj.gamma_hint, delta=obj.gamma_hint / 5,
-                     samples=30, seed=2)
-    fresh_cfg = dataclasses.replace(base, scenario_policy="fresh_per_tau")
-    fresh_a = run_sga(obj, obj.matroid, fresh_cfg)
-    fresh_b = run_sga(obj, obj.matroid, fresh_cfg, workers=3)
-    assert fresh_a == fresh_b
-    common = run_sga(obj, obj.matroid, base)
-    h_fresh = [p.h_value for p in fresh_a.sweep]
-    h_common = [p.h_value for p in common.sweep]
-    assert h_fresh != h_common  # distinct batches shift the curve a little
-    with pytest.raises(ValueError, match="common_random_numbers"):
-        run_sga(obj, obj.matroid, fresh_cfg,
-                scenarios=obj.sample_scenarios(30, 2))
 
 
 def test_explicit_scenarios_size_checked():
@@ -290,14 +273,5 @@ def test_alpha_sweep_table():
     # objective value of the solution cannot drop as risk aversion relaxes
     hs = [p.result.h_value for p in table.points]
     assert all(x <= y + 1e-9 for x, y in zip(hs, hs[1:]))
-
-
-def test_alpha_sweep_requires_common_numbers():
-    obj = random_instance(47, size=4)
-    cfg = SgaConfig(alpha=0.5, gamma=obj.gamma_hint, delta=obj.gamma_hint,
-                    samples=10, scenario_policy="fresh_per_tau")
-    with pytest.raises(ValueError):
-        alpha_sweep(obj, obj.matroid, cfg, [0.5])
-    with pytest.raises(ValueError):
-        alpha_sweep(obj, obj.matroid,
-                    SgaConfig(alpha=0.5, gamma=1.0, delta=1.0, samples=10), [])
+    with pytest.raises(ValueError, match="risk level"):
+        alpha_sweep(obj, obj.matroid, cfg, [])
