@@ -8,11 +8,6 @@ instance seed, library version, timestamp); rerunning with identical flags
 reproduces the data sections byte for byte. Every run draws one scenario
 batch from --seed and reuses it for every evaluation (common random numbers).
 
-The environment variable CVARGREEDY_WORKERS sets how many threads solve tau
-grid points in parallel (default 1); it never changes results. Threads help
-objectives whose utilities kernel releases the GIL (the sensor matmul) and
-slow down the Python-bound vehicle kernel.
-
 Exit codes: 0 success (and guarantee holds when verifying), 1 guarantee
 violated, 2 usage or input error.
 """
@@ -21,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -36,7 +30,6 @@ from .problems import OccupancyGrid, SensorCoverage, VehicleAssignment, load_ins
 from .sga import (SgaConfig, alpha_sweep, approximation_bound,
                   auxiliary_curvature, brute_force_opt, run_sga)
 
-WORKERS_ENV = "CVARGREEDY_WORKERS"
 SLACK_TOL = 1e-9
 
 _CSV_COLUMNS = """\
@@ -99,21 +92,16 @@ def _set_cell(subset) -> str:
     return ";".join(str(e) for e in sorted(subset))
 
 
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1").strip() or "1"
-    try:
-        return max(1, int(raw))
-    except ValueError as err:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from err
-
-
 def _load_objective(path: str):
     """Read and rebuild an instance; malformed content is a ValueError naming the file."""
     text = Path(path).read_text()
     try:
         data = json.loads(text)
         return load_instance(data), data
-    except (ValueError, TypeError, OverflowError, KeyError) as err:
+    except KeyError as err:
+        raise ValueError(
+            f"instance file {path}: missing required field {err.args[0]!r}") from err
+    except (ValueError, TypeError, OverflowError) as err:
         raise ValueError(f"instance file {path}: {err}") from err
 
 
@@ -145,6 +133,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
                     if line.strip()]
             grid = OccupancyGrid.from_rows(rows)
         else:
+            if not 0.0 <= args.obstacle_density <= 1.0:
+                raise ValueError("obstacle density must lie in [0, 1], got "
+                                 f"{args.obstacle_density}")
             rng = np.random.default_rng(child_seed(args.seed, 1))
             cells = rng.random((args.rows, args.cols)) < args.obstacle_density
             grid = OccupancyGrid.from_rows(cells.astype(int).tolist())
@@ -199,10 +190,8 @@ def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, b
 def cmd_run(args: argparse.Namespace) -> int:
     objective, instance_data = _load_objective(args.instance)
     cfg = _build_config(args, objective, args.alpha)
-    workers = _workers()
     scenarios = objective.sample_scenarios(cfg.samples, cfg.seed)
-    result = run_sga(objective, objective.matroid, cfg, scenarios=scenarios,
-                     workers=workers)
+    result = run_sga(objective, objective.matroid, cfg, scenarios=scenarios)
     bound = approximation_bound(
         auxiliary_curvature(objective, objective.matroid, scenarios,
                             cfg.tau_grid()), cfg)
@@ -256,9 +245,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     objective, instance_data = _load_objective(args.instance)
     alphas = args.alphas
     cfg = _build_config(args, objective, alphas[0])
-    workers = _workers()
     table = alpha_sweep(objective, objective.matroid, cfg, alphas,
-                        eval_samples=args.eval_samples, workers=workers)
+                        eval_samples=args.eval_samples)
     manifest = RunManifest.create(
         args.argv,
         {"config": _config_dict(cfg), "alphas": alphas, "instance": instance_data},
@@ -299,10 +287,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     objective, instance_data = _load_objective(args.instance)
     cfg = _build_config(args, objective, args.alpha)
-    workers = _workers()
     scenarios = objective.sample_scenarios(cfg.samples, cfg.seed)
-    result = run_sga(objective, objective.matroid, cfg, scenarios=scenarios,
-                     workers=workers)
+    result = run_sga(objective, objective.matroid, cfg, scenarios=scenarios)
     block, passed = _verification(objective, cfg, scenarios, result)
     print(f"solver value {result.h_value:.6g} at tau {result.chosen_tau:.6g}, "
           f"set {_set_cell(result.chosen_set) or '{}'}")
@@ -350,10 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-averse maximization of stochastic monotone submodular "
                     "set utilities under matroid constraints (alpha = 1 is the "
                     "risk-neutral expectation).",
-        epilog=_CSV_COLUMNS + f"\n\n{WORKERS_ENV} sets the number of threads "
-               "that solve tau grid points\n(default 1; results never depend "
-               "on it). Threads speed up sensor instances,\nwhose matmul kernel "
-               "releases the GIL, and slow down vehicle instances.",
+        epilog=_CSV_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

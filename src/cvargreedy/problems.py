@@ -13,6 +13,7 @@
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -78,8 +79,8 @@ class VehicleAssignment(StochasticObjective):
         """Vehicles and demands placed independently uniformly in a side x side square."""
         if vehicles < 1 or demands < 1:
             raise ValueError("need at least one vehicle and one demand")
-        if side <= 0:
-            raise ValueError(f"square side must be positive, got {side}")
+        if not (math.isfinite(side) and side > 0):
+            raise ValueError(f"square side must be positive and finite, got {side}")
         rng = np.random.default_rng(_u64(seed))
         demand_xy = rng.uniform(0.0, side, (demands, 2))
         vehicle_xy = rng.uniform(0.0, side, (vehicles, 2))
@@ -103,8 +104,11 @@ class VehicleAssignment(StochasticObjective):
     def sample_scenarios(self, count: int, seed: int) -> ScenarioSet:
         count = check_sample_count(count)
         rng = np.random.default_rng(_u64(seed))
-        u = rng.random((count, self.demands, self.vehicles))
-        data = self.eff_low + u * (self.eff_high - self.eff_low)
+        # in place: batch-sized temporaries fragment the heap, so the peak
+        # RSS of a process that draws many batches would keep creeping up
+        data = rng.random((count, self.demands, self.vehicles))
+        data *= self.eff_high - self.eff_low
+        data += self.eff_low
         return ScenarioSet(data, count, int(seed))
 
     def _by_demand(self, subset) -> dict[int, list[int]]:

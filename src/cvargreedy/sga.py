@@ -11,22 +11,25 @@ risk-neutral case.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .greedy import greedy_maximize
 from .matroid import ENUMERATION_CAP, Matroid
 from .objective import ScenarioSet, StochasticObjective, child_seed
-from .risk import (auxiliary_value, check_risk_level, empirical_cvar,
-                   empirical_var)
+from .risk import check_risk_level, empirical_cvar, empirical_var
 
 # substream id of the fresh evaluation batch in alpha_sweep
 _EVAL_STREAM = 1 << 32
 
 # grid count backoff against float noise in gamma/delta near an integer
 _GRID_TOL = 1e-9
+
+# largest tau grid a config accepts; a finer grid is a typo, not a workload
+MAX_GRID_POINTS = 10**6
+
+# floats in one hinge temporary of the batched sweep (2 MiB)
+_HINGE_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,12 @@ class SgaConfig:
                 f"delta must lie in (0, gamma={self.gamma}], got {self.delta}")
         if int(self.samples) < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        steps = self.gamma / self.delta - _GRID_TOL
+        if steps > MAX_GRID_POINTS - 1:
+            count = math.ceil(steps) + 1 if math.isfinite(steps) else steps
+            raise ValueError(
+                f"gamma={self.gamma} and delta={self.delta} give a tau grid of "
+                f"{count} points, more than the limit of {MAX_GRID_POINTS}")
 
     def tau_grid(self) -> list[float]:
         """0, delta, 2*delta, ... up to ceil(gamma/delta) steps.
@@ -79,13 +88,12 @@ class SgaResult:
 
 
 def run_sga(objective: StochasticObjective, matroid: Matroid, config: SgaConfig,
-            scenarios: ScenarioSet | None = None, workers: int = 1) -> SgaResult:
+            scenarios: ScenarioSet | None = None) -> SgaResult:
     """Sweep the tau grid, greedily solving each scalarized problem.
 
     Every evaluation uses one common-random-numbers scenario batch: the one
     passed in via ``scenarios``, or else one drawn from ``config.seed``.
-    Ties in the final argmax go to the smallest tau. ``workers`` only
-    parallelizes independent grid points; results do not depend on it.
+    Ties in the final argmax go to the smallest tau.
     """
     if scenarios is None:
         scenarios = objective.sample_scenarios(config.samples, config.seed)
@@ -93,34 +101,86 @@ def run_sga(objective: StochasticObjective, matroid: Matroid, config: SgaConfig,
         raise ValueError(
             f"scenario batch size {len(scenarios)} does not match "
             f"config.samples={config.samples}")
+    points = [(config.alpha, tau) for tau in config.tau_grid()]
+    return _result(config, _greedy_sweep(objective, matroid, scenarios, points))
 
-    def solve_point(tau: float) -> SweepPoint:
-        def h(subset) -> float:
-            return auxiliary_value(objective, subset, tau, scenarios, config.alpha)
 
-        selected, trace = greedy_maximize(h, matroid)
-        return SweepPoint(tau=tau, selected=selected, h_value=h(selected),
-                          evaluations=trace.evaluations + 1)
-
-    taus = config.tau_grid()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve_point, taus))
-    else:
-        points = [solve_point(tau) for tau in taus]
-
-    best = points[0]
-    for p in points[1:]:
-        if p.h_value > best.h_value:
-            best = p
+def _result(config: SgaConfig, sweep: list[SweepPoint]) -> SgaResult:
+    """The best grid point of one alpha's sweep; the first maximum over tau wins."""
+    best = max(sweep, key=lambda p: p.h_value)
     return SgaResult(
         chosen_set=best.selected,
         chosen_tau=best.tau,
         h_value=best.h_value,
-        sweep=tuple(points),
-        oracle_evaluations=sum(p.evaluations for p in points) * config.samples,
+        sweep=tuple(sweep),
+        oracle_evaluations=sum(p.evaluations for p in sweep) * config.samples,
         config=config,
     )
+
+
+def _scores(u: np.ndarray, taus: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """H(S, tau) at every (alpha, tau) pair from one utility vector u of S.
+
+    Bit-identical to ``auxiliary_from_values`` per pair: each row sum is the
+    same pairwise sum as the 1-d np.sum. Rows are scored in chunks so that
+    one hinge temporary holds at most _HINGE_FLOATS floats.
+    """
+    n = u.size
+    out = np.empty(taus.size)
+    step = max(1, _HINGE_FLOATS // n)
+    for lo in range(0, taus.size, step):
+        t = taus[lo:lo + step]
+        hinge = t[:, None] - u[None, :]
+        np.maximum(hinge, 0.0, out=hinge)
+        out[lo:lo + step] = t - hinge.sum(axis=1) / (alphas[lo:lo + step] * n)
+    return out
+
+
+def _greedy_sweep(objective: StochasticObjective, matroid: Matroid,
+                  scenarios: ScenarioSet,
+                  points: list[tuple[float, float]]) -> list[SweepPoint]:
+    """Greedy maximization of H(., tau) at every (alpha, tau) point at once.
+
+    Each step groups the unfinished points by their current set S, asks the
+    matroid for the extensions of S once per group, and computes the utility
+    vector of each S + e once for the whole group. Per point this makes the
+    same picks as ``greedy_maximize`` over ``auxiliary_value`` (ties go to
+    the smallest element id) and reports the same H values and the same
+    logical evaluation count: the empty set, every candidate, and the final
+    recomputation of H(selected).
+    """
+    alphas = np.array([a for a, _ in points], dtype=float)
+    taus = np.array([t for _, t in points], dtype=float)
+    selected = [frozenset()] * len(points)
+    values = _scores(objective.utilities(frozenset(), scenarios), taus, alphas)
+    evaluations = [2] * len(points)
+    active = list(range(len(points)))
+    while active:
+        groups: dict[frozenset, list[int]] = {}
+        for i in active:
+            groups.setdefault(selected[i], []).append(i)
+        active = []
+        for current, members in groups.items():
+            candidates = matroid.extension_candidates(current)
+            if not candidates:
+                continue
+            group_taus, group_alphas = taus[members], alphas[members]
+            best_value = np.full(len(members), -np.inf)
+            best_element = np.full(len(members), -1)
+            for e in sorted(candidates):
+                score = _scores(objective.utilities(current | {e}, scenarios),
+                                group_taus, group_alphas)
+                better = score > best_value
+                best_value[better] = score[better]
+                best_element[better] = e
+            for j, i in enumerate(members):
+                selected[i] = current | {int(best_element[j])}
+                values[i] = best_value[j]
+                evaluations[i] += len(candidates)
+            active.extend(members)
+    return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
+                       evaluations=evaluations[i])
+            for i, (_, tau) in enumerate(points)]
 
 
 # --------------------------------------------------------------------------
@@ -315,31 +375,34 @@ class AlphaSweepTable:
 
 def alpha_sweep(objective: StochasticObjective, matroid: Matroid,
                 config: SgaConfig, alphas, eval_samples: int | None = None,
-                curvature_method: str = "total_over_ground_set",
-                workers: int = 1) -> AlphaSweepTable:
-    """Run the solver once per risk level under common random numbers.
+                curvature_method: str = "total_over_ground_set") -> AlphaSweepTable:
+    """Solve every risk level in one sweep under common random numbers.
 
-    All runs share one scenario batch (config.seed), so results across alphas
-    differ only through the risk level. Each chosen set is then evaluated on a
-    fresh child-seeded batch of ``eval_samples`` (default ``config.samples``)
-    for the utility histogram statistics. The curvature of the scalarized
-    objective is alpha-independent and computed once.
+    All risk levels share one scenario batch (config.seed), so results across
+    alphas differ only through the risk level, and each utility vector is
+    computed once for all of them. Each point's result equals ``run_sga`` at
+    its alpha. Each chosen set is then evaluated on a fresh child-seeded
+    batch of ``eval_samples`` (default ``config.samples``) for the utility
+    histogram statistics. The curvature of the scalarized objective is
+    alpha-independent and computed once.
     """
     alphas = [check_risk_level(a) for a in alphas]
     if not alphas:
         raise ValueError("at least one risk level is required")
     scenarios = objective.sample_scenarios(config.samples, config.seed)
-    curvature = auxiliary_curvature(objective, matroid, scenarios,
-                                    config.tau_grid(), method=curvature_method)
+    taus = config.tau_grid()
+    curvature = auxiliary_curvature(objective, matroid, scenarios, taus,
+                                    method=curvature_method)
     if eval_samples is None:
         eval_samples = config.samples
     fresh = objective.sample_scenarios(eval_samples,
                                        child_seed(config.seed, _EVAL_STREAM))
+    sweep = _greedy_sweep(objective, matroid, scenarios,
+                          [(alpha, tau) for alpha in alphas for tau in taus])
     points = []
-    for alpha in alphas:
-        cfg = replace(config, alpha=alpha)
-        result = run_sga(objective, matroid, cfg, scenarios=scenarios,
-                         workers=workers)
+    for i, alpha in enumerate(alphas):
+        result = _result(replace(config, alpha=alpha),
+                         sweep[i * len(taus):(i + 1) * len(taus)])
         utils = objective.utilities(result.chosen_set, fresh)
         points.append(AlphaSweepPoint(
             alpha=alpha,

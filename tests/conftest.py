@@ -1,6 +1,6 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
-per-scenario utilities, generic curvature)."""
+per-scenario utilities, generic curvature, the per-tau solver sweep)."""
 from __future__ import annotations
 
 from itertools import chain, combinations
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cvargreedy import (ENUMERATION_CAP, Curvature, EnumerationCapError,
-                        ScenarioSet, StochasticObjective)
+                        ScenarioSet, SgaResult, StochasticObjective, SweepPoint,
+                        auxiliary_value, greedy_maximize)
 from cvargreedy.problems import SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import RandomCoverageObjective
 
@@ -88,6 +89,53 @@ def scalar_utility(objective, subset, row) -> float:
 def scalar_utilities(objective, subset, scenarios: ScenarioSet) -> np.ndarray:
     return np.array([scalar_utility(objective, subset, scenario_row(scenarios, i))
                      for i in range(len(scenarios))])
+
+
+class ClonedObjective(StochasticObjective):
+    """Element e acts as element e mod n of ``base``: f(S) = base(S mod n).
+
+    Clones have identical utilities in every scenario, so the greedy meets
+    exact ties; the composition stays normalized, monotone and submodular.
+    """
+
+    def __init__(self, base, matroid):
+        self.base = base
+        self.ground = matroid.ground
+        self.matroid = matroid
+        self.gamma_hint = base.gamma_hint
+
+    def sample_scenarios(self, count, seed):
+        return self.base.sample_scenarios(count, seed)
+
+    def utilities(self, subset, scenarios):
+        subset = self.ground.check_subset(subset)
+        n = self.base.ground.size
+        return self.base.utilities({e % n for e in subset}, scenarios)
+
+
+# ------------------------------------------------------ per-tau solver sweep
+
+def reference_run_sga(objective, matroid, config, scenarios=None) -> SgaResult:
+    """The solver as one ``greedy_maximize`` over ``auxiliary_value`` per tau."""
+    if scenarios is None:
+        scenarios = objective.sample_scenarios(config.samples, config.seed)
+    points = []
+    for tau in config.tau_grid():
+        def h(subset, tau=tau):
+            return auxiliary_value(objective, subset, tau, scenarios, config.alpha)
+
+        selected, trace = greedy_maximize(h, matroid)
+        points.append(SweepPoint(tau=tau, selected=selected, h_value=h(selected),
+                                 evaluations=trace.evaluations + 1))
+    best = points[0]
+    for p in points[1:]:
+        if p.h_value > best.h_value:
+            best = p
+    return SgaResult(chosen_set=best.selected, chosen_tau=best.tau,
+                     h_value=best.h_value, sweep=tuple(points),
+                     oracle_evaluations=sum(p.evaluations for p in points)
+                     * config.samples,
+                     config=config)
 
 
 # --------------------------------------------------------- generic curvature

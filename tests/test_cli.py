@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cvargreedy import __version__, load_instance
+from cvargreedy import SgaConfig, __version__, load_instance
 from cvargreedy.cli import main
 
 
@@ -66,14 +66,26 @@ def test_gen_vehicle(tmp_path, capsys):
     assert doc["manifest"]["instance_seed"] == 5
     instance = load_instance(doc)
     assert instance.ground.size == 4
+    for side in ("inf", "nan", "0"):
+        code = main(["gen", "vehicle", "--side", side,
+                     "--out", str(tmp_path / "bad.json")])
+        assert code == 2
+        assert "square side" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
-def test_gen_sensor_random_grid(tmp_path):
+def test_gen_sensor_random_grid(tmp_path, capsys):
     doc = read_json(gen_sensor(tmp_path))
     assert doc["problem"] == "sensor"
     assert len(doc["grid"]) == 6
     assert len(doc["sensor_cells"]) == 5
     assert load_instance(doc).matroid.k == 2
+    for density in ("nan", "-0.1", "1.5"):
+        code = main(["gen", "sensor", "--obstacle-density", density,
+                     "--out", str(tmp_path / "bad.json")])
+        assert code == 2
+        assert "obstacle density" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_gen_sensor_from_grid_file(tmp_path):
@@ -126,10 +138,9 @@ def test_run_outputs(tmp_path, capsys):
     assert curve[0].startswith("# command: cvargreedy run")
 
 
-def test_run_reproducible_across_workers(tmp_path, monkeypatch):
+def test_run_reproducible(tmp_path):
     instance = gen_vehicle(tmp_path)
     assert main(run_flags(instance, tmp_path / "a")) == 0
-    monkeypatch.setenv("CVARGREEDY_WORKERS", "3")
     assert main(run_flags(instance, tmp_path / "b")) == 0
     assert data_section(tmp_path / "a.json") == data_section(tmp_path / "b.json")
     assert (data_section(tmp_path / "a_tau_curve.csv")
@@ -156,6 +167,17 @@ def test_run_with_verification(tmp_path, capsys):
     assert block["slack"] >= -1e-9
     assert block["curvature_method"] == "exact_matroid_enumeration"
     assert block["grid_gap"] >= -1e-9
+
+
+def test_run_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
+    instance = gen_vehicle(tmp_path)
+    monkeypatch.setattr(SgaConfig, "tau_grid",
+                        lambda self: pytest.fail("the tau grid was built"))
+    code = main(["run", str(instance), "--alpha", "0.5", "--delta", "1e-9",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "points, more than the limit of 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_run_verify_refuses_large_ground(tmp_path, capsys):
@@ -196,12 +218,11 @@ def test_sweep_rejects_zero_eval_samples(tmp_path, capsys):
     assert "sample count" in capsys.readouterr().err
 
 
-def test_sweep_reproducible(tmp_path, monkeypatch):
+def test_sweep_reproducible(tmp_path):
     instance = gen_sensor(tmp_path)
     flags = ["sweep", str(instance), "--alphas", "0.3,1", "--gamma", "12",
              "--delta", "3", "--samples", "30", "--bins", "4"]
     assert main([*flags, "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("CVARGREEDY_WORKERS", "4")
     assert main([*flags, "--out", str(tmp_path / "b")]) == 0
     for suffix in ("alpha_table", "tau_curves", "histograms"):
         assert (data_section(tmp_path / f"a_{suffix}.csv")
@@ -276,29 +297,30 @@ def _infinite_position(doc):
     return doc
 
 
-@pytest.mark.parametrize("problem,corrupt", [
-    ("vehicle", _top_level_list),
-    ("sensor", _null_select),
-    ("sensor", _infinite_coverage),
-    ("vehicle", _infinite_position),
-], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position"])
-def test_malformed_instance_file(tmp_path, capsys, problem, corrupt):
+def _missing_select(doc):
+    del doc["select"]
+    return doc
+
+
+@pytest.mark.parametrize("problem,corrupt,message", [
+    ("vehicle", _top_level_list, "must be a JSON object"),
+    ("sensor", _null_select, "NoneType"),
+    ("sensor", _infinite_coverage, "infinity"),
+    ("vehicle", _infinite_position, "must be finite"),
+    ("sensor", _missing_select, "missing required field 'select'"),
+], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position",
+        "missing-select"])
+def test_malformed_instance_file(tmp_path, capsys, problem, corrupt, message):
     good = gen_vehicle(tmp_path) if problem == "vehicle" else gen_sensor(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(read_json(good))))  # inf is written as Infinity
     code = main(["run", str(bad), "--alpha", "0.5", "--delta", "4",
                  "--samples", "20", "--out", str(tmp_path / "x")])
     assert code == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert message in err
     assert not (tmp_path / "x.json").exists()
-
-
-def test_bad_worker_env(tmp_path, capsys, monkeypatch):
-    instance = gen_vehicle(tmp_path)
-    monkeypatch.setenv("CVARGREEDY_WORKERS", "many")
-    code = main(run_flags(instance, tmp_path / "x"))
-    assert code == 2
-    assert "CVARGREEDY_WORKERS" in capsys.readouterr().err
 
 
 def test_argparse_rejects_missing_alpha(tmp_path):

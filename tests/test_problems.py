@@ -60,6 +60,10 @@ def test_vehicle_structure():
     # drawn efficiencies stay inside the intervals and below the range hint
     sc = inst.sample_scenarios(50, seed=3)
     assert np.all(sc.data >= inst.eff_low) and np.all(sc.data <= inst.eff_high)
+    # the in-place draw gives the same bits as the plain interval formula
+    u = np.random.default_rng(3).random((50, 2, 3))
+    np.testing.assert_array_equal(
+        sc.data, inst.eff_low + u * (inst.eff_high - inst.eff_low))
     full = inst.utilities(frozenset(range(6)), sc)
     assert np.all(full <= inst.gamma_hint + 1e-9)
 

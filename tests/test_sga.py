@@ -6,14 +6,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
                         UniformMatroid, additive_penalty, alpha_sweep,
                         approximation_bound, auxiliary_curvature,
                         brute_force_opt, empirical_cvar, greedy_maximize,
                         run_sga)
-from cvargreedy.synthetic import random_instance
-from conftest import ModularDeterministic, matroid_curvature, total_curvature
+from cvargreedy.synthetic import random_instance, random_matroid
+from conftest import (ClonedObjective, ModularDeterministic, matroid_curvature,
+                      reference_run_sga, total_curvature)
 
 
 def two_weight_objective():
@@ -30,7 +33,8 @@ def test_config_validation():
     for bad in (dict(good, alpha=0.0), dict(good, alpha=1.5),
                 dict(good, gamma=0.0), dict(good, delta=0.0),
                 dict(good, delta=2.5), dict(good, samples=0),
-                dict(good, gamma=float("inf")), dict(good, delta=float("nan"))):
+                dict(good, gamma=float("inf")), dict(good, delta=float("nan")),
+                dict(good, gamma=1e6, delta=1e-9)):
         with pytest.raises(ValueError):
             SgaConfig(**bad)
 
@@ -89,14 +93,54 @@ def test_h_value_is_final_recompute():
 
 # ------------------------------------------------------------- determinism
 
-def test_run_sga_deterministic_and_worker_invariant():
+def test_run_sga_deterministic():
     obj = random_instance(23, size=6)
     cfg = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 7,
                     samples=60, seed=9)
-    a = run_sga(obj, obj.matroid, cfg)
-    b = run_sga(obj, obj.matroid, cfg)
-    c = run_sga(obj, obj.matroid, cfg, workers=4)
-    assert a == b == c
+    assert run_sga(obj, obj.matroid, cfg) == run_sga(obj, obj.matroid, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 7),
+       kind=st.sampled_from(["uniform", "partition"]), copies=st.integers(1, 2),
+       alphas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0]), min_size=1,
+                       max_size=3),
+       spacing=st.sampled_from([1.0, 0.4, 1 / 7, 0.05]),
+       samples=st.sampled_from([1, 7, 60, 300]))
+def test_batched_sweep_matches_per_tau_reference(seed, size, kind, copies,
+                                                 alphas, spacing, samples):
+    base = random_instance(seed, size=size, matroid_kind=kind)
+    if copies == 1:
+        obj = base
+    else:  # clones tie exactly, so the smallest-id tie-break is exercised
+        rng = np.random.default_rng(seed)
+        obj = ClonedObjective(base, random_matroid(
+            rng, GroundSet(copies * size), kind))
+    cfg = SgaConfig(alpha=alphas[0], gamma=obj.gamma_hint,
+                    delta=spacing * obj.gamma_hint, samples=samples, seed=seed)
+    for alpha in alphas:
+        at_alpha = dataclasses.replace(cfg, alpha=alpha)
+        ours = run_sga(obj, obj.matroid, at_alpha)
+        ref = reference_run_sga(obj, obj.matroid, at_alpha)
+        assert ours.sweep == ref.sweep
+        assert ours.chosen_set == ref.chosen_set
+        assert ours.chosen_tau == ref.chosen_tau
+        assert ours.h_value == ref.h_value
+        assert ours.oracle_evaluations == ref.oracle_evaluations
+    table = alpha_sweep(obj, obj.matroid, cfg, alphas)
+    for point in table.points:
+        assert point.result == run_sga(obj, obj.matroid,
+                                       dataclasses.replace(cfg, alpha=point.alpha))
+
+
+def test_batched_sweep_matches_reference_on_large_batches():
+    # 70,001 samples score 3 grid points per hinge chunk, 270,001 one point
+    obj = random_instance(5, size=4, matroid_kind="uniform")
+    for samples in (70_001, 270_001):
+        cfg = SgaConfig(alpha=0.2, gamma=obj.gamma_hint,
+                        delta=obj.gamma_hint / 7, samples=samples, seed=2)
+        assert run_sga(obj, obj.matroid, cfg) == reference_run_sga(
+            obj, obj.matroid, cfg)
 
 
 def test_explicit_scenarios_size_checked():
