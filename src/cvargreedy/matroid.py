@@ -56,25 +56,38 @@ class GroundSet:
 
 
 class Matroid:
-    """Independence oracle base class. Instances are immutable and pure."""
+    """Independence oracle base class. Instances are immutable and pure.
+
+    Subclasses implement ``_independent``; the public methods validate their
+    argument once and then apply it unchecked.
+    """
 
     ground: GroundSet
 
     def is_independent(self, subset: Iterable[int]) -> bool:
+        """Validate the element ids, then apply the independence rule."""
+        return self._independent(self.ground.check_subset(subset))
+
+    def _independent(self, s: frozenset[int]) -> bool:
+        """The independence rule on a frozenset of valid ids (not re-checked)."""
         raise NotImplementedError
 
     def extension_candidates(self, subset: Iterable[int]) -> frozenset[int]:
         """All elements s outside the (independent) subset with subset+s independent."""
         s = self.ground.check_subset(subset)
-        if not self.is_independent(s):
+        if not self._independent(s):
             raise ValueError("extension candidates are defined for independent sets only")
         return frozenset(
             e for e in self.ground.elements
-            if e not in s and self.is_independent(s | {e})
+            if e not in s and self._independent(s | {e})
         )
 
     def enumerate_feasible(self, cap: int = ENUMERATION_CAP) -> list[frozenset[int]]:
-        """Every independent subset, empty set included, in (size, lexicographic) order."""
+        """Every independent subset, empty set included, in (size, lexicographic) order.
+
+        Stops at the first size without an independent set: independence is
+        hereditary, so no larger set can be independent either.
+        """
         n = self.ground.size
         if n > cap:
             raise EnumerationCapError(
@@ -82,10 +95,11 @@ class Matroid:
                 "raise the cap explicitly if you really want 2^n subsets")
         feasible: list[frozenset[int]] = []
         for r in range(n + 1):
-            for combo in combinations(range(n), r):
-                s = frozenset(combo)
-                if self.is_independent(s):
-                    feasible.append(s)
+            found = [s for s in map(frozenset, combinations(range(n), r))
+                     if self._independent(s)]
+            if not found:
+                break
+            feasible += found
         return feasible
 
     def fragment(self) -> dict:
@@ -104,8 +118,7 @@ class UniformMatroid(Matroid):
         if self.k < 1:
             raise ValueError(f"capacity must be at least 1, got k={self.k}")
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        s = self.ground.check_subset(subset)
+    def _independent(self, s: frozenset[int]) -> bool:
         return len(s) <= self.k
 
     def fragment(self) -> dict:
@@ -146,8 +159,7 @@ class PartitionMatroid(Matroid):
                 f"unknown={sorted(extra)})")
         object.__setattr__(self, "_block_of", block_of)
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        s = self.ground.check_subset(subset)
+    def _independent(self, s: frozenset[int]) -> bool:
         used = [0] * len(self.blocks)
         for e in s:
             bi = self._block_of[e]

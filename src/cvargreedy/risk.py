@@ -63,13 +63,22 @@ def empirical_cvar(sample, alpha: float) -> float:
     """Mean of the worst alpha-fraction of the sample (fractional tail weighting)."""
     values = _values(sample)
     alpha = check_risk_level(alpha)
-    v = np.sort(values)
-    n = v.size
+    cvar, _ = sorted_rows_cvar_var(np.sort(values)[None, :], alpha)
+    return float(cvar[0])
+
+
+def sorted_rows_cvar_var(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cvar, var) of every row of a (rows x n) array sorted ascending along rows.
+
+    Row by row the same bits as ``empirical_cvar`` and ``empirical_var``: each
+    tail sum is numpy's pairwise sum over one row, as for a 1-d sample.
+    """
+    n = v.shape[1]
     k = _tail_index(alpha, n)
-    mass = alpha * n
+    var = v[:, k - 1]
     # shifted form of (sum_{i<k} v_i + (mass - (k-1)) * v_k) / mass: exact on
     # constant samples and never exceeds the var order statistic v_k
-    return float(v[k - 1] + np.sum(v[: k - 1] - v[k - 1]) / mass)
+    return var + np.sum(v[:, : k - 1] - var[:, None], axis=1) / (alpha * n), var
 
 
 def auxiliary_from_values(values, tau: float, alpha: float) -> float:

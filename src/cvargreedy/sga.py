@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .matroid import ENUMERATION_CAP, Matroid
 from .objective import ScenarioSet, StochasticObjective, child_seed
-from .risk import check_risk_level, empirical_cvar, empirical_var
+from .risk import check_risk_level, sorted_rows_cvar_var
 
 # substream id of the fresh evaluation batch in alpha_sweep
 _EVAL_STREAM = 1 << 32
@@ -30,6 +31,12 @@ MAX_GRID_POINTS = 10**6
 
 # floats in one hinge temporary of the batched sweep (2 MiB)
 _HINGE_FLOATS = 2**18
+
+# floats in one (sets x samples x taus) temporary of brute force and curvature
+# (512 KiB). Narrower tau slices cost time: each slice reruns the reduction's
+# inner loop once per sample (2**14 floats took twice as long per set at 1000
+# samples x 50 taus); wider blocks only raise the peak RSS.
+_BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,71 @@ def _greedy_sweep(objective: StochasticObjective, matroid: Matroid,
 
 
 # --------------------------------------------------------------------------
+# scoring the feasible family in blocks
+# --------------------------------------------------------------------------
+
+def _tau_array(taus) -> np.ndarray:
+    """A tau grid as a float array; every point must be finite and nonnegative."""
+    arr = np.asarray(list(taus), dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tau grid points must be finite")
+    if np.any(arr < 0):
+        raise ValueError("tau grid points must be nonnegative")
+    return arr
+
+
+def _utility_blocks(objective: StochasticObjective, scenarios: ScenarioSet,
+                    sets: list[frozenset[int]], width: int):
+    """Yield (start, block) where block holds the utilities of sets[start:start + rows].
+
+    One ``utilities`` call per set, no cache. A block has as many rows as
+    keep a (rows x samples x width) temporary within _BLOCK_FLOATS floats,
+    and at least one. Blocks share one buffer: use each before the next.
+    """
+    n = len(scenarios)
+    rows = max(1, _BLOCK_FLOATS // (n * width))
+    buffer = np.empty((min(rows, len(sets)), n))
+    for start in range(0, len(sets), rows):
+        chunk = sets[start:start + rows]
+        block = buffer[:len(chunk)]
+        for i, subset in enumerate(chunk):
+            block[i] = objective.utilities(subset, scenarios)
+        yield start, block
+
+
+def _tau_slices(count: int, samples: int) -> list[slice]:
+    """Split a grid of ``count`` taus so samples x slice stays within _BLOCK_FLOATS.
+
+    No slice holds a lone tau of a longer grid: numpy sums a (samples x 1)
+    column pairwise but adds a wider block one sample at a time, so a lone
+    column would change the last bits. So every slice holds at least two
+    taus, even past the budget, and the last may hold one more than the rest.
+    """
+    width = count if count == 1 else max(2, _BLOCK_FLOATS // samples)
+    starts = list(range(0, count, width))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def _shortfall(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    hinge = tau - u
+    return np.maximum(hinge, 0.0, out=hinge)
+
+
+def _sample_sums(block: np.ndarray, taus: np.ndarray, term) -> np.ndarray:
+    """sum over samples of term(u, tau) for every row u of block and every tau.
+
+    Row by row the same bits as ``term(u[:, None], taus[None, :]).sum(axis=0)``
+    on a single set. Returns a (rows x taus) array.
+    """
+    out = np.empty((len(block), taus.size))
+    for cols in _tau_slices(taus.size, block.shape[1]):
+        out[:, cols] = term(block[:, :, None], taus[cols]).sum(axis=1)
+    return out
+
+
+# --------------------------------------------------------------------------
 # exact reference optimum
 # --------------------------------------------------------------------------
 
@@ -206,31 +278,37 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
 
     Evaluates every independent set at every tau of the grid, and per set the
     exact cvar (whose maximizing tau needs no grid). Deterministic tie
-    handling: smallest tau first, then enumeration order of the sets.
+    handling: smallest tau first, then enumeration order of the sets. Taus
+    must be finite and nonnegative.
+
+    The family is scored in blocks of sets, and a long grid in slices of
+    taus, so that no temporary exceeds _BLOCK_FLOATS floats (512 KiB) unless
+    one set's samples x two taus already do; every result is bit-identical
+    to scoring one set at a time with ``empirical_cvar``/``empirical_var``.
     """
     alpha = check_risk_level(alpha)
-    taus = np.asarray(list(taus), dtype=float)
+    taus = _tau_array(taus)
     if taus.size == 0:
         raise ValueError("at least one tau grid point is required")
-    if np.any(taus < 0):
-        raise ValueError("tau grid points must be nonnegative")
     feasible = matroid.enumerate_feasible(cap)
     n = len(scenarios)
     best_set = best_cvar_set = frozenset()
     best_tau = cvar_tau = 0.0
     best_h = cvar_star = -float("inf")
-    for subset in feasible:
-        u = objective.utilities(subset, scenarios)
-        hinge = np.maximum(taus[None, :] - u[:, None], 0.0).sum(axis=0)
-        h_row = taus - hinge / (alpha * n)
-        j = int(np.argmax(h_row))  # first occurrence: smallest tau
-        if h_row[j] > best_h:
-            best_h = float(h_row[j])
-            best_set, best_tau = subset, float(taus[j])
-        cv = empirical_cvar(u, alpha)
-        if cv > cvar_star:
-            cvar_star = cv
-            best_cvar_set, cvar_tau = subset, empirical_var(u, alpha)
+    for start, block in _utility_blocks(objective, scenarios, feasible, taus.size):
+        h = taus - _sample_sums(block, taus, _shortfall) / (alpha * n)
+        cols = h.argmax(axis=1)  # first occurrence: smallest tau
+        row_max = h[np.arange(len(block)), cols]
+        r = int(row_max.argmax())  # first occurrence: earliest set
+        if row_max[r] > best_h:
+            best_h = float(row_max[r])
+            best_set, best_tau = feasible[start + r], float(taus[cols[r]])
+        block.sort(axis=1)
+        cvar, var = sorted_rows_cvar_var(block, alpha)
+        r = int(cvar.argmax())
+        if cvar[r] > cvar_star:
+            cvar_star = float(cvar[r])
+            best_cvar_set, cvar_tau = feasible[start + r], float(var[r])
     return BruteForceResult(best_set=best_set, best_tau=best_tau, h_star=best_h,
                             cvar_best_set=best_cvar_set, cvar_tau=cvar_tau,
                             cvar_star=cvar_star)
@@ -258,44 +336,60 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     threshold tau is proportional to G_tau(S) = sum_y min(f(S, y), tau); the
     risk level cancels in every curvature ratio, so one number serves all
     alphas. Returns the worst (largest) curvature over the positive grid
-    points. tau = 0 is skipped (G identically zero there). Elements whose
-    utilities are zero in every scenario never change any value and are
-    excluded from the ratios.
+    points. tau = 0 is skipped (G identically zero there); taus must be
+    finite and nonnegative. Elements whose utilities are zero in every
+    scenario never change any value and are excluded from the ratios.
+
+    The ratios [G(S) - G(S - e)] / G({e}) run over e in S for S the full
+    ground set ("total_over_ground_set") or every independent S
+    ("exact_matroid_enumeration"). G is computed for each distinct set once,
+    in blocks of sets and slices of taus, and the ratios per element in
+    chunks, so that no temporary exceeds _BLOCK_FLOATS floats (512 KiB) beyond
+    the (sets x taus) matrix of G; the value is bit-identical to computing
+    G one set at a time.
     """
-    positive = sorted({float(t) for t in taus if t > 0})
-    if not positive:
-        return Curvature(0.0, method)
-    taus_arr = np.asarray(positive)
-    ground = matroid.ground
-    full = frozenset(ground.elements)
-    singletons = [frozenset((e,)) for e in ground.elements]
-
-    if method == "total_over_ground_set":
-        pairs = [(full, e) for e in ground.elements]
-        family = [full] + [full - {e} for e in ground.elements]
-    elif method == "exact_matroid_enumeration":
-        feasible = matroid.enumerate_feasible(cap)
-        pairs = [(s, e) for s in feasible if s for e in s]
-        family = feasible
-    else:
+    grid = _tau_array(taus)
+    if method not in ("total_over_ground_set", "exact_matroid_enumeration"):
         raise ValueError(f"unknown curvature method {method!r}")
+    positive = np.array(sorted(set(grid[grid > 0].tolist())))
+    if positive.size == 0:
+        return Curvature(0.0, method)
+    elements = matroid.ground.elements
+    singletons = [frozenset((e,)) for e in elements]
+    # pairs(e): the rows of g holding every S that contains e, and of S - e
+    if method == "total_over_ground_set":
+        full = frozenset(elements)
+        family = [full] + [full - {e} for e in elements]
 
-    needed = set(family) | set(singletons)
-    needed.update(s - {e} for s, e in pairs)
-    g_of: dict[frozenset, np.ndarray] = {}
-    zero_elements = set()
-    for subset in needed:
-        u = objective.utilities(subset, scenarios)
-        g_of[subset] = np.minimum(u[:, None], taus_arr[None, :]).sum(axis=0)
-    for e in ground.elements:
-        if not np.any(g_of[singletons[e]] > 0.0):
-            zero_elements.add(e)
-    worst_ratio = np.full(taus_arr.size, np.inf)
-    for subset, e in pairs:
-        if e in zero_elements:
-            continue
-        ratio = (g_of[subset] - g_of[subset - {e}]) / g_of[singletons[e]]
-        worst_ratio = np.minimum(worst_ratio, ratio)
+        def pairs(e: int) -> tuple[np.ndarray, np.ndarray]:
+            return np.array([row[full]]), np.array([row[full - {e}]])
+    else:
+        family = matroid.enumerate_feasible(cap)
+        # family[i] is row i of g; pos maps a set's bitmask to its row
+        masks = np.array([sum(1 << e for e in s) for s in family])
+        pos = np.full(1 << len(elements), -1)
+        pos[masks] = np.arange(len(family))
+
+        def pairs(e: int) -> tuple[np.ndarray, np.ndarray]:
+            with_e = np.flatnonzero(masks & (1 << e))
+            return with_e, pos[masks[with_e] ^ (1 << e)]
+    row: dict[frozenset[int], int] = {}
+    for subset in chain(family, singletons):
+        row.setdefault(subset, len(row))
+    g = np.empty((len(row), positive.size))
+    for start, block in _utility_blocks(objective, scenarios, list(row), positive.size):
+        g[start:start + len(block)] = _sample_sums(block, positive, np.minimum)
+
+    step = max(1, _BLOCK_FLOATS // positive.size)
+    worst_ratio = np.full(positive.size, np.inf)
+    for e in elements:
+        single = g[row[singletons[e]]]
+        if not np.any(single > 0.0):
+            continue  # empirically worthless element
+        top, rest = pairs(e)
+        for lo in range(0, top.size, step):
+            ratio = (g[top[lo:lo + step]] - g[rest[lo:lo + step]]) / single
+            np.minimum(worst_ratio, ratio.min(axis=0), out=worst_ratio)
     if not np.any(np.isfinite(worst_ratio)):
         return Curvature(0.0, method)  # every element is empirically worthless
     k = float(np.max(np.clip(1.0 - worst_ratio, 0.0, 1.0)))

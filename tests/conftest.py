@@ -1,6 +1,7 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
-per-scenario utilities, generic curvature, the per-tau solver sweep)."""
+per-scenario utilities, generic curvature, the per-tau solver sweep, the
+per-set brute-force optimum and scalarized curvature)."""
 from __future__ import annotations
 
 from itertools import chain, combinations
@@ -8,9 +9,10 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from cvargreedy import (ENUMERATION_CAP, Curvature, EnumerationCapError,
-                        ScenarioSet, SgaResult, StochasticObjective, SweepPoint,
-                        auxiliary_value, greedy_maximize)
+from cvargreedy import (ENUMERATION_CAP, BruteForceResult, Curvature,
+                        EnumerationCapError, ScenarioSet, SgaResult,
+                        StochasticObjective, SweepPoint, auxiliary_value,
+                        empirical_cvar, empirical_var, greedy_maximize)
 from cvargreedy.problems import SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import RandomCoverageObjective
 
@@ -136,6 +138,72 @@ def reference_run_sga(objective, matroid, config, scenarios=None) -> SgaResult:
                      oracle_evaluations=sum(p.evaluations for p in points)
                      * config.samples,
                      config=config)
+
+
+# ------------------------------------ per-set brute force and curvature
+
+def reference_brute_force_opt(objective, matroid, scenarios, alpha, taus,
+                              cap=ENUMERATION_CAP) -> BruteForceResult:
+    """``brute_force_opt`` scoring one feasible set at a time."""
+    taus = np.asarray(list(taus), dtype=float)
+    feasible = matroid.enumerate_feasible(cap)
+    n = len(scenarios)
+    best_set = best_cvar_set = frozenset()
+    best_tau = cvar_tau = 0.0
+    best_h = cvar_star = -float("inf")
+    for subset in feasible:
+        u = objective.utilities(subset, scenarios)
+        hinge = np.maximum(taus[None, :] - u[:, None], 0.0).sum(axis=0)
+        h_row = taus - hinge / (alpha * n)
+        j = int(np.argmax(h_row))  # first occurrence: smallest tau
+        if h_row[j] > best_h:
+            best_h = float(h_row[j])
+            best_set, best_tau = subset, float(taus[j])
+        cv = empirical_cvar(u, alpha)
+        if cv > cvar_star:
+            cvar_star = cv
+            best_cvar_set, cvar_tau = subset, empirical_var(u, alpha)
+    return BruteForceResult(best_set=best_set, best_tau=best_tau, h_star=best_h,
+                            cvar_best_set=best_cvar_set, cvar_tau=cvar_tau,
+                            cvar_star=cvar_star)
+
+
+def reference_auxiliary_curvature(objective, matroid, scenarios, taus,
+                                  method="total_over_ground_set",
+                                  cap=ENUMERATION_CAP) -> Curvature:
+    """``auxiliary_curvature`` with one G vector per set and one ratio per (S, e)."""
+    positive = sorted({float(t) for t in taus if t > 0})
+    if not positive:
+        return Curvature(0.0, method)
+    taus_arr = np.asarray(positive)
+    ground = matroid.ground
+    full = frozenset(ground.elements)
+    singletons = [frozenset((e,)) for e in ground.elements]
+    if method == "total_over_ground_set":
+        pairs = [(full, e) for e in ground.elements]
+        family = [full] + [full - {e} for e in ground.elements]
+    else:
+        feasible = matroid.enumerate_feasible(cap)
+        pairs = [(s, e) for s in feasible if s for e in s]
+        family = feasible
+    needed = set(family) | set(singletons)
+    needed.update(s - {e} for s, e in pairs)
+    g_of = {}
+    for subset in needed:
+        u = objective.utilities(subset, scenarios)
+        g_of[subset] = np.minimum(u[:, None], taus_arr[None, :]).sum(axis=0)
+    zero_elements = {e for e in ground.elements
+                     if not np.any(g_of[singletons[e]] > 0.0)}
+    worst_ratio = np.full(taus_arr.size, np.inf)
+    for subset, e in pairs:
+        if e in zero_elements:
+            continue
+        ratio = (g_of[subset] - g_of[subset - {e}]) / g_of[singletons[e]]
+        worst_ratio = np.minimum(worst_ratio, ratio)
+    if not np.any(np.isfinite(worst_ratio)):
+        return Curvature(0.0, method)
+    k = float(np.max(np.clip(1.0 - worst_ratio, 0.0, 1.0)))
+    return Curvature(k, method)
 
 
 # --------------------------------------------------------- generic curvature

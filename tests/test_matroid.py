@@ -173,9 +173,8 @@ def test_enumerate_feasible_matches_powerset_filter(m):
     expected = [frozenset(c) for c in powerset(m.ground.elements)
                 if m.is_independent(frozenset(c))]
     got = m.enumerate_feasible()
-    assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
-    assert got[0] == frozenset()
-    # deterministic: size-major, lexicographic inside each size
+    # same sets in the same order: size-major, lexicographic inside each size
+    assert got == expected
     assert got == sorted(got, key=lambda s: (len(s), sorted(s)))
 
 

@@ -3,6 +3,7 @@ evaluation accounting, the brute-force reference and the guarantee report."""
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
                         UniformMatroid, additive_penalty, alpha_sweep,
                         approximation_bound, auxiliary_curvature,
                         brute_force_opt, empirical_cvar, greedy_maximize,
-                        run_sga)
+                        run_sga, sga)
 from cvargreedy.synthetic import random_instance, random_matroid
 from conftest import (ClonedObjective, ModularDeterministic, matroid_curvature,
+                      reference_auxiliary_curvature, reference_brute_force_opt,
                       reference_run_sga, total_curvature)
 
 
@@ -202,6 +204,80 @@ def test_brute_force_input_validation():
         brute_force_opt(obj, matroid, sc, 0.5, [])
     with pytest.raises(ValueError):
         brute_force_opt(obj, matroid, sc, 0.5, [-1.0, 0.0])
+    for bad in ([float("nan"), 1.0], [float("inf")], [0.0, -float("inf")]):
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_opt(obj, matroid, sc, 0.5, bad)
+
+
+def test_auxiliary_curvature_rejects_bad_taus():
+    obj = random_instance(1, size=6)
+    sc = obj.sample_scenarios(20, 0)
+    for method in ("total_over_ground_set", "exact_matroid_enumeration"):
+        for bad in ([float("nan")], [1.0, float("inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                auxiliary_curvature(obj, obj.matroid, sc, bad, method=method)
+        with pytest.raises(ValueError, match="nonnegative"):
+            auxiliary_curvature(obj, obj.matroid, sc, [-1.0, 2.0], method=method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
+       samples=st.integers(1, 300), taus=st.integers(1, 9),
+       budget=st.sampled_from([1, 5, 64, 2000, 2**14]))
+def test_sample_sums_match_per_set_sums(seed, rows, samples, taus, budget):
+    # every tau of every row, also the last one of an odd-length grid
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(0.0, 10.0, (rows, samples))
+    grid = np.sort(rng.uniform(0.0, 10.0, taus))
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget):
+        shortfall = sga._sample_sums(block, grid, sga._shortfall)
+        clipped = sga._sample_sums(block, grid, np.minimum)
+    for u, s, c in zip(block, shortfall, clipped):
+        assert np.array_equal(
+            s, np.maximum(grid[None, :] - u[:, None], 0.0).sum(axis=0))
+        assert np.array_equal(c, np.minimum(u[:, None], grid[None, :]).sum(axis=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10),
+       kind=st.sampled_from(["uniform", "partition"]), copies=st.integers(1, 2),
+       alpha=st.sampled_from([0.001, 0.05, 0.3, 1.0]),
+       samples=st.integers(1, 300),
+       grid=st.sampled_from(["zero", "single", 1.0, 0.4, 1 / 7, 0.05]),
+       budget=st.sampled_from([None, 1, 5, 64, 2000]))
+def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alpha,
+                                                   samples, grid, budget):
+    if copies == 1:
+        obj = random_instance(seed, size=size, matroid_kind=kind)
+    else:  # clones tie exactly, so the first-maximum tie-breaks are exercised
+        base = random_instance(seed, size=(size + 1) // 2, matroid_kind=kind)
+        rng = np.random.default_rng(seed)
+        obj = ClonedObjective(base, random_matroid(
+            rng, GroundSet(copies * base.ground.size), kind))
+    gamma = obj.gamma_hint
+    if grid == "zero":
+        taus = [0.0]
+    elif grid == "single":
+        taus = [0.37 * gamma]
+    else:
+        taus = SgaConfig(alpha=alpha, gamma=gamma, delta=grid * gamma,
+                         samples=1).tau_grid()
+    sc = obj.sample_scenarios(samples, seed)
+    # a budget of a few floats splits the blocks over sets and over taus
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS):
+        ours = brute_force_opt(obj, obj.matroid, sc, alpha, taus)
+        curvatures = [auxiliary_curvature(obj, obj.matroid, sc, taus, method=m)
+                      for m in ("total_over_ground_set", "exact_matroid_enumeration")]
+    ref = reference_brute_force_opt(obj, obj.matroid, sc, alpha, taus)
+    assert ours.best_set == ref.best_set
+    assert ours.cvar_best_set == ref.cvar_best_set
+    for name in ("best_tau", "h_star", "cvar_tau", "cvar_star"):
+        assert repr(getattr(ours, name)) == repr(getattr(ref, name)), name
+    for curvature in curvatures:
+        expected = reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                                 method=curvature.method)
+        assert curvature.value == expected.value
+        assert repr(curvature.value) == repr(expected.value)
 
 
 # ---------------------------------------------------------------- guarantee
