@@ -22,6 +22,9 @@ import numpy as np
 # (e.g. 0.07*100 == 7.000000000000001) cannot push the index up by one.
 _INDEX_TOL = 1e-9
 
+# floats in one hinge temporary of auxiliary_scores (2 MiB)
+_HINGE_FLOATS = 2**18
+
 
 def check_risk_level(alpha: float) -> float:
     alpha = float(alpha)
@@ -41,8 +44,8 @@ def required_sample_count(epsilon: float, delta: float) -> int:
 
 def _values(sample) -> np.ndarray:
     values = np.asarray(sample, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("a nonempty 1-d value sample is required")
+    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+        raise ValueError("a nonempty 1-d sample of finite values is required")
     return values
 
 
@@ -51,27 +54,29 @@ def _tail_index(alpha: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def empirical_var(sample, alpha: float) -> float:
-    """Left endpoint of the alpha-quantile of the sample."""
+def _cvar_var(sample, alpha: float) -> tuple[float, float]:
     values = _values(sample)
     alpha = check_risk_level(alpha)
-    v = np.sort(values)
-    return float(v[_tail_index(alpha, v.size) - 1])
+    cvar, var = sorted_rows_cvar_var(np.sort(values)[None, :], alpha)
+    return float(cvar[0]), float(var[0])
+
+
+def empirical_var(sample, alpha: float) -> float:
+    """Left endpoint of the alpha-quantile of the sample."""
+    return _cvar_var(sample, alpha)[1]
 
 
 def empirical_cvar(sample, alpha: float) -> float:
     """Mean of the worst alpha-fraction of the sample (fractional tail weighting)."""
-    values = _values(sample)
-    alpha = check_risk_level(alpha)
-    cvar, _ = sorted_rows_cvar_var(np.sort(values)[None, :], alpha)
-    return float(cvar[0])
+    return _cvar_var(sample, alpha)[0]
 
 
 def sorted_rows_cvar_var(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(cvar, var) of every row of a (rows x n) array sorted ascending along rows.
 
-    Row by row the same bits as ``empirical_cvar`` and ``empirical_var``: each
-    tail sum is numpy's pairwise sum over one row, as for a 1-d sample.
+    The one VaR/CVaR estimator: ``empirical_cvar``, ``empirical_var`` and
+    ``cvar_of_set`` read it on one row. Each tail sum is numpy's pairwise sum
+    over one row, so a row of a block gets the same bits as the row alone.
     """
     n = v.shape[1]
     k = _tail_index(alpha, n)
@@ -81,19 +86,32 @@ def sorted_rows_cvar_var(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     return var + np.sum(v[:, : k - 1] - var[:, None], axis=1) / (alpha * n), var
 
 
-def auxiliary_from_values(values, tau: float, alpha: float) -> float:
-    """tau minus the normalized expected shortfall of the sample below tau.
+def auxiliary_scores(u: np.ndarray, taus: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The one H kernel: tau - sum((tau - u)+) / (alpha * n) at every pair, unchecked.
 
-    np.sum's pairwise accumulation keeps the hinge sum stable for large
-    batches, which the concavity and slope checks rely on.
+    Each row's pairwise np.sum keeps the hinge sum stable for large batches,
+    which the concavity and slope checks rely on. Rows are scored in chunks
+    so that one hinge temporary holds at most _HINGE_FLOATS floats.
     """
+    n = u.size
+    out = np.empty(taus.size)
+    step = max(1, _HINGE_FLOATS // n)
+    for lo in range(0, taus.size, step):
+        t = taus[lo:lo + step]
+        hinge = t[:, None] - u[None, :]
+        np.maximum(hinge, 0.0, out=hinge)
+        out[lo:lo + step] = t - hinge.sum(axis=1) / (alphas[lo:lo + step] * n)
+    return out
+
+
+def auxiliary_from_values(values, tau: float, alpha: float) -> float:
+    """tau minus the normalized expected shortfall of the sample below tau."""
     values = _values(values)
     alpha = check_risk_level(alpha)
     tau = float(tau)
     if tau < 0:
         raise ValueError(f"threshold tau must be nonnegative, got {tau}")
-    hinge = np.maximum(tau - values, 0.0)
-    return float(tau - np.sum(hinge) / (alpha * values.size))
+    return float(auxiliary_scores(values, np.array([tau]), np.array([alpha]))[0])
 
 
 def auxiliary_value(objective, subset, tau: float, scenarios, alpha: float) -> float:
@@ -103,5 +121,4 @@ def auxiliary_value(objective, subset, tau: float, scenarios, alpha: float) -> f
 
 def cvar_of_set(objective, subset, scenarios, alpha: float) -> tuple[float, float]:
     """(empirical cvar, maximizing tau) for one set; the tau is the empirical var."""
-    u = objective.utilities(subset, scenarios)
-    return empirical_cvar(u, alpha), empirical_var(u, alpha)
+    return _cvar_var(objective.utilities(subset, scenarios), alpha)

@@ -16,9 +16,10 @@ from itertools import chain
 
 import numpy as np
 
-from .matroid import ENUMERATION_CAP, Matroid
+from .greedy import greedy_sweep
+from .matroid import Matroid
 from .objective import ScenarioSet, StochasticObjective, child_seed
-from .risk import check_risk_level, sorted_rows_cvar_var
+from .risk import auxiliary_scores, check_risk_level, sorted_rows_cvar_var
 
 # substream id of the fresh evaluation batch in alpha_sweep
 _EVAL_STREAM = 1 << 32
@@ -28,9 +29,6 @@ _GRID_TOL = 1e-9
 
 # largest tau grid a config accepts; a finer grid is a typo, not a workload
 MAX_GRID_POINTS = 10**6
-
-# floats in one hinge temporary of the batched sweep (2 MiB)
-_HINGE_FLOATS = 2**18
 
 # floats in one (sets x samples x taus) temporary of brute force and curvature
 # (512 KiB). Narrower tau slices cost time: each slice reruns the reduction's
@@ -109,7 +107,7 @@ def run_sga(objective: StochasticObjective, matroid: Matroid, config: SgaConfig,
             f"scenario batch size {len(scenarios)} does not match "
             f"config.samples={config.samples}")
     points = [(config.alpha, tau) for tau in config.tau_grid()]
-    return _result(config, _greedy_sweep(objective, matroid, scenarios, points))
+    return _result(config, _solve(objective, matroid, scenarios, points))
 
 
 def _result(config: SgaConfig, sweep: list[SweepPoint]) -> SgaResult:
@@ -125,68 +123,22 @@ def _result(config: SgaConfig, sweep: list[SweepPoint]) -> SgaResult:
     )
 
 
-def _scores(u: np.ndarray, taus: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """H(S, tau) at every (alpha, tau) pair from one utility vector u of S.
+def _solve(objective: StochasticObjective, matroid: Matroid,
+           scenarios: ScenarioSet, points: list[tuple[float, float]]) -> list[SweepPoint]:
+    """One ``greedy_sweep`` of H(., tau) over every (alpha, tau) point.
 
-    Bit-identical to ``auxiliary_from_values`` per pair: each row sum is the
-    same pairwise sum as the 1-d np.sum. Rows are scored in chunks so that
-    one hinge temporary holds at most _HINGE_FLOATS floats.
-    """
-    n = u.size
-    out = np.empty(taus.size)
-    step = max(1, _HINGE_FLOATS // n)
-    for lo in range(0, taus.size, step):
-        t = taus[lo:lo + step]
-        hinge = t[:, None] - u[None, :]
-        np.maximum(hinge, 0.0, out=hinge)
-        out[lo:lo + step] = t - hinge.sum(axis=1) / (alphas[lo:lo + step] * n)
-    return out
-
-
-def _greedy_sweep(objective: StochasticObjective, matroid: Matroid,
-                  scenarios: ScenarioSet,
-                  points: list[tuple[float, float]]) -> list[SweepPoint]:
-    """Greedy maximization of H(., tau) at every (alpha, tau) point at once.
-
-    Each step groups the unfinished points by their current set S, asks the
-    matroid for the extensions of S once per group, and computes the utility
-    vector of each S + e once for the whole group. Per point this makes the
-    same picks as ``greedy_maximize`` over ``auxiliary_value`` (ties go to
-    the smallest element id) and reports the same H values and the same
-    logical evaluation count: the empty set, every candidate, and the final
-    recomputation of H(selected).
-    """
+    A point's evaluations add the final recomputation of H(selected)."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
-    selected = [frozenset()] * len(points)
-    values = _scores(objective.utilities(frozenset(), scenarios), taus, alphas)
-    evaluations = [2] * len(points)
-    active = list(range(len(points)))
-    while active:
-        groups: dict[frozenset, list[int]] = {}
-        for i in active:
-            groups.setdefault(selected[i], []).append(i)
-        active = []
-        for current, members in groups.items():
-            candidates = matroid.extension_candidates(current)
-            if not candidates:
-                continue
-            group_taus, group_alphas = taus[members], alphas[members]
-            best_value = np.full(len(members), -np.inf)
-            best_element = np.full(len(members), -1)
-            for e in sorted(candidates):
-                score = _scores(objective.utilities(current | {e}, scenarios),
-                                group_taus, group_alphas)
-                better = score > best_value
-                best_value[better] = score[better]
-                best_element[better] = e
-            for j, i in enumerate(members):
-                selected[i] = current | {int(best_element[j])}
-                values[i] = best_value[j]
-                evaluations[i] += len(candidates)
-            active.extend(members)
+
+    def score(members: np.ndarray):
+        group_taus, group_alphas = taus[members], alphas[members]
+        return lambda subset: auxiliary_scores(
+            objective.utilities(subset, scenarios), group_taus, group_alphas)
+
+    selected, values, traces = greedy_sweep(score, matroid, len(points))
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
-                       evaluations=evaluations[i])
+                       evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]
 
 
@@ -272,8 +224,7 @@ class BruteForceResult:
 
 
 def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
-                    scenarios: ScenarioSet, alpha: float, taus,
-                    cap: int = ENUMERATION_CAP) -> BruteForceResult:
+                    scenarios: ScenarioSet, alpha: float, taus) -> BruteForceResult:
     """Exhaustive maximization of the scalarized objective.
 
     Evaluates every independent set at every tau of the grid, and per set the
@@ -290,7 +241,7 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
     taus = _tau_array(taus)
     if taus.size == 0:
         raise ValueError("at least one tau grid point is required")
-    feasible = matroid.enumerate_feasible(cap)
+    feasible = matroid.enumerate_feasible()
     n = len(scenarios)
     best_set = best_cvar_set = frozenset()
     best_tau = cvar_tau = 0.0
@@ -328,8 +279,7 @@ class Curvature:
 
 def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
                         scenarios: ScenarioSet, taus,
-                        method: str = "total_over_ground_set",
-                        cap: int = ENUMERATION_CAP) -> Curvature:
+                        method: str = "total_over_ground_set") -> Curvature:
     """Curvature in the set argument of the scalarized objective, over a tau grid.
 
     After subtracting its empty-set value, the scalarized objective at
@@ -364,7 +314,7 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
         def pairs(e: int) -> tuple[np.ndarray, np.ndarray]:
             return np.array([row[full]]), np.array([row[full - {e}]])
     else:
-        family = matroid.enumerate_feasible(cap)
+        family = matroid.enumerate_feasible()
         # family[i] is row i of g; pos maps a set's bitmask to its row
         masks = np.array([sum(1 << e for e in s) for s in family])
         pos = np.full(1 << len(elements), -1)
@@ -468,8 +418,8 @@ class AlphaSweepTable:
 
 
 def alpha_sweep(objective: StochasticObjective, matroid: Matroid,
-                config: SgaConfig, alphas, eval_samples: int | None = None,
-                curvature_method: str = "total_over_ground_set") -> AlphaSweepTable:
+                config: SgaConfig, alphas,
+                eval_samples: int | None = None) -> AlphaSweepTable:
     """Solve every risk level in one sweep under common random numbers.
 
     All risk levels share one scenario batch (config.seed), so results across
@@ -485,14 +435,13 @@ def alpha_sweep(objective: StochasticObjective, matroid: Matroid,
         raise ValueError("at least one risk level is required")
     scenarios = objective.sample_scenarios(config.samples, config.seed)
     taus = config.tau_grid()
-    curvature = auxiliary_curvature(objective, matroid, scenarios, taus,
-                                    method=curvature_method)
+    curvature = auxiliary_curvature(objective, matroid, scenarios, taus)
     if eval_samples is None:
         eval_samples = config.samples
     fresh = objective.sample_scenarios(eval_samples,
                                        child_seed(config.seed, _EVAL_STREAM))
-    sweep = _greedy_sweep(objective, matroid, scenarios,
-                          [(alpha, tau) for alpha in alphas for tau in taus])
+    sweep = _solve(objective, matroid, scenarios,
+                   [(alpha, tau) for alpha in alphas for tau in taus])
     points = []
     for i, alpha in enumerate(alphas):
         result = _result(replace(config, alpha=alpha),

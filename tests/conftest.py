@@ -1,9 +1,11 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
-per-scenario utilities, generic curvature, the per-tau solver sweep, the
-per-set brute-force optimum and scalarized curvature)."""
+per-scenario utilities, the plain greedy and estimators, generic curvature,
+the per-tau solver sweep, the per-set brute-force optimum and scalarized
+curvature)."""
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 
 import numpy as np
@@ -11,8 +13,7 @@ import pytest
 
 from cvargreedy import (ENUMERATION_CAP, BruteForceResult, Curvature,
                         EnumerationCapError, ScenarioSet, SgaResult,
-                        StochasticObjective, SweepPoint, auxiliary_value,
-                        empirical_cvar, empirical_var, greedy_maximize)
+                        StochasticObjective, SweepPoint)
 from cvargreedy.problems import SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import RandomCoverageObjective
 
@@ -115,20 +116,62 @@ class ClonedObjective(StochasticObjective):
         return self.base.utilities({e % n for e in subset}, scenarios)
 
 
+# ------------------------------------------------ plain greedy and estimators
+
+def plain_greedy(fn, matroid):
+    """One scalar greedy loop: (selected, [(pick, gain)], evaluations).
+
+    Candidates are the elements outside S whose addition stays independent;
+    ties go to the smallest id; every call to ``fn`` is counted.
+    """
+    selected = frozenset()
+    current = fn(selected)
+    picks, evaluations = [], 1
+    while True:
+        candidates = [e for e in matroid.ground.elements
+                      if e not in selected and matroid.is_independent(selected | {e})]
+        if not candidates:
+            return selected, picks, evaluations
+        best_element, best_value = -1, -float("inf")
+        for e in candidates:
+            value = fn(selected | {e})
+            evaluations += 1
+            if value > best_value:
+                best_element, best_value = e, value
+        picks.append((best_element, best_value - current))
+        selected = selected | {best_element}
+        current = best_value
+
+
+def plain_h(values, tau, alpha):
+    """tau - sum(max(tau - v, 0)) / (alpha * n) of a 1-d sample."""
+    values = np.asarray(values, dtype=float)
+    hinge = np.maximum(tau - values, 0.0)
+    return float(tau - np.sum(hinge) / (alpha * values.size))
+
+
+def plain_cvar_var(values, alpha):
+    """(cvar, var) of a 1-d sample: sort, k = ceil(alpha * n), shifted tail sum."""
+    v = np.sort(np.asarray(values, dtype=float))
+    n = v.size
+    k = min(max(math.ceil(alpha * n - 1e-9), 1), n)
+    return float(v[k - 1] + np.sum(v[:k - 1] - v[k - 1]) / (alpha * n)), float(v[k - 1])
+
+
 # ------------------------------------------------------ per-tau solver sweep
 
 def reference_run_sga(objective, matroid, config, scenarios=None) -> SgaResult:
-    """The solver as one ``greedy_maximize`` over ``auxiliary_value`` per tau."""
+    """The solver as one plain greedy over the plain H per tau."""
     if scenarios is None:
         scenarios = objective.sample_scenarios(config.samples, config.seed)
     points = []
     for tau in config.tau_grid():
         def h(subset, tau=tau):
-            return auxiliary_value(objective, subset, tau, scenarios, config.alpha)
+            return plain_h(objective.utilities(subset, scenarios), tau, config.alpha)
 
-        selected, trace = greedy_maximize(h, matroid)
+        selected, _, evaluations = plain_greedy(h, matroid)
         points.append(SweepPoint(tau=tau, selected=selected, h_value=h(selected),
-                                 evaluations=trace.evaluations + 1))
+                                 evaluations=evaluations + 1))
     best = points[0]
     for p in points[1:]:
         if p.h_value > best.h_value:
@@ -142,11 +185,10 @@ def reference_run_sga(objective, matroid, config, scenarios=None) -> SgaResult:
 
 # ------------------------------------ per-set brute force and curvature
 
-def reference_brute_force_opt(objective, matroid, scenarios, alpha, taus,
-                              cap=ENUMERATION_CAP) -> BruteForceResult:
+def reference_brute_force_opt(objective, matroid, scenarios, alpha, taus) -> BruteForceResult:
     """``brute_force_opt`` scoring one feasible set at a time."""
     taus = np.asarray(list(taus), dtype=float)
-    feasible = matroid.enumerate_feasible(cap)
+    feasible = matroid.enumerate_feasible()
     n = len(scenarios)
     best_set = best_cvar_set = frozenset()
     best_tau = cvar_tau = 0.0
@@ -159,18 +201,17 @@ def reference_brute_force_opt(objective, matroid, scenarios, alpha, taus,
         if h_row[j] > best_h:
             best_h = float(h_row[j])
             best_set, best_tau = subset, float(taus[j])
-        cv = empirical_cvar(u, alpha)
+        cv, var = plain_cvar_var(u, alpha)
         if cv > cvar_star:
             cvar_star = cv
-            best_cvar_set, cvar_tau = subset, empirical_var(u, alpha)
+            best_cvar_set, cvar_tau = subset, var
     return BruteForceResult(best_set=best_set, best_tau=best_tau, h_star=best_h,
                             cvar_best_set=best_cvar_set, cvar_tau=cvar_tau,
                             cvar_star=cvar_star)
 
 
 def reference_auxiliary_curvature(objective, matroid, scenarios, taus,
-                                  method="total_over_ground_set",
-                                  cap=ENUMERATION_CAP) -> Curvature:
+                                  method="total_over_ground_set") -> Curvature:
     """``auxiliary_curvature`` with one G vector per set and one ratio per (S, e)."""
     positive = sorted({float(t) for t in taus if t > 0})
     if not positive:
@@ -183,7 +224,7 @@ def reference_auxiliary_curvature(objective, matroid, scenarios, taus,
         pairs = [(full, e) for e in ground.elements]
         family = [full] + [full - {e} for e in ground.elements]
     else:
-        feasible = matroid.enumerate_feasible(cap)
+        feasible = matroid.enumerate_feasible()
         pairs = [(s, e) for s in feasible if s for e in s]
         family = feasible
     needed = set(family) | set(singletons)

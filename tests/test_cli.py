@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from cvargreedy import SgaConfig, __version__, load_instance
+from cvargreedy import (SgaConfig, __version__, approximation_bound,
+                        auxiliary_curvature, brute_force_opt, load_instance)
 from cvargreedy.cli import main
 
 
@@ -243,6 +244,29 @@ def test_verify_command(tmp_path, capsys):
     doc = read_json(report)
     assert doc["verification"]["passed"] is True
     assert doc["config"]["alpha"] == 0.4
+
+
+def test_verification_bound_uses_grid_free_optimum(tmp_path):
+    # the certified bound is anchored at the grid-free optimum cvar_star (the
+    # paper's OPT), not at the grid optimum h_star
+    instance = gen_sensor(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(instance), "--alpha", "0.3", "--delta", "5",
+                 "--samples", "50", "--out", str(report)]) == 0
+    doc = read_json(report)
+    cfg = SgaConfig(**{k: doc["config"][k]
+                       for k in ("alpha", "gamma", "delta", "samples", "seed")})
+    objective = load_instance(read_json(instance))
+    scenarios = objective.sample_scenarios(cfg.samples, cfg.seed)
+    brute = brute_force_opt(objective, objective.matroid, scenarios, cfg.alpha,
+                            cfg.tau_grid())
+    curvature = auxiliary_curvature(objective, objective.matroid, scenarios,
+                                    cfg.tau_grid(), method="exact_matroid_enumeration")
+    block = doc["verification"]
+    assert block["grid_gap"] > 0  # the two anchors differ on this instance
+    assert block["cvar_optimum"] == brute.cvar_star
+    assert block["certified_lower_bound"] == approximation_bound(
+        curvature, cfg, brute.cvar_star).certified_lower_bound
 
 
 # ------------------------------------------------------------- exit codes

@@ -1,5 +1,6 @@
-"""Greedy selection on deterministic set functions, and the generic curvature
-references (kept in conftest) that auxiliary_curvature is checked against."""
+"""Greedy selection on deterministic set functions, checked against the plain
+greedy loop kept in conftest, and the generic curvature references (also in
+conftest) that auxiliary_curvature is checked against."""
 from __future__ import annotations
 
 import math
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from cvargreedy import (Curvature, EnumerationCapError, GroundSet,
                         PartitionMatroid, UniformMatroid, greedy_maximize)
-from cvargreedy.synthetic import random_instance
+from cvargreedy.synthetic import random_instance, random_matroid
 from conftest import (UndefinedCurvatureError, brute_force_max,
-                      matroid_curvature, total_curvature)
+                      matroid_curvature, plain_greedy, total_curvature)
 
 
 def modular(weights):
@@ -117,6 +118,37 @@ def test_greedy_ratio_floor(seed):
     assert mean_value(chosen) >= 0.5 * best - 1e-9
     if isinstance(obj.matroid, UniformMatroid):
         assert mean_value(chosen) >= (1 - 1 / math.e) * best - 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+       kind=st.sampled_from(["uniform", "partition"]),
+       family=st.sampled_from(["modular", "coverage"]), ties=st.booleans())
+def test_greedy_matches_plain_greedy(seed, n, kind, family, ties):
+    # small integer weights tie exactly, so the smallest-id rule is exercised
+    rng = np.random.default_rng(seed)
+    matroid = random_matroid(rng, GroundSet(n), kind)
+
+    def draw(size):
+        return (rng.integers(0, 3, size).astype(float) if ties
+                else rng.uniform(0.0, 5.0, size))
+
+    if family == "modular":
+        fn = modular(dict(enumerate(draw(n))))
+    else:
+        cells = rng.random((n, 6)) < 0.4
+        cell_weight = draw(6)
+
+        def fn(s):
+            covered = np.zeros(6, dtype=bool)
+            for e in s:
+                covered |= cells[e]
+            return float(cell_weight[covered].sum())
+    chosen, trace = greedy_maximize(fn, matroid)
+    expected, picks, evaluations = plain_greedy(fn, matroid)
+    assert chosen == expected
+    assert trace.picks == picks  # same elements and gains, compared with ==
+    assert trace.evaluations == evaluations
 
 
 # -------------------------------------------------------------- curvature

@@ -1,5 +1,6 @@
-"""Risk estimators: frozen examples, order identities and the inner-max link
-between the scalarized objective and cvar."""
+"""Risk estimators: frozen examples, agreement with the plain estimators kept
+in conftest, order identities and the inner-max link between the scalarized
+objective and cvar."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,6 +12,7 @@ from cvargreedy import (auxiliary_from_values, auxiliary_value,
                         check_risk_level, cvar_of_set, empirical_cvar,
                         empirical_var, required_sample_count)
 from cvargreedy.synthetic import random_instance
+from conftest import plain_cvar_var, plain_h
 
 value_arrays = st.lists(
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
@@ -42,6 +44,13 @@ def test_risk_level_validation():
     assert check_risk_level(1) == 1.0
     with pytest.raises(ValueError):
         empirical_cvar([], 0.5)
+    # a non-finite value would turn the shifted tail sum into inf - inf
+    for bad in ([1.0, float("inf")], [float("nan")], [-float("inf"), 2.0]):
+        for estimator in (empirical_var, empirical_cvar):
+            with pytest.raises(ValueError, match="finite"):
+                estimator(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            auxiliary_from_values(bad, 1.0, 0.5)
 
 
 def test_auxiliary_examples():
@@ -77,6 +86,35 @@ def test_two_point_plateau():
         assert auxiliary_from_values([1.0, 3.0], tau, 0.5) == 1.0
     cvar, tau_star = empirical_cvar([1.0, 3.0], 0.5), empirical_var([1.0, 3.0], 0.5)
     assert (cvar, tau_star) == (1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000),
+       alpha=st.one_of(alphas, st.floats(1e-4, 1.0)), ties=st.booleans(),
+       tau_at=st.floats(0.0, 1.2))
+def test_estimators_match_plain_references(seed, n, alpha, ties, tau_at):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 50.0, n)
+    if ties:
+        values = np.round(values / 10.0)
+    tau = tau_at * float(values.max())
+    cvar, var = plain_cvar_var(values, alpha)
+    assert repr(empirical_cvar(values, alpha)) == repr(cvar)
+    assert repr(empirical_var(values, alpha)) == repr(var)
+    assert repr(auxiliary_from_values(values, tau, alpha)) == repr(
+        plain_h(values, tau, alpha))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8),
+       samples=st.integers(1, 400), alpha=alphas)
+def test_cvar_of_set_matches_plain_reference(seed, size, samples, alpha):
+    obj = random_instance(seed, size=size)
+    sc = obj.sample_scenarios(samples, seed)
+    rng = np.random.default_rng(seed)
+    subset = frozenset(np.flatnonzero(rng.random(size) < 0.5).tolist())
+    expected = plain_cvar_var(obj.utilities(subset, sc), alpha)
+    assert repr(cvar_of_set(obj, subset, sc, alpha)) == repr(expected)
 
 
 def test_required_sample_count():

@@ -354,8 +354,9 @@ def test_auxiliary_curvature_is_max_over_grid():
 
 
 def test_certified_bound_holds_smoke():
-    # small version of the acceptance sweep: the certified lower bound must
-    # never exceed what the solver actually achieves
+    # small version of the acceptance sweep: the certified lower bound,
+    # anchored at the grid-free optimum, must never exceed what the solver
+    # actually achieves
     for seed in (1, 5, 12, 19):
         obj = random_instance(seed, size=5)
         cfg = SgaConfig(alpha=0.3, gamma=obj.gamma_hint,
@@ -365,7 +366,7 @@ def test_certified_bound_holds_smoke():
         ref = brute_force_opt(obj, obj.matroid, sc, cfg.alpha, cfg.tau_grid())
         curv = auxiliary_curvature(obj, obj.matroid, sc, cfg.tau_grid(),
                                    method="exact_matroid_enumeration")
-        report = approximation_bound(curv, cfg, h_star=ref.h_star)
+        report = approximation_bound(curv, cfg, h_star=ref.cvar_star)
         assert result.h_value >= report.certified_lower_bound - 1e-9
 
 
