@@ -14,7 +14,7 @@ import numpy as np
 from .matroid import Matroid
 
 SetFunction = Callable[[frozenset], float]
-GroupScores = Callable[[np.ndarray], Callable[[frozenset], np.ndarray]]
+GroupScores = Callable[[np.ndarray, frozenset, list], np.ndarray]
 
 
 @dataclass
@@ -26,19 +26,24 @@ class GreedyTrace:
 
 
 def greedy_sweep(score: GroupScores, matroid: Matroid,
-                 count: int) -> tuple[list[frozenset[int]], np.ndarray, list[GreedyTrace]]:
-    """The one greedy loop, run for ``count`` set functions at once.
+                 initial) -> tuple[list[frozenset[int]], np.ndarray, list[GreedyTrace]]:
+    """The one greedy loop, run for ``len(initial)`` set functions at once.
 
-    ``score(members)`` returns a scorer mapping a set S to the values at S of
-    the functions numbered ``members``. Each step groups the unfinished
-    functions by their current set S, asks the matroid for the extensions of
-    S once per group, builds one scorer per group and scores each S + e once
-    for the whole group. Per function this makes the same picks as a greedy
+    ``initial[i]`` is the value of function i at the empty set.
+    ``score(members, current, candidates)`` returns a (candidates x members)
+    table: entry [r, j] is the value of function ``members[j]`` at
+    ``current | {candidates[r]}``. Each step groups the unfinished functions
+    by their current set S, asks the matroid for the extensions of S once
+    per group and scores them all with one ``score`` call, candidates in
+    ascending id order. Per function this makes the same picks as a greedy
     of its own (ties go to the smallest element id); its trace counts the
-    empty set and every candidate. Returns the sets, values and traces.
+    empty set and every candidate. A step whose candidates all score NaN
+    (or -inf) for some function raises ``ValueError``. Returns the sets,
+    values and traces.
     """
+    values = np.array(initial, dtype=float)
+    count = values.size
     selected: list[frozenset[int]] = [frozenset()] * count
-    values = np.array(score(np.arange(count))(frozenset()), dtype=float)
     traces = [GreedyTrace(evaluations=1) for _ in range(count)]
     active = list(range(count))
     while active:
@@ -47,23 +52,25 @@ def greedy_sweep(score: GroupScores, matroid: Matroid,
             groups.setdefault(selected[i], []).append(i)
         active = []
         for current, members in groups.items():
-            candidates = matroid.extension_candidates(current)
+            candidates = sorted(matroid.extension_candidates(current))
             if not candidates:
                 continue
-            at = score(np.array(members))
-            best_value = np.full(len(members), -np.inf)
-            best_element = np.full(len(members), -1)
-            for e in sorted(candidates):
-                value = at(current | {e})
-                better = value > best_value
-                best_value[better] = value[better]
-                best_element[better] = e
+            table = np.asarray(score(np.array(members), current, candidates), dtype=float)
+            # NaN never wins, and argmax keeps the first (smallest id) maximum
+            ranked = np.where(np.isnan(table), -np.inf, table)
+            best = ranked.argmax(axis=0)
             for j, i in enumerate(members):
-                e = int(best_element[j])
-                traces[i].picks.append((e, float(best_value[j] - values[i])))
+                value = ranked[best[j], j]
+                if value == -np.inf:
+                    raise ValueError(
+                        f"greedy step from {sorted(current)}: no candidate has a "
+                        f"comparable score; the scores of {candidates} are "
+                        f"{table[:, j].tolist()} (NaN or -inf)")
+                e = candidates[best[j]]
+                traces[i].picks.append((e, float(value - values[i])))
                 traces[i].evaluations += len(candidates)
                 selected[i] = current | {e}
-                values[i] = best_value[j]
+                values[i] = value
             active.extend(members)
     return selected, values, traces
 
@@ -74,8 +81,8 @@ def greedy_maximize(objective_fn: SetFunction, matroid: Matroid) -> tuple[frozen
     Ties are broken toward the smallest element id. Every call to
     ``objective_fn`` is counted in the trace.
     """
-    def one(subset: frozenset) -> np.ndarray:
-        return np.array([objective_fn(subset)], dtype=float)
+    def score(_members, current: frozenset, candidates: list) -> np.ndarray:
+        return np.array([[objective_fn(current | {e})] for e in candidates], dtype=float)
 
-    selected, _, traces = greedy_sweep(lambda _members: one, matroid, 1)
+    selected, _, traces = greedy_sweep(score, matroid, [objective_fn(frozenset())])
     return selected[0], traces[0]

@@ -69,6 +69,11 @@ class StochasticObjective:
     on any attainable utility, used as the default top of the tau sweep) and
     implement ``sample_scenarios`` plus ``utilities``, the per-scenario
     utilities of one set over a whole batch. ``utilities`` validates the set.
+
+    The greedy scores all one-element extensions of a set through
+    ``extension_utilities``. Its default calls ``utilities`` once per
+    candidate; a subclass may override it with a batched kernel whose rows
+    are bit-equal to those calls.
     """
 
     ground: GroundSet
@@ -81,3 +86,19 @@ class StochasticObjective:
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
         """Per-scenario utilities of ``subset`` as a float array."""
         raise NotImplementedError
+
+    def extension_utilities(self, subset, candidates,
+                            scenarios: ScenarioSet) -> np.ndarray:
+        """Utilities of every one-element extension of ``subset``.
+
+        Returns a (len(candidates) x samples) array whose row i is
+        ``utilities(subset | {candidates[i]}, scenarios)``. Validates
+        ``subset`` once. The candidates are element ids outside ``subset``
+        (as the matroid's ``extension_candidates`` gives them); an override
+        need not re-check them.
+        """
+        subset = self.ground.check_subset(subset)
+        out = np.empty((len(candidates), len(scenarios)))
+        for i, e in enumerate(candidates):
+            out[i] = self.utilities(subset | {e}, scenarios)
+        return out

@@ -26,6 +26,7 @@ from .objective import (ScenarioSet, StochasticObjective, _u64,
 MEAN_EFFICIENCY_SCALE = 10.0      # mean efficiency = 10 / distance
 SPREAD_EXPONENT = 2.5             # interval half-width = mean**2.5 / max(mean)
 _GEOM_EPS = 1e-9                  # tolerance for segment/cell interior overlap
+MAX_FREE_CELLS = 2**24            # float32 coverage counts are exact below this
 
 
 # --------------------------------------------------------------------------
@@ -279,9 +280,15 @@ class SensorCoverage(StochasticObjective):
         free_cell_count = int(free_cell_count)
         if free_cell_count < 1:
             raise ValueError("free cell count must be positive")
-        sizes = np.array([len(set(s)) for s in sets], dtype=float)
-        if np.any(sizes > free_cell_count):
-            raise ValueError("a coverage set is larger than the free space")
+        if free_cell_count >= MAX_FREE_CELLS:
+            raise ValueError(
+                f"free cell count {free_cell_count} is too large: coverage counts "
+                f"are exact in float32 only below {MAX_FREE_CELLS} (2**24) cells")
+        universe = sorted(set().union(*(set(s) for s in sets)) or {0})
+        if len(universe) > free_cell_count:
+            raise ValueError(
+                f"the coverage sets span {len(universe)} cells, more than the "
+                f"{free_cell_count} free cells")
         self.coverage_sets = sets
         self.free_cell_count = free_cell_count
         self.select = int(select)
@@ -289,13 +296,14 @@ class SensorCoverage(StochasticObjective):
         self.sensor_cells = None if sensor_cells is None else [int(c) for c in sensor_cells]
         self.seed = int(seed)
 
-        universe = sorted(set().union(*(set(s) for s in sets)) or {0})
         col = {cell: idx for idx, cell in enumerate(universe)}
         cover = np.zeros((n, len(universe)), dtype=bool)
         for i, s in enumerate(sets):
             for cell in s:
                 cover[i, col[cell]] = True
         self._cover_f = cover.astype(np.float32)
+        sizes = cover.sum(axis=1)
+        self._sizes_f = sizes.astype(np.float32)
         self.success_prob = 1.0 - sizes / free_cell_count
 
         self.ground = GroundSet(n, tuple(f"s{i}" for i in range(n)))
@@ -323,14 +331,29 @@ class SensorCoverage(StochasticObjective):
         bits = (rng.random((count, len(self.coverage_sets))) < self.success_prob)
         return ScenarioSet(bits.astype(np.uint8), count, int(seed))
 
-    def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
-        subset = self.ground.check_subset(subset)
-        if not subset:
-            return np.zeros(len(scenarios))
+    def _covered(self, subset: frozenset, scenarios: ScenarioSet) -> np.ndarray:
+        """(samples x cells) float32: 1 where a working sensor of subset sees the cell."""
         ids = sorted(subset)
-        active = scenarios.data[:, ids].astype(np.float32)
-        covered = active @ self._cover_f[ids]
-        return (covered > 0.5).sum(axis=1).astype(float)
+        covered = scenarios.data[:, ids].astype(np.float32) @ self._cover_f[ids]
+        return np.minimum(covered, 1.0, out=covered)
+
+    def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
+        covered = self._covered(self.ground.check_subset(subset), scenarios)
+        return covered.sum(axis=1).astype(float)
+
+    def extension_utilities(self, subset, candidates,
+                            scenarios: ScenarioSet) -> np.ndarray:
+        """u(S + e) = u(S) + active_e * (|cover_e| - covered(S) . cover_e), one matmul.
+
+        Every term is an integer count below 2**24, so float32 holds it
+        exactly and each row is bit-equal to ``utilities(S | {e})``.
+        """
+        covered = self._covered(self.ground.check_subset(subset), scenarios)
+        fresh = self._cover_f[candidates] @ covered.T
+        np.subtract(self._sizes_f[candidates, None], fresh, out=fresh)
+        fresh *= scenarios.data[:, candidates].T
+        fresh += covered.sum(axis=1)
+        return fresh.astype(float)
 
     def to_json(self) -> dict:
         data = {

@@ -109,8 +109,8 @@ def auxiliary_from_values(values, tau: float, alpha: float) -> float:
     values = _values(values)
     alpha = check_risk_level(alpha)
     tau = float(tau)
-    if tau < 0:
-        raise ValueError(f"threshold tau must be nonnegative, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"threshold tau must be finite and nonnegative, got {tau}")
     return float(auxiliary_scores(values, np.array([tau]), np.array([alpha]))[0])
 
 

@@ -127,16 +127,19 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
            scenarios: ScenarioSet, points: list[tuple[float, float]]) -> list[SweepPoint]:
     """One ``greedy_sweep`` of H(., tau) over every (alpha, tau) point.
 
-    A point's evaluations add the final recomputation of H(selected)."""
+    Each group step makes one ``extension_utilities`` call for all its
+    candidates and scores H per candidate row. A point's evaluations add the
+    final recomputation of H(selected)."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
 
-    def score(members: np.ndarray):
+    def score(members: np.ndarray, current: frozenset, candidates: list) -> np.ndarray:
         group_taus, group_alphas = taus[members], alphas[members]
-        return lambda subset: auxiliary_scores(
-            objective.utilities(subset, scenarios), group_taus, group_alphas)
+        rows = objective.extension_utilities(current, candidates, scenarios)
+        return np.array([auxiliary_scores(u, group_taus, group_alphas) for u in rows])
 
-    selected, values, traces = greedy_sweep(score, matroid, len(points))
+    initial = auxiliary_scores(objective.utilities(frozenset(), scenarios), taus, alphas)
+    selected, values, traces = greedy_sweep(score, matroid, initial)
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
                        evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]

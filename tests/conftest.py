@@ -56,6 +56,23 @@ class ModularDeterministic(StochasticObjective):
         return np.full(len(scenarios), sum(self.weights[e] for e in subset))
 
 
+def random_sensor(seed, sites, cells, select=None) -> SensorCoverage:
+    """A sensor instance on explicit random coverage sets over ``cells`` free
+    cells, without a grid. Sets may be empty or cover every cell (such a
+    sensor always fails)."""
+    rng = np.random.default_rng(seed)
+    cover = rng.random((sites, cells)) < rng.uniform(0.05, 0.6)
+    sets = [np.flatnonzero(row).tolist() for row in cover]
+    return SensorCoverage(sets, cells, select or sites, seed=seed)
+
+
+def with_failed_rows(scenarios: ScenarioSet, rows) -> ScenarioSet:
+    """The batch with every sensor failed in the given scenario rows."""
+    bits = scenarios.data.copy()
+    bits[rows] = 0
+    return ScenarioSet(bits, scenarios.size, scenarios.seed)
+
+
 # ------------------------------------------------ per-scenario utilities
 
 def scenario_row(scenarios: ScenarioSet, i: int):

@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvargreedy
 from cvargreedy import (SgaConfig, alpha_sweep, approximation_bound,
                         auxiliary_curvature, auxiliary_from_values,
                         brute_force_opt, empirical_cvar, empirical_var,
@@ -231,32 +236,72 @@ def test_criterion_8_cost_scaling(capsys):
     assert 1.8 <= sample_ratio <= 2.2
 
 
-def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
-    instance = tmp_path / "veh.json"
+# a child process importing the same package, with the CLI arguments after -c
+_CLI_CHILD = "import sys; from cvargreedy.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_criterion_9_cli_determinism(tmp_path, capsys):
+    veh, sen = tmp_path / "veh.json", tmp_path / "sen.json"
     assert cli_main(["gen", "vehicle", "--vehicles", "3", "--demands", "2",
-                     "--seed", "4", "--out", str(instance)]) == 0
+                     "--seed", "4", "--out", str(veh)]) == 0
+    assert cli_main(["gen", "sensor", "--candidates", "8", "--select", "3",
+                     "--rows", "8", "--cols", "8", "--seed", "2",
+                     "--out", str(sen)]) == 0
+    solver = ["--samples", "200", "--seed", "9"]
+    commands = {
+        "run": (["run", str(veh), "--alpha", "0.4", "--gamma", "30",
+                 "--delta", "1.5", *solver], ["{}.json", "{}_tau_curve.csv"]),
+        # the sensor sweep scores extensions with its own batched kernel
+        "sweep": (["sweep", str(sen), "--alphas", "0.2,0.6,1", "--delta", "2",
+                   *solver], ["{}_alpha_table.csv", "{}_tau_curves.csv",
+                              "{}_histograms.csv"]),
+    }
 
-    def run(out, workers=None):
-        if workers is None:
-            monkeypatch.delenv("CVARGREEDY_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("CVARGREEDY_WORKERS", str(workers))
-        assert cli_main(["run", str(instance), "--alpha", "0.4",
-                         "--gamma", "30", "--delta", "1.5", "--samples", "200",
-                         "--seed", "9", "--out", str(tmp_path / out)]) == 0
-        doc = json.loads((tmp_path / f"{out}.json").read_text())
-        doc.pop("manifest")
-        csv_data = [line for line in
-                    (tmp_path / f"{out}_tau_curve.csv").read_text().splitlines()
-                    if not line.startswith("# ")]
-        return json.dumps(doc, sort_keys=True), "\n".join(csv_data)
+    def data_sections(prefix, files):
+        sections = []
+        for name in files:
+            text = (tmp_path / name.format(prefix)).read_text()
+            if name.endswith(".json"):
+                doc = json.loads(text)
+                doc.pop("manifest")
+                sections.append(json.dumps(doc, sort_keys=True))
+            else:
+                sections.append("\n".join(line for line in text.splitlines()
+                                           if not line.startswith("# ")))
+        return sections
 
-    first = run("a")
-    repeat = run("a2")
-    threaded = run("b", workers=4)
-    ok = first == repeat == threaded
+    def in_process(tag):
+        out = {}
+        for name, (argv, files) in commands.items():
+            prefix = f"{name}_{tag}"
+            assert cli_main([*argv, "--out", str(tmp_path / prefix)]) == 0
+            out[name] = data_sections(prefix, files)
+        return out
+
+    def fresh_process(hash_seed):
+        # a new interpreter under another string-hash seed: nothing may depend
+        # on set or dict order that the hash seed drives
+        src = str(Path(cvargreedy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = {}
+        for name, (argv, files) in commands.items():
+            prefix = f"{name}_hash{hash_seed}"
+            child = subprocess.run([sys.executable, "-c", _CLI_CHILD, *argv,
+                                    "--out", str(tmp_path / prefix)],
+                                   env=env, capture_output=True, text=True)
+            assert child.returncode == 0, child.stderr
+            out[name] = data_sections(prefix, files)
+        return out
+
+    first = in_process("a")
+    repeat = in_process("a2")
+    children = [fresh_process(seed) for seed in (1, 2)]
+    ok = all(first == other for other in [repeat, *children])
     announce(capsys, 9, ok,
-             "repeated runs and a 4-worker run produce byte-identical "
-             "data sections")
+             "repeated runs and fresh processes under two other hash seeds "
+             "produce byte-identical data sections (vehicle run, sensor sweep)")
     assert first == repeat
-    assert first == threaded
+    for child in children:
+        assert first == child

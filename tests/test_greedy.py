@@ -151,6 +151,32 @@ def test_greedy_matches_plain_greedy(seed, n, kind, family, ties):
     assert trace.evaluations == evaluations
 
 
+def test_nan_scores_never_win():
+    # sets holding element 0 score NaN; the greedy steps past them as the
+    # plain loop does, since NaN > best is False
+    weights = {0: 9.0, 1: 2.0, 2: 1.0, 3: 3.0}
+
+    def fn(s):
+        return float("nan") if 0 in s else modular(weights)(s)
+
+    matroid = UniformMatroid(GroundSet(4), 2)
+    chosen, trace = greedy_maximize(fn, matroid)
+    expected, picks, evaluations = plain_greedy(fn, matroid)
+    assert chosen == expected == {1, 3}
+    assert trace.picks == picks
+    assert trace.evaluations == evaluations
+
+
+def test_all_nan_scores_rejected():
+    matroid = UniformMatroid(GroundSet(3), 2)
+    with pytest.raises(ValueError, match=r"greedy step from \[\]: .*NaN"):
+        greedy_maximize(lambda s: float("nan"), matroid)
+    # stuck after a first valid pick: the message names the current set
+    with pytest.raises(ValueError, match=r"greedy step from \[2\]: .*\[nan, nan\]"):
+        greedy_maximize(lambda s: 1.0 if len(s) < 2 and s <= {2} else float("nan"),
+                        matroid)
+
+
 # -------------------------------------------------------------- curvature
 
 def test_total_curvature_examples():

@@ -6,11 +6,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvargreedy import ScenarioSet, check_sample_count, child_seed
+from cvargreedy import (GroundSet, ScenarioSet, StochasticObjective,
+                        UniformMatroid, check_sample_count, child_seed)
 from cvargreedy.problems import OccupancyGrid, SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import random_instance
-from conftest import scalar_utilities
+from conftest import (ModularDeterministic, random_sensor, scalar_utilities,
+                      with_failed_rows)
 
 
 def make_objectives():
@@ -121,3 +125,76 @@ def test_monotone_and_submodular(objective):
 def test_matroid_ground_consistency(objective):
     assert objective.matroid.ground is objective.ground
     assert objective.gamma_hint > 0
+
+
+# ------------------------------------------------ batched extension scoring
+
+def check_extension_rows(objective):
+    """Rows of extension_utilities equal utilities(S | {e}) bit for bit."""
+    sc = objective.sample_scenarios(40, seed=9)
+    rng = np.random.default_rng(5)
+    n = objective.ground.size
+    for _ in range(6):
+        subset = frozenset(int(e) for e in
+                           rng.choice(n, int(rng.integers(0, n)), replace=False))
+        candidates = [e for e in range(n) if e not in subset]
+        rows = objective.extension_utilities(subset, candidates, sc)
+        assert rows.shape == (len(candidates), 40)
+        for row, e in zip(rows, candidates):
+            assert np.array_equal(row, objective.utilities(subset | {e}, sc))
+    with pytest.raises(ValueError, match="outside ground set"):
+        objective.extension_utilities({n}, [0], sc)
+
+
+def test_extension_rows_equal_utilities(objective):
+    check_extension_rows(objective)
+
+
+@pytest.mark.parametrize("objective", [
+    random_instance(8, size=5),
+    VehicleAssignment.generate(3, 2, seed=6),
+    ModularDeterministic([0.5, 2.0, 1.25], UniformMatroid(GroundSet(3), 2)),
+], ids=["synthetic", "vehicle", "modular"])
+def test_default_extension_hook(objective):
+    # these keep the per-candidate loop: their utilities are float sums whose
+    # incremental forms would change the last bits
+    assert (type(objective).extension_utilities
+            is StochasticObjective.extension_utilities)
+    check_extension_rows(objective)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 12),
+       cells=st.integers(1, 60),
+       shape=st.sampled_from(["empty", "all_but_one", "random"]),
+       samples=st.sampled_from([1, 2, 33, 500]), failures=st.booleans())
+def test_sensor_extension_rows_equal_utilities(seed, sites, cells, shape,
+                                               samples, failures):
+    inst = random_sensor(seed, sites, cells)
+    sc = inst.sample_scenarios(samples, seed)
+    rng = np.random.default_rng(seed)
+    if failures:  # every sensor fails in scenario 0 and in about half the rest
+        sc = with_failed_rows(sc, (rng.random(samples) < 0.5) | (np.arange(samples) == 0))
+    if shape == "empty":
+        subset = frozenset()
+    elif shape == "all_but_one":
+        subset = frozenset(range(sites)) - {int(rng.integers(sites))}
+    else:
+        subset = frozenset(int(e) for e in
+                           rng.choice(sites, int(rng.integers(0, sites)), replace=False))
+    candidates = [e for e in range(sites) if e not in subset]
+    rows = inst.extension_utilities(subset, candidates, sc)
+    assert rows.shape == (len(candidates), samples)
+    assert rows.dtype == np.float64
+    for row, e in zip(rows, candidates):
+        assert np.array_equal(row, inst.utilities(subset | {e}, sc))
+        assert np.array_equal(row, scalar_utilities(inst, subset | {e}, sc))
+
+
+def test_sensor_rejects_counts_float32_cannot_hold():
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        SensorCoverage([(0, 1), (1, 2)], free_cell_count=2**24, select=1)
+    SensorCoverage([(0, 1), (1, 2)], free_cell_count=2**24 - 1, select=1)
+    # the sets together may not span more cells than the free space either
+    with pytest.raises(ValueError, match="span 3 cells"):
+        SensorCoverage([(0, 1), (1, 2)], free_cell_count=2, select=1)

@@ -62,6 +62,17 @@ def test_auxiliary_examples():
         auxiliary_from_values([1.0], -0.5, 0.5)
 
 
+def test_auxiliary_rejects_non_finite_tau():
+    # NaN slips past a plain "tau < 0" check and would come back as nan
+    obj = random_instance(3, size=3)
+    sc = obj.sample_scenarios(5, seed=0)
+    for tau in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            auxiliary_from_values([1.0, 2.0], tau, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            auxiliary_value(obj, {0}, tau, sc, 0.5)
+
+
 def test_cvar_of_set_and_auxiliary_on_objective():
     obj = random_instance(5, size=4)
     sc = obj.sample_scenarios(40, 3)

@@ -15,10 +15,12 @@ from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
                         approximation_bound, auxiliary_curvature,
                         brute_force_opt, empirical_cvar, greedy_maximize,
                         run_sga, sga)
+from cvargreedy.problems import SensorCoverage
 from cvargreedy.synthetic import random_instance, random_matroid
 from conftest import (ClonedObjective, ModularDeterministic, matroid_curvature,
-                      reference_auxiliary_curvature, reference_brute_force_opt,
-                      reference_run_sga, total_curvature)
+                      random_sensor, reference_auxiliary_curvature,
+                      reference_brute_force_opt, reference_run_sga,
+                      total_curvature, with_failed_rows)
 
 
 def two_weight_objective():
@@ -143,6 +145,71 @@ def test_batched_sweep_matches_reference_on_large_batches():
                         delta=obj.gamma_hint / 7, samples=samples, seed=2)
         assert run_sga(obj, obj.matroid, cfg) == reference_run_sga(
             obj, obj.matroid, cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 9),
+       cells=st.integers(1, 40), select=st.integers(1, 9),
+       alphas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0]), min_size=1,
+                       max_size=3),
+       spacing=st.sampled_from([1.0, 0.3, 1 / 9, 0.04]),
+       samples=st.sampled_from([1, 5, 60, 300]), failures=st.booleans())
+def test_sensor_sweep_matches_per_tau_reference(seed, sites, cells, select, alphas,
+                                               spacing, samples, failures):
+    # integer coverage counts tie often, which exercises the smallest-id rule
+    obj = random_sensor(seed, sites, cells, select=min(select, sites))
+    cfg = SgaConfig(alpha=alphas[0], gamma=obj.gamma_hint,
+                    delta=spacing * obj.gamma_hint, samples=samples, seed=seed)
+    sc = obj.sample_scenarios(samples, seed)
+    if failures:
+        sc = with_failed_rows(sc, np.arange(samples) % 3 == 0)
+    refs = {}
+    for alpha in alphas:
+        at_alpha = dataclasses.replace(cfg, alpha=alpha)
+        refs[alpha] = reference_run_sga(obj, obj.matroid, at_alpha, scenarios=sc)
+        ours = run_sga(obj, obj.matroid, at_alpha, scenarios=sc)
+        assert ours.sweep == refs[alpha].sweep
+        assert ours == refs[alpha]
+    if not failures:  # alpha_sweep draws its own batch from cfg.seed
+        table = alpha_sweep(obj, obj.matroid, cfg, alphas)
+        for point in table.points:
+            assert point.result == refs[point.alpha]
+
+
+def test_sensor_solve_scores_candidates_in_one_call(monkeypatch):
+    obj = random_sensor(3, 12, 50, select=4)
+    cfg = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 10,
+                    samples=200, seed=4)
+    evaluated, batched = [], []
+    utilities = SensorCoverage.utilities
+    extension_utilities = SensorCoverage.extension_utilities
+
+    def count_utilities(self, subset, scenarios):
+        evaluated.append(frozenset(subset))
+        return utilities(self, subset, scenarios)
+
+    def count_extensions(self, subset, candidates, scenarios):
+        batched.append(len(candidates))
+        return extension_utilities(self, subset, candidates, scenarios)
+
+    monkeypatch.setattr(SensorCoverage, "utilities", count_utilities)
+    monkeypatch.setattr(SensorCoverage, "extension_utilities", count_extensions)
+    result = run_sga(obj, obj.matroid, cfg)
+    # utilities sees only the empty set at the start of the sweep; every
+    # candidate goes through the hook, all of a group's in one call (the
+    # first step is one group of every point with all 12 sites)
+    assert evaluated == [frozenset()]
+    assert batched[0] == 12
+    assert sum(batched) <= sum(p.evaluations - 2 for p in result.sweep)
+    monkeypatch.undo()
+    assert result == reference_run_sga(obj, obj.matroid, cfg)
+
+
+def test_nan_utilities_rejected():
+    obj = ModularDeterministic([float("nan")] * 3, UniformMatroid(GroundSet(3), 2))
+    cfg = SgaConfig(alpha=0.5, gamma=2.0, delta=1.0, samples=4)
+    with pytest.raises(ValueError, match=r"greedy step from \[\]: .*NaN"):
+        run_sga(obj, obj.matroid, cfg)
 
 
 def test_explicit_scenarios_size_checked():
