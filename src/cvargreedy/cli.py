@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .matroid import ENUMERATION_CAP, EnumerationCapError
 from .objective import child_seed
 from .problems import OccupancyGrid, SensorCoverage, VehicleAssignment, load_instance
 from .sga import (SgaConfig, alpha_sweep, approximation_bound,
@@ -160,10 +159,6 @@ def _build_config(args: argparse.Namespace, objective, alpha: float) -> SgaConfi
 
 def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
     """Brute-force optimum, exact curvature and the guarantee verdict."""
-    if objective.ground.size > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"verification enumerates all feasible sets; the instance has "
-            f"{objective.ground.size} elements (cap {ENUMERATION_CAP})")
     taus = cfg.tau_grid()
     brute = brute_force_opt(objective, objective.matroid, scenarios, cfg.alpha, taus)
     curvature = auxiliary_curvature(objective, objective.matroid, scenarios, taus,
@@ -411,8 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, EnumerationCapError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower --samples", file=sys.stderr)
         return 2
 
 

@@ -82,17 +82,16 @@ class Matroid:
             if e not in s and self._independent(s | {e})
         )
 
-    def enumerate_feasible(self, cap: int = ENUMERATION_CAP) -> list[frozenset[int]]:
+    def enumerate_feasible(self) -> list[frozenset[int]]:
         """Every independent subset, empty set included, in (size, lexicographic) order.
 
         Stops at the first size without an independent set: independence is
         hereditary, so no larger set can be independent either.
         """
         n = self.ground.size
-        if n > cap:
-            raise EnumerationCapError(
-                f"ground set of size {n} exceeds the enumeration cap {cap}; "
-                "raise the cap explicitly if you really want 2^n subsets")
+        if n > ENUMERATION_CAP:
+            raise EnumerationCapError(f"the ground set has {n} elements, more than "
+                                      f"the enumeration cap of {ENUMERATION_CAP}")
         feasible: list[frozenset[int]] = []
         for r in range(n + 1):
             found = [s for s in map(frozenset, combinations(range(n), r))

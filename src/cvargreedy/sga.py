@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -294,12 +293,14 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     scenario never change any value and are excluded from the ratios.
 
     The ratios [G(S) - G(S - e)] / G({e}) run over e in S for S the full
-    ground set ("total_over_ground_set") or every independent S
-    ("exact_matroid_enumeration"). G is computed for each distinct set once,
-    in blocks of sets and slices of taus, and the ratios per element in
-    chunks, so that no temporary exceeds _BLOCK_FLOATS floats (512 KiB) beyond
-    the (sets x taus) matrix of G; the value is bit-identical to computing
-    G one set at a time.
+    ground set X ("total_over_ground_set") or every independent S
+    ("exact_matroid_enumeration"). 1 - w and the clip are monotone, so the
+    result is clip(1 - w) for w the least ratio over all (S, e, tau), and it
+    is exactly 1 once a ratio is <= 0, where the element loop stops. Total
+    mode holds O(taus) floats: G(X), then G({e}) and G(X - e) per element.
+    Exact mode scores the feasible family in blocks and the ratios in chunks,
+    so no temporary exceeds _BLOCK_FLOATS floats (512 KiB) beyond its
+    (sets x taus) matrix. Bit-identical to computing G one set at a time.
     """
     grid = _tau_array(taus)
     if method not in ("total_over_ground_set", "exact_matroid_enumeration"):
@@ -308,45 +309,46 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     if positive.size == 0:
         return Curvature(0.0, method)
     elements = matroid.ground.elements
-    singletons = [frozenset((e,)) for e in elements]
-    # pairs(e): the rows of g holding every S that contains e, and of S - e
     if method == "total_over_ground_set":
-        full = frozenset(elements)
-        family = [full] + [full - {e} for e in elements]
+        def g_of(subset: frozenset[int]) -> np.ndarray:
+            u = objective.utilities(subset, scenarios)
+            return _sample_sums(u[None, :], positive, np.minimum)[0]
 
-        def pairs(e: int) -> tuple[np.ndarray, np.ndarray]:
-            return np.array([row[full]]), np.array([row[full - {e}]])
+        full = frozenset(elements)
+        g_full = g_of(full)
+
+        def ratios(e: int):  # the ratios of every S that holds e, in chunks
+            single = g_of(frozenset((e,)))
+            if np.any(single > 0.0):  # else empirically worthless
+                yield (g_full - g_of(full - {e})) / single
     else:
         family = matroid.enumerate_feasible()
+        g = np.empty((len(family), positive.size))
+        for start, block in _utility_blocks(objective, scenarios, family, positive.size):
+            g[start:start + len(block)] = _sample_sums(block, positive, np.minimum)
         # family[i] is row i of g; pos maps a set's bitmask to its row
         masks = np.array([sum(1 << e for e in s) for s in family])
         pos = np.full(1 << len(elements), -1)
         pos[masks] = np.arange(len(family))
+        step = max(1, _BLOCK_FLOATS // positive.size)
 
-        def pairs(e: int) -> tuple[np.ndarray, np.ndarray]:
-            with_e = np.flatnonzero(masks & (1 << e))
-            return with_e, pos[masks[with_e] ^ (1 << e)]
-    row: dict[frozenset[int], int] = {}
-    for subset in chain(family, singletons):
-        row.setdefault(subset, len(row))
-    g = np.empty((len(row), positive.size))
-    for start, block in _utility_blocks(objective, scenarios, list(row), positive.size):
-        g[start:start + len(block)] = _sample_sums(block, positive, np.minimum)
+        def ratios(e: int):
+            top = np.flatnonzero(masks & (1 << e))
+            if top.size == 0 or not np.any(g[pos[1 << e]] > 0.0):
+                return  # e is in no independent set, or empirically worthless
+            single, rest = g[pos[1 << e]], pos[masks[top] ^ (1 << e)]
+            for lo in range(0, top.size, step):
+                yield (g[top[lo:lo + step]] - g[rest[lo:lo + step]]) / single
 
-    step = max(1, _BLOCK_FLOATS // positive.size)
-    worst_ratio = np.full(positive.size, np.inf)
+    worst = np.inf
     for e in elements:
-        single = g[row[singletons[e]]]
-        if not np.any(single > 0.0):
-            continue  # empirically worthless element
-        top, rest = pairs(e)
-        for lo in range(0, top.size, step):
-            ratio = (g[top[lo:lo + step]] - g[rest[lo:lo + step]]) / single
-            np.minimum(worst_ratio, ratio.min(axis=0), out=worst_ratio)
-    if not np.any(np.isfinite(worst_ratio)):
-        return Curvature(0.0, method)  # every element is empirically worthless
-    k = float(np.max(np.clip(1.0 - worst_ratio, 0.0, 1.0)))
-    return Curvature(k, method)
+        for ratio in ratios(e):
+            worst = np.minimum(worst, ratio.min())  # a NaN ratio propagates
+        if worst <= 0.0:
+            break
+    # no finite ratio: every element is empirically worthless
+    k = np.clip(1.0 - worst, 0.0, 1.0) if np.isfinite(worst) else 0.0
+    return Curvature(float(k), method)
 
 
 # --------------------------------------------------------------------------

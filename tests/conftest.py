@@ -11,9 +11,8 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from cvargreedy import (ENUMERATION_CAP, BruteForceResult, Curvature,
-                        EnumerationCapError, ScenarioSet, SgaResult,
-                        StochasticObjective, SweepPoint)
+from cvargreedy import (BruteForceResult, Curvature, EnumerationCapError,
+                        ScenarioSet, SgaResult, StochasticObjective, SweepPoint)
 from cvargreedy.problems import SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import RandomCoverageObjective
 
@@ -293,7 +292,7 @@ def total_curvature(fn, ground) -> Curvature:
     return Curvature(_clamp01(1.0 - worst), "total_over_ground_set")
 
 
-def matroid_curvature(fn, matroid, cap: int = ENUMERATION_CAP) -> Curvature:
+def matroid_curvature(fn, matroid) -> Curvature:
     """Exact curvature restricted to the feasible family of the matroid.
 
     Minimizes [fn(S) - fn(S - s)] / fn({s}) over every independent S and
@@ -301,7 +300,7 @@ def matroid_curvature(fn, matroid, cap: int = ENUMERATION_CAP) -> Curvature:
     is feasible. Refuses oversized ground sets; use ``total_curvature`` then.
     """
     try:
-        feasible = matroid.enumerate_feasible(cap)
+        feasible = matroid.enumerate_feasible()
     except EnumerationCapError as err:
         raise EnumerationCapError(
             f"{err}; total_curvature avoids the enumeration entirely") from err

@@ -9,6 +9,7 @@ import pytest
 from cvargreedy import (SgaConfig, __version__, approximation_bound,
                         auxiliary_curvature, brute_force_opt, load_instance)
 from cvargreedy.cli import main
+from cvargreedy.problems import SensorCoverage, VehicleAssignment
 
 
 def read_json(path):
@@ -292,6 +293,28 @@ def test_unknown_problem_kind(tmp_path, capsys):
     code = main(["run", str(bad), "--alpha", "0.5", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_oversized_batch_is_an_input_error(tmp_path, capsys, monkeypatch, command):
+    # the scenario draw that cannot be allocated exits 2, not 1 (violation)
+    def no_memory(self, count, seed):
+        raise MemoryError(f"cannot allocate {count} scenarios")
+
+    if command == "run":
+        instance = gen_vehicle(tmp_path)
+        monkeypatch.setattr(VehicleAssignment, "sample_scenarios", no_memory)
+        flags = ["--alpha", "0.5"]
+    else:
+        instance = gen_sensor(tmp_path)
+        monkeypatch.setattr(SensorCoverage, "sample_scenarios", no_memory)
+        flags = ["--alphas", "0.5,1"]
+    code = main([command, str(instance), *flags, "--samples", "1000000000000",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "--samples" in err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_non_finite_gamma(tmp_path, capsys):

@@ -305,16 +305,20 @@ def test_sample_sums_match_per_set_sums(seed, rows, samples, taus, budget):
         assert np.array_equal(c, np.minimum(u[:, None], grid[None, :]).sum(axis=0))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10),
-       kind=st.sampled_from(["uniform", "partition"]), copies=st.integers(1, 2),
-       alpha=st.sampled_from([0.001, 0.05, 0.3, 1.0]),
+       kind=st.sampled_from(["uniform", "partition", "sensor"]),
+       copies=st.integers(1, 2), alpha=st.sampled_from([0.001, 0.05, 0.3, 1.0]),
        samples=st.integers(1, 300),
        grid=st.sampled_from(["zero", "single", 1.0, 0.4, 1 / 7, 0.05]),
        budget=st.sampled_from([None, 1, 5, 64, 2000]))
 def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alpha,
                                                    samples, grid, budget):
-    if copies == 1:
+    if kind == "sensor":
+        # empty or all-covering sites are worthless, and a site covered by the
+        # others gives a zero ratio, so the skip and the early stop both occur
+        obj = random_sensor(seed, size, 1 + seed % 30, select=1 + seed % size)
+    elif copies == 1:
         obj = random_instance(seed, size=size, matroid_kind=kind)
     else:  # clones tie exactly, so the first-maximum tie-breaks are exercised
         base = random_instance(seed, size=(size + 1) // 2, matroid_kind=kind)
@@ -345,6 +349,28 @@ def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alp
                                                  method=curvature.method)
         assert curvature.value == expected.value
         assert repr(curvature.value) == repr(expected.value)
+
+
+def test_total_curvature_stops_at_first_zero_ratio(monkeypatch):
+    # element 2 clones element 0, so G(X) == G(X - 0) exactly: k is 1 after
+    # G(X), G({0}) and G(X - 0), without the other 2N - 2 sets
+    base, _ = two_weight_objective()
+    obj = ClonedObjective(base, UniformMatroid(GroundSet(4), 4))
+    sc = obj.sample_scenarios(5, 0)
+    evaluated = []
+    utilities = ClonedObjective.utilities
+
+    def count_utilities(self, subset, scenarios):
+        evaluated.append(frozenset(subset))
+        return utilities(self, subset, scenarios)
+
+    monkeypatch.setattr(ClonedObjective, "utilities", count_utilities)
+    curvature = auxiliary_curvature(obj, obj.matroid, sc, [0.0, 1.0, 2.5])
+    assert curvature.value == 1.0
+    assert evaluated == [frozenset({0, 1, 2, 3}), frozenset({0}), frozenset({1, 2, 3})]
+    monkeypatch.undo()
+    assert curvature == reference_auxiliary_curvature(obj, obj.matroid, sc,
+                                                      [0.0, 1.0, 2.5])
 
 
 # ---------------------------------------------------------------- guarantee
