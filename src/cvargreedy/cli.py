@@ -9,13 +9,16 @@ reproduces the data sections byte for byte. Every run draws one scenario
 batch from --seed and reuses it for every evaluation (common random numbers).
 
 Exit codes: 0 success (and guarantee holds when verifying), 1 guarantee
-violated, 2 usage or input error.
+violated, 2 usage or input error. Notes that are not data, such as a
+vacuous certified bound, go to the ``cvargreedy`` logger; ``--verbose``
+prints them to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import logging
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -26,10 +29,12 @@ import numpy as np
 from . import __version__
 from .objective import child_seed
 from .problems import OccupancyGrid, SensorCoverage, VehicleAssignment, load_instance
-from .sga import (SgaConfig, alpha_sweep, approximation_bound,
+from .sga import (BoundReport, SgaConfig, alpha_sweep, approximation_bound,
                   auxiliary_curvature, brute_force_opt, run_sga)
 
 SLACK_TOL = 1e-9
+
+log = logging.getLogger("cvargreedy")
 
 _CSV_COLUMNS = """\
 CSV outputs (manifest in leading # comment lines):
@@ -157,6 +162,18 @@ def _build_config(args: argparse.Namespace, objective, alpha: float) -> SgaConfi
                      samples=args.samples, seed=args.seed)
 
 
+def _log_if_vacuous(bound: BoundReport, cfg: SgaConfig) -> None:
+    """Log when the certified bound is at most 0 for every optimum <= gamma.
+
+    Every H value is at most gamma when gamma bounds the utility, and the
+    bound (OPT - delta) / (1+k) - additive then stays <= 0 once the additive
+    term reaches (gamma - delta) / (1+k): at curvature 1 for every alpha <= 0.5.
+    """
+    if bound.additive >= (cfg.gamma - cfg.delta) * bound.multiplicative:
+        log.info("curvature %g: the certified bound is vacuous at alpha %g "
+                 "(additive term %.6g)", bound.curvature, cfg.alpha, bound.additive)
+
+
 def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
     """Brute-force optimum, exact curvature and the guarantee verdict."""
     taus = cfg.tau_grid()
@@ -191,6 +208,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     bound = approximation_bound(
         auxiliary_curvature(objective, objective.matroid, scenarios,
                             cfg.tau_grid()), cfg)
+    _log_if_vacuous(bound, cfg)
     payload = {
         "config": _config_dict(cfg),
         "risk_label": _risk_label(cfg.alpha),
@@ -255,6 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     hist_rows = []
     for point in table.points:
         res = point.result
+        _log_if_vacuous(approximation_bound(table.curvature, res.config), res.config)
         alpha_rows.append([point.alpha, res.h_value, res.chosen_tau,
                            point.utility_mean, point.utility_std,
                            point.additive_error, _set_cell(res.chosen_set)])
@@ -334,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "risk-neutral expectation).",
         epilog=_CSV_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print the log notes (such as a vacuous bound) "
+                             "to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -404,6 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = argv
+    if args.verbose:
+        handler = logging.StreamHandler()  # stderr
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as err:
@@ -412,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; lower --samples", file=sys.stderr)
         return 2
+    finally:
+        if args.verbose:
+            log.removeHandler(handler)
+            log.setLevel(logging.NOTSET)
 
 
 def console_entry() -> None:

@@ -68,12 +68,14 @@ class StochasticObjective:
     Subclasses set ``ground``, ``matroid`` and ``gamma_hint`` (an upper bound
     on any attainable utility, used as the default top of the tau sweep) and
     implement ``sample_scenarios`` plus ``utilities``, the per-scenario
-    utilities of one set over a whole batch. ``utilities`` validates the set.
+    utilities of one set over a whole batch. ``utilities`` validates the set
+    and defines the objective.
 
-    The greedy scores all one-element extensions of a set through
-    ``extension_utilities``. Its default calls ``utilities`` once per
-    candidate; a subclass may override it with a batched kernel whose rows
-    are bit-equal to those calls.
+    Every batched caller reads through ``set_utilities``: brute force and
+    exact curvature once per block of feasible sets, the greedy once per
+    group through ``extension_utilities`` (the sets S + e). The defaults
+    call ``utilities`` once per set; a subclass may override either hook
+    with a batched kernel whose rows are bit-equal to those calls.
     """
 
     ground: GroundSet
@@ -87,6 +89,19 @@ class StochasticObjective:
         """Per-scenario utilities of ``subset`` as a float array."""
         raise NotImplementedError
 
+    def set_utilities(self, sets, scenarios: ScenarioSet) -> np.ndarray:
+        """Per-scenario utilities of many sets at once.
+
+        Returns a (len(sets) x samples) array whose row i is
+        ``utilities(sets[i], scenarios)`` bit for bit. An override must
+        validate every set and raise the ``ValueError`` that ``utilities``
+        raises on a bad id.
+        """
+        out = np.empty((len(sets), len(scenarios)))
+        for i, subset in enumerate(sets):
+            out[i] = self.utilities(subset, scenarios)
+        return out
+
     def extension_utilities(self, subset, candidates,
                             scenarios: ScenarioSet) -> np.ndarray:
         """Utilities of every one-element extension of ``subset``.
@@ -98,7 +113,4 @@ class StochasticObjective:
         need not re-check them.
         """
         subset = self.ground.check_subset(subset)
-        out = np.empty((len(candidates), len(scenarios)))
-        for i, e in enumerate(candidates):
-            out[i] = self.utilities(subset | {e}, scenarios)
-        return out
+        return self.set_utilities([subset | {e} for e in candidates], scenarios)

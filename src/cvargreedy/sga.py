@@ -162,19 +162,13 @@ def _utility_blocks(objective: StochasticObjective, scenarios: ScenarioSet,
                     sets: list[frozenset[int]], width: int):
     """Yield (start, block) where block holds the utilities of sets[start:start + rows].
 
-    One ``utilities`` call per set, no cache. A block has as many rows as
-    keep a (rows x samples x width) temporary within _BLOCK_FLOATS floats,
-    and at least one. Blocks share one buffer: use each before the next.
+    One ``set_utilities`` call per block, no cache. A block has as many rows
+    as keep a (rows x samples x width) temporary within _BLOCK_FLOATS floats,
+    and at least one.
     """
-    n = len(scenarios)
-    rows = max(1, _BLOCK_FLOATS // (n * width))
-    buffer = np.empty((min(rows, len(sets)), n))
+    rows = max(1, _BLOCK_FLOATS // (len(scenarios) * width))
     for start in range(0, len(sets), rows):
-        chunk = sets[start:start + rows]
-        block = buffer[:len(chunk)]
-        for i, subset in enumerate(chunk):
-            block[i] = objective.utilities(subset, scenarios)
-        yield start, block
+        yield start, objective.set_utilities(sets[start:start + rows], scenarios)
 
 
 def _tau_slices(count: int, samples: int) -> list[slice]:
@@ -290,7 +284,8 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     alphas. Returns the worst (largest) curvature over the positive grid
     points. tau = 0 is skipped (G identically zero there); taus must be
     finite and nonnegative. Elements whose utilities are zero in every
-    scenario never change any value and are excluded from the ratios.
+    scenario never change any value and are excluded from the ratios. A
+    NaN G({e}) or ratio raises ``ValueError`` naming the element.
 
     The ratios [G(S) - G(S - e)] / G({e}) run over e in S for S the full
     ground set X ("total_over_ground_set") or every independent S
@@ -319,7 +314,7 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
 
         def ratios(e: int):  # the ratios of every S that holds e, in chunks
             single = g_of(frozenset((e,)))
-            if np.any(single > 0.0):  # else empirically worthless
+            if not _worthless(e, single):
                 yield (g_full - g_of(full - {e})) / single
     else:
         family = matroid.enumerate_feasible()
@@ -334,7 +329,7 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
 
         def ratios(e: int):
             top = np.flatnonzero(masks & (1 << e))
-            if top.size == 0 or not np.any(g[pos[1 << e]] > 0.0):
+            if top.size == 0 or _worthless(e, g[pos[1 << e]]):
                 return  # e is in no independent set, or empirically worthless
             single, rest = g[pos[1 << e]], pos[masks[top] ^ (1 << e)]
             for lo in range(0, top.size, step):
@@ -343,12 +338,27 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     worst = np.inf
     for e in elements:
         for ratio in ratios(e):
-            worst = np.minimum(worst, ratio.min())  # a NaN ratio propagates
+            low = ratio.min()
+            if np.isnan(low):
+                raise ValueError(f"a curvature ratio of element {e} is NaN: "
+                                 "the objective returned NaN utilities")
+            worst = min(worst, low)
         if worst <= 0.0:
             break
     # no finite ratio: every element is empirically worthless
     k = np.clip(1.0 - worst, 0.0, 1.0) if np.isfinite(worst) else 0.0
     return Curvature(float(k), method)
+
+
+def _worthless(e: int, single: np.ndarray) -> bool:
+    """True if G({e}) is 0 at every tau, so e never changes any value.
+
+    A NaN G({e}) is an error: it would pass for worthless and report a
+    curvature of 0, the best possible bound."""
+    if np.isnan(single).any():
+        raise ValueError(f"G({{{e}}}) is NaN: the objective returned NaN "
+                         f"utilities for element {e}")
+    return not np.any(single > 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,9 @@ ratios stay well defined).
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain
+
 import numpy as np
 
 from .matroid import GroundSet, Matroid, PartitionMatroid, UniformMatroid
@@ -65,6 +68,38 @@ class RandomCoverageObjective(StochasticObjective):
         cover_value = covered @ self.cell_weights
         modular_value = factors[:, ids] @ self.modular_base[ids]
         return cover_value + modular_value
+
+    def set_utilities(self, sets, scenarios: ScenarioSet) -> np.ndarray:
+        """``utilities`` of every set, batched over the sets of each size.
+
+        Row i is bit-equal to ``utilities(sets[i], scenarios)``: the cover
+        counts are exact small integers in float32, and numpy runs each
+        stacked float matmul as one matrix-vector product per set, the call
+        ``utilities`` makes when the operands have the same layout.
+        ``factors[:, ids]`` is column-major, so the modular operand is built
+        column-major per set too; a C-order batch changes the last bits of
+        the sum for sets of three or more elements.
+        """
+        sets = [frozenset(s) for s in sets]
+        self.ground.check_subset(frozenset().union(*sets))
+        if not set(map(type, chain.from_iterable(sets))) <= {int}:
+            for s in sets:  # a bool or float id that equals a valid id
+                self.ground.check_subset(s)
+        by_size = defaultdict(list)
+        for i, s in enumerate(sets):
+            by_size[len(s)].append(i)
+        bits, factors = scenarios.data
+        out = np.zeros((len(sets), len(scenarios)))
+        for size, rows in by_size.items():
+            if size == 0:
+                continue
+            idx = np.array([sorted(sets[i]) for i in rows])  # (sets x size)
+            fired = bits[:, idx].transpose(1, 0, 2).astype(np.float32)
+            covered = (fired @ self._cover_f[idx]) > 0.5
+            modular = np.ascontiguousarray(factors.T[idx]).transpose(0, 2, 1)
+            modular = modular @ self.modular_base[idx][:, :, None]
+            out[rows] = covered @ self.cell_weights + modular[:, :, 0]
+        return out
 
 
 def random_matroid(rng: np.random.Generator, ground: GroundSet,

@@ -156,8 +156,9 @@ def test_extension_rows_equal_utilities(objective):
     ModularDeterministic([0.5, 2.0, 1.25], UniformMatroid(GroundSet(3), 2)),
 ], ids=["synthetic", "vehicle", "modular"])
 def test_default_extension_hook(objective):
-    # these keep the per-candidate loop: their utilities are float sums whose
-    # incremental forms would change the last bits
+    # these score S + e through set_utilities (batched for random coverage):
+    # their utilities are float sums whose incremental forms would change the
+    # last bits
     assert (type(objective).extension_utilities
             is StochasticObjective.extension_utilities)
     check_extension_rows(objective)
@@ -198,3 +199,70 @@ def test_sensor_rejects_counts_float32_cannot_hold():
     # the sets together may not span more cells than the free space either
     with pytest.raises(ValueError, match="span 3 cells"):
         SensorCoverage([(0, 1), (1, 2)], free_cell_count=2, select=1)
+
+
+# ---------------------------------------------------- batched set scoring
+
+def check_set_rows(objective, sets, scenarios):
+    """Rows of set_utilities equal utilities(S) bit for bit, one per set."""
+    rows = objective.set_utilities(sets, scenarios)
+    assert rows.shape == (len(sets), len(scenarios))
+    assert rows.dtype == np.float64
+    for row, subset in zip(rows, sets):
+        assert np.array_equal(row, objective.utilities(subset, scenarios))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12),
+       cells=st.integers(1, 30), count=st.integers(0, 40),
+       samples=st.sampled_from([1, 2, 60, 500]))
+def test_random_coverage_set_rows_equal_utilities(seed, size, cells, count, samples):
+    inst = random_instance(seed, size=size, cells=cells)
+    sc = inst.sample_scenarios(samples, seed)
+    rng = np.random.default_rng(seed)
+    sets = [frozenset(rng.choice(size, int(rng.integers(0, size + 1)),
+                                 replace=False).tolist()) for _ in range(count)]
+    # the empty set, the full ground set and a duplicate, all sizes mixed in
+    # random order; every other set as a list in descending order
+    sets += [frozenset(), frozenset(range(size)), frozenset(range(size))]
+    sets = [sets[i] for i in rng.permutation(len(sets))]
+    sets = [sorted(s, reverse=True) if i % 2 else s for i, s in enumerate(sets)]
+    check_set_rows(inst, sets, sc)
+    assert inst.set_utilities([], sc).shape == (0, samples)
+
+
+def test_random_coverage_set_rows_on_feasible_families():
+    # the blocks brute force and exact curvature score: every independent set
+    for seed in range(6):
+        inst = random_instance(seed, size=6 + seed)
+        check_set_rows(inst, inst.matroid.enumerate_feasible(),
+                       inst.sample_scenarios(60, 1000 + seed))
+
+
+@pytest.mark.parametrize("objective", [
+    VehicleAssignment.generate(3, 2, seed=6),
+    ModularDeterministic([0.5, 2.0, 1.25], UniformMatroid(GroundSet(3), 2)),
+    random_sensor(4, 6, 30, select=3),
+], ids=["vehicle", "modular", "sensor"])
+def test_default_set_hook(objective):
+    assert type(objective).set_utilities is StochasticObjective.set_utilities
+    sc = objective.sample_scenarios(40, seed=9)
+    family = objective.matroid.enumerate_feasible()
+    check_set_rows(objective, family + [family[-1], sorted(family[-1], reverse=True)], sc)
+    assert objective.set_utilities([], sc).shape == (0, 40)
+
+
+@pytest.mark.parametrize("name, objective", make_objectives() + [
+    ("modular", ModularDeterministic([0.5, 2.0, 1.25],
+                                     UniformMatroid(GroundSet(3), 2)))])
+def test_set_utilities_rejects_bad_ids_anywhere(name, objective):
+    n = objective.ground.size
+    sc = objective.sample_scenarios(5, seed=1)
+    for bad, message in ((n, "outside ground set"), (-1, "outside ground set"),
+                         (True, "must be integers"), (1.0, "must be integers")):
+        with pytest.raises(ValueError, match=message):
+            objective.utilities({bad}, sc)
+        # also where a valid id equal to the bad one hides it in a union
+        for block in ([{bad}], [set(), {0}, {0, bad}], [{1}, {bad}], [{bad}, {1}]):
+            with pytest.raises(ValueError, match=message):
+                objective.set_utilities(block, sc)

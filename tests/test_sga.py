@@ -16,7 +16,8 @@ from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
                         brute_force_opt, empirical_cvar, greedy_maximize,
                         run_sga, sga)
 from cvargreedy.problems import SensorCoverage
-from cvargreedy.synthetic import random_instance, random_matroid
+from cvargreedy.synthetic import (RandomCoverageObjective, random_instance,
+                                  random_matroid)
 from conftest import (ClonedObjective, ModularDeterministic, matroid_curvature,
                       random_sensor, reference_auxiliary_curvature,
                       reference_brute_force_opt, reference_run_sga,
@@ -349,6 +350,64 @@ def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alp
                                                  method=curvature.method)
         assert curvature.value == expected.value
         assert repr(curvature.value) == repr(expected.value)
+
+
+def test_family_scored_with_one_objective_call_per_block(monkeypatch):
+    obj = random_instance(12, size=7, matroid_kind="uniform")
+    sc = obj.sample_scenarios(30, 5)
+    taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 6,
+                     samples=30).tau_grid()  # 0 and six positive taus
+    family = obj.matroid.enumerate_feasible()
+    evaluated, blocks = [], []
+    utilities = RandomCoverageObjective.utilities
+    set_utilities = RandomCoverageObjective.set_utilities
+
+    def count_utilities(self, subset, scenarios):
+        evaluated.append(subset)
+        return utilities(self, subset, scenarios)
+
+    def count_sets(self, sets, scenarios):
+        blocks.append(list(sets))
+        return set_utilities(self, sets, scenarios)
+
+    monkeypatch.setattr(RandomCoverageObjective, "utilities", count_utilities)
+    monkeypatch.setattr(RandomCoverageObjective, "set_utilities", count_sets)
+    budget = 30 * 7 * 10  # ten sets per block at 7 taus, eleven at 6
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget):
+        ours = brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+        brute_blocks, blocks[:] = blocks[:], []
+        curvature = auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                        method="exact_matroid_enumeration")
+    monkeypatch.undo()
+    assert evaluated == []
+    for found, rows in ((brute_blocks, 10), (blocks, 11)):
+        assert [len(b) for b in found] == [len(family[i:i + rows])
+                                           for i in range(0, len(family), rows)]
+        assert [s for b in found for s in b] == family
+    assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+    assert curvature == reference_auxiliary_curvature(
+        obj, obj.matroid, sc, taus, method="exact_matroid_enumeration")
+
+
+@pytest.mark.parametrize("method", ["total_over_ground_set",
+                                    "exact_matroid_enumeration"])
+def test_nan_curvature_rejected(method):
+    # a NaN singleton used to pass for worthless and a NaN ratio for "no
+    # finite ratio": both reported curvature 0, the best possible bound
+    class NanOnPairs(ModularDeterministic):
+        def utilities(self, subset, scenarios):
+            u = super().utilities(subset, scenarios)
+            return u if len(frozenset(subset)) < 2 else np.full_like(u, np.nan)
+
+    matroid = UniformMatroid(GroundSet(3), 2)
+    taus = [0.0, 1.0, 2.0]
+    obj = ModularDeterministic([float("nan"), 1.0, 2.0], matroid)
+    sc = obj.sample_scenarios(4, 0)
+    with pytest.raises(ValueError, match=r"G\(\{0\}\) is NaN.*element 0"):
+        auxiliary_curvature(obj, matroid, sc, taus, method=method)
+    obj = NanOnPairs([0.5, 1.0, 2.0], matroid)
+    with pytest.raises(ValueError, match="ratio of element 0 is NaN"):
+        auxiliary_curvature(obj, matroid, sc, taus, method=method)
 
 
 def test_total_curvature_stops_at_first_zero_ratio(monkeypatch):
