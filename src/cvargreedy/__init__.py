@@ -9,13 +9,7 @@ sensor coverage), a brute-force reference optimizer and curvature-based
 approximation guarantees.
 """
 
-import logging
-
 __version__ = "0.1.0"
-
-# library notes (such as a vacuous bound) stay silent unless the
-# application configures logging; ``cvargreedy --verbose`` prints them
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .greedy import GreedyTrace, greedy_maximize
 from .matroid import (ENUMERATION_CAP, EnumerationCapError, GroundSet, Matroid,

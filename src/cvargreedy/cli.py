@@ -10,8 +10,8 @@ batch from --seed and reuses it for every evaluation (common random numbers).
 
 Exit codes: 0 success (and guarantee holds when verifying), 1 guarantee
 violated, 2 usage or input error. Notes that are not data, such as a
-vacuous certified bound, go to the ``cvargreedy`` logger; ``--verbose``
-prints them to stderr.
+vacuous certified bound, go to the ``cvargreedy`` logger as warnings, which
+Python prints to stderr unless logging is configured otherwise.
 """
 from __future__ import annotations
 
@@ -170,8 +170,8 @@ def _log_if_vacuous(bound: BoundReport, cfg: SgaConfig) -> None:
     term reaches (gamma - delta) / (1+k): at curvature 1 for every alpha <= 0.5.
     """
     if bound.additive >= (cfg.gamma - cfg.delta) * bound.multiplicative:
-        log.info("curvature %g: the certified bound is vacuous at alpha %g "
-                 "(additive term %.6g)", bound.curvature, cfg.alpha, bound.additive)
+        log.warning("curvature %g: the certified bound is vacuous at alpha %g "
+                    "(additive term %.6g)", bound.curvature, cfg.alpha, bound.additive)
 
 
 def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
@@ -353,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "risk-neutral expectation).",
         epilog=_CSV_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print the log notes (such as a vacuous bound) "
-                             "to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -426,11 +423,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = argv
-    if args.verbose:
-        handler = logging.StreamHandler()  # stderr
-        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-        log.addHandler(handler)
-        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as err:
@@ -439,10 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; lower --samples", file=sys.stderr)
         return 2
-    finally:
-        if args.verbose:
-            log.removeHandler(handler)
-            log.setLevel(logging.NOTSET)
 
 
 def console_entry() -> None:

@@ -9,10 +9,10 @@ ratios stay well defined).
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 
 import numpy as np
 
+from . import sga
 from .matroid import GroundSet, Matroid, PartitionMatroid, UniformMatroid
 from .objective import (ScenarioSet, StochasticObjective, _u64,
                         check_sample_count)
@@ -78,27 +78,28 @@ class RandomCoverageObjective(StochasticObjective):
         ``utilities`` makes when the operands have the same layout.
         ``factors[:, ids]`` is column-major, so the modular operand is built
         column-major per set too; a C-order batch changes the last bits of
-        the sum for sets of three or more elements.
+        the sum for sets of three or more elements. The sets of one size go
+        in chunks whose (sets x samples x max(size, cells)) temporaries stay
+        within sga._BLOCK_FLOATS floats.
         """
-        sets = [frozenset(s) for s in sets]
-        self.ground.check_subset(frozenset().union(*sets))
-        if not set(map(type, chain.from_iterable(sets))) <= {int}:
-            for s in sets:  # a bool or float id that equals a valid id
-                self.ground.check_subset(s)
+        sets = [self.ground.check_subset(s) for s in sets]
         by_size = defaultdict(list)
         for i, s in enumerate(sets):
-            by_size[len(s)].append(i)
+            if s:
+                by_size[len(s)].append(i)
         bits, factors = scenarios.data
         out = np.zeros((len(sets), len(scenarios)))
         for size, rows in by_size.items():
-            if size == 0:
-                continue
-            idx = np.array([sorted(sets[i]) for i in rows])  # (sets x size)
-            fired = bits[:, idx].transpose(1, 0, 2).astype(np.float32)
-            covered = (fired @ self._cover_f[idx]) > 0.5
-            modular = np.ascontiguousarray(factors.T[idx]).transpose(0, 2, 1)
-            modular = modular @ self.modular_base[idx][:, :, None]
-            out[rows] = covered @ self.cell_weights + modular[:, :, 0]
+            width = len(scenarios) * max(size, self.cell_weights.size)
+            step = max(1, sga._BLOCK_FLOATS // width)
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step]
+                idx = np.array([sorted(sets[i]) for i in chunk])  # (sets x size)
+                fired = bits[:, idx].transpose(1, 0, 2).astype(np.float32)
+                covered = (fired @ self._cover_f[idx]) > 0.5
+                modular = np.ascontiguousarray(factors.T[idx]).transpose(0, 2, 1)
+                modular = modular @ self.modular_base[idx][:, :, None]
+                out[chunk] = covered @ self.cell_weights + modular[:, :, 0]
         return out
 
 

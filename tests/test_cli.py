@@ -149,23 +149,18 @@ def test_run_reproducible(tmp_path):
             == data_section(tmp_path / "b_tau_curve.csv"))
 
 
-def test_vacuous_bound_is_logged_outside_the_data(tmp_path, capsys):
+def test_vacuous_bound_is_logged_outside_the_data(tmp_path, capsys, caplog):
     instance = gen_vehicle(tmp_path)
-    assert main(["--verbose", *run_flags(instance, tmp_path / "v")]) == 0
-    captured = capsys.readouterr()
-    assert ("cvargreedy: curvature 1: the certified bound is vacuous at alpha 0.5"
-            in captured.err)
-    assert "certified bound" not in captured.out
+    assert main(run_flags(instance, tmp_path / "v")) == 0
+    assert [(r.name, r.levelname) for r in caplog.records] == [("cvargreedy", "WARNING")]
+    assert caplog.messages[0].startswith(
+        "curvature 1: the certified bound is vacuous at alpha 0.5")
+    assert "certified bound" not in capsys.readouterr().out
     assert read_json(tmp_path / "v.json")["bound"]["curvature"] == 1.0
-    # without --verbose nothing is printed, and the data are the same
-    assert main(run_flags(instance, tmp_path / "q")) == 0
-    assert "vacuous" not in capsys.readouterr().err
-    assert data_section(tmp_path / "v.json") == data_section(tmp_path / "q.json")
-    assert (data_section(tmp_path / "v_tau_curve.csv")
-            == data_section(tmp_path / "q_tau_curve.csv"))
     # at alpha 1 the additive term is 0: the bound is not vacuous
-    assert main(["-v", *run_flags(instance, tmp_path / "n"), "--alpha", "1"]) == 0
-    assert "vacuous" not in capsys.readouterr().err
+    caplog.clear()
+    assert main([*run_flags(instance, tmp_path / "n"), "--alpha", "1"]) == 0
+    assert caplog.records == []
 
 
 def test_run_risk_neutral_label(tmp_path, capsys):
@@ -211,19 +206,19 @@ def test_run_verify_refuses_large_ground(tmp_path, capsys):
 
 # ------------------------------------------------------------------ sweep
 
-def test_sweep_outputs(tmp_path, capsys):
+def test_sweep_outputs(tmp_path, capsys, caplog):
     instance = gen_sensor(tmp_path)
-    code = main(["-v", "sweep", str(instance), "--alphas", "0.2,1",
+    code = main(["sweep", str(instance), "--alphas", "0.2,1",
                  "--gamma", "20", "--delta", "4", "--samples", "40",
                  "--eval-samples", "60", "--bins", "5",
                  "--out", str(tmp_path / "sw")])
     assert code == 0
-    captured = capsys.readouterr()
-    assert "alpha 0.2 (risk-averse)" in captured.out
-    assert "alpha 1 (risk-neutral)" in captured.out
+    out = capsys.readouterr().out
+    assert "alpha 0.2 (risk-averse)" in out
+    assert "alpha 1 (risk-neutral)" in out
     # one log line per risk level whose bound is vacuous
-    assert captured.err.splitlines() == [
-        "cvargreedy: curvature 1: the certified bound is vacuous at alpha 0.2 "
+    assert caplog.messages == [
+        "curvature 1: the certified bound is vacuous at alpha 0.2 "
         "(additive term 40)"]
     table = (tmp_path / "sw_alpha_table.csv").read_text().splitlines()
     assert table[5].startswith("alpha,h_value,tau,")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvargreedy import (GroundSet, ScenarioSet, StochasticObjective,
-                        UniformMatroid, check_sample_count, child_seed)
+                        UniformMatroid, check_sample_count, child_seed, sga)
 from cvargreedy.problems import OccupancyGrid, SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import random_instance
 from conftest import (ModularDeterministic, random_sensor, scalar_utilities,
@@ -231,8 +231,12 @@ def test_random_coverage_set_rows_equal_utilities(seed, size, cells, count, samp
     assert inst.set_utilities([], sc).shape == (0, samples)
 
 
-def test_random_coverage_set_rows_on_feasible_families():
-    # the blocks brute force and exact curvature score: every independent set
+@pytest.mark.parametrize("budget", [sga._BLOCK_FLOATS, 1, 1500, 7 * 60 * 10 + 1])
+def test_random_coverage_set_rows_on_feasible_families(monkeypatch, budget):
+    # the blocks brute force and exact curvature score: every independent
+    # set; a small budget splits each size group into chunks of 1, 2 or 7
+    # sets (60 samples x 10 cells per set)
+    monkeypatch.setattr(sga, "_BLOCK_FLOATS", budget)
     for seed in range(6):
         inst = random_instance(seed, size=6 + seed)
         check_set_rows(inst, inst.matroid.enumerate_feasible(),
@@ -262,7 +266,7 @@ def test_set_utilities_rejects_bad_ids_anywhere(name, objective):
                          (True, "must be integers"), (1.0, "must be integers")):
         with pytest.raises(ValueError, match=message):
             objective.utilities({bad}, sc)
-        # also where a valid id equal to the bad one hides it in a union
+        # also next to a valid id equal to the bad one
         for block in ([{bad}], [set(), {0}, {0, bad}], [{1}, {bad}], [{bad}, {1}]):
             with pytest.raises(ValueError, match=message):
                 objective.set_utilities(block, sc)
