@@ -174,6 +174,18 @@ def _log_if_vacuous(bound: BoundReport, cfg: SgaConfig) -> None:
                     "(additive term %.6g)", bound.curvature, cfg.alpha, bound.additive)
 
 
+def _log_if_gamma_low(utilities: np.ndarray, cfg: SgaConfig) -> None:
+    """Log when gamma is below a sampled utility of the chosen set.
+
+    Such a gamma does not bound the utility, which the certified bound
+    assumes; the data sections stay as they are."""
+    top = float(np.max(utilities))
+    if top > cfg.gamma:
+        log.warning("gamma %g is below the largest sampled utility %.6g of the chosen "
+                    "set at alpha %g: it does not bound the utility, so the certified "
+                    "bound does not hold", cfg.gamma, top, cfg.alpha)
+
+
 def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
     """Brute-force optimum, exact curvature and the guarantee verdict."""
     taus = cfg.tau_grid()
@@ -209,6 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         auxiliary_curvature(objective, objective.matroid, scenarios,
                             cfg.tau_grid()), cfg)
     _log_if_vacuous(bound, cfg)
+    _log_if_gamma_low(objective.utilities(result.chosen_set, scenarios), cfg)
     payload = {
         "config": _config_dict(cfg),
         "risk_label": _risk_label(cfg.alpha),
@@ -274,6 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for point in table.points:
         res = point.result
         _log_if_vacuous(approximation_bound(table.curvature, res.config), res.config)
+        _log_if_gamma_low(point.utilities, res.config)
         alpha_rows.append([point.alpha, res.h_value, res.chosen_tau,
                            point.utility_mean, point.utility_std,
                            point.additive_error, _set_cell(res.chosen_set)])

@@ -58,8 +58,9 @@ class GroundSet:
 class Matroid:
     """Independence oracle base class. Instances are immutable and pure.
 
-    Subclasses implement ``_independent``; the public methods validate their
-    argument once and then apply it unchecked.
+    Subclasses implement ``_independent`` and may override ``_extensions``;
+    the public methods validate their argument once and then apply them
+    unchecked.
     """
 
     ground: GroundSet
@@ -77,10 +78,15 @@ class Matroid:
         s = self.ground.check_subset(subset)
         if not self._independent(s):
             raise ValueError("extension candidates are defined for independent sets only")
-        return frozenset(
-            e for e in self.ground.elements
-            if e not in s and self._independent(s | {e})
-        )
+        return self._extensions(s)
+
+    def _extensions(self, s: frozenset[int]) -> frozenset[int]:
+        """The extension rule on a valid independent frozenset (not re-checked).
+
+        This default tests every one-element extension; a subclass may
+        override it with a direct rule that returns the same set."""
+        return frozenset(e for e in self.ground.elements
+                         if e not in s and self._independent(s | {e}))
 
     def enumerate_feasible(self) -> list[frozenset[int]]:
         """Every independent subset, empty set included, in (size, lexicographic) order.
@@ -119,6 +125,10 @@ class UniformMatroid(Matroid):
 
     def _independent(self, s: frozenset[int]) -> bool:
         return len(s) <= self.k
+
+    def _extensions(self, s: frozenset[int]) -> frozenset[int]:
+        """Every element outside the subset while it holds fewer than k elements."""
+        return frozenset(self.ground.elements) - s if len(s) < self.k else frozenset()
 
     def fragment(self) -> dict:
         return {"type": "uniform", "k": self.k}
@@ -166,6 +176,17 @@ class PartitionMatroid(Matroid):
             if used[bi] > self.capacities[bi]:
                 return False
         return True
+
+    def _extensions(self, s: frozenset[int]) -> frozenset[int]:
+        """The elements outside the subset whose block is below its capacity.
+
+        Counts the block use of the subset once instead of testing every
+        one-element extension."""
+        used = [0] * len(self.blocks)
+        for e in s:
+            used[self._block_of[e]] += 1
+        return frozenset().union(*(b for b, u, c in zip(self.blocks, used, self.capacities)
+                                   if u < c)) - s
 
     def fragment(self) -> dict:
         return {

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sga
 from .matroid import GroundSet, PartitionMatroid, UniformMatroid, matroid_from_json
 from .objective import (ScenarioSet, StochasticObjective, _u64,
                         check_sample_count)
@@ -27,6 +28,22 @@ MEAN_EFFICIENCY_SCALE = 10.0      # mean efficiency = 10 / distance
 SPREAD_EXPONENT = 2.5             # interval half-width = mean**2.5 / max(mean)
 _GEOM_EPS = 1e-9                  # tolerance for segment/cell interior overlap
 MAX_FREE_CELLS = 2**24            # float32 coverage counts are exact below this
+
+
+def _integer(value, field: str) -> int:
+    """An integral number as an int; a ValueError naming ``field`` otherwise.
+
+    ``int()`` would truncate 0.5 to 0 and 2.7 to 2, and accepts ``True``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        if math.isinf(value):
+            raise ValueError(f"{field} must be an integer, got "
+                             f"{'-' if value < 0 else ''}infinity")
+        if float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r} "
+                     f"({type(value).__name__})")
 
 
 # --------------------------------------------------------------------------
@@ -120,12 +137,64 @@ class VehicleAssignment(StochasticObjective):
         return grouped
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
+        """Sum over the served demands of the best efficiency of their vehicles.
+
+        The per-demand maxima are added in the order in which iterating the
+        frozenset first visits each demand. That order depends on how the set
+        was built (``frozenset(ids)`` and ``frozenset(reversed(ids))`` may
+        differ), and so do the last bits of the sum. The recorded CLI outputs
+        depend on this order, so it stays; ``extension_utilities``
+        reproduces it.
+        """
         subset = self.ground.check_subset(subset)
         eff = scenarios.data
         total = np.zeros(len(scenarios))
         for i, js in self._by_demand(subset).items():
             total += eff[:, i, js].max(axis=1)
         return total
+
+    def extension_utilities(self, subset, candidates,
+                            scenarios: ScenarioSet) -> np.ndarray:
+        """Rows bit-equal to ``utilities(subset | {e})`` for every candidate e.
+
+        The per-demand maxima of ``subset`` are taken once. A candidate's
+        demand gets its new maximum by ``np.maximum``, which is exact, and
+        each row adds its per-demand columns in the order in which iterating
+        ``subset | {e}`` visits the demands, one position at a time over all
+        rows; a row with one demand fewer adds a zero column last, which
+        changes no bit (a running sum from +0.0 is never -0.0). Candidates go
+        in chunks whose (candidates x samples) temporaries stay within
+        ``sga._GROUP_FLOATS`` floats.
+        """
+        subset = self.ground.check_subset(subset)
+        eff, n, r = scenarios.data, len(scenarios), self.vehicles
+        by_demand = self._by_demand(subset)
+        slot = {i: p for p, i in enumerate(by_demand)}
+        served = len(slot)
+        step = max(1, sga._GROUP_FLOATS // n)
+        # rows 0..served-1: the subset's maxima; row served: zeros; then the
+        # chunk's candidate columns
+        bank = np.zeros((served + 1 + min(step, len(candidates)), n))
+        for i, js in by_demand.items():
+            bank[slot[i]] = eff[:, i, js].max(axis=1)
+        out = np.zeros((len(candidates), n))
+        for lo in range(0, len(candidates), step):
+            chunk = candidates[lo:lo + step]
+            demand, vehicle = np.divmod(np.asarray(chunk, dtype=np.intp), r)
+            fresh = bank[served + 1:served + 1 + len(chunk)]
+            fresh[:] = eff[:, demand, vehicle].T
+            held = np.array([slot.get(i, -1) for i in demand.tolist()], dtype=np.intp)
+            old = held >= 0
+            fresh[old] = np.maximum(fresh[old], bank[held[old]])
+            order = np.full((len(chunk), served + 1), served, dtype=np.intp)
+            for c, (e, own) in enumerate(zip(chunk, demand.tolist())):
+                visits = dict.fromkeys(x // r for x in subset | {e})
+                order[c, :len(visits)] = [served + 1 + c if i == own else slot[i]
+                                          for i in visits]
+            rows = out[lo:lo + len(chunk)]
+            for position in order.T:
+                rows += bank[position]
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -146,8 +215,9 @@ class VehicleAssignment(StochasticObjective):
         inst = cls(np.asarray(data["demand_positions"], dtype=float),
                    np.asarray(data["vehicle_positions"], dtype=float),
                    side=float(data.get("side", 10.0)),
-                   seed=int(data.get("seed", 0)))
-        if "ground_size" in data and int(data["ground_size"]) != inst.ground.size:
+                   seed=_integer(data.get("seed", 0), "seed"))
+        if ("ground_size" in data
+                and _integer(data["ground_size"], "ground_size") != inst.ground.size):
             raise ValueError("instance file ground_size does not match the positions")
         return inst
 
@@ -270,14 +340,23 @@ class SensorCoverage(StochasticObjective):
     def __init__(self, coverage_sets, free_cell_count: int, select: int,
                  grid: OccupancyGrid | None = None, sensor_cells=None,
                  seed: int = 0):
-        sets = [tuple(sorted(int(c) for c in s)) for s in coverage_sets]
+        sets = [tuple(sorted(_integer(c, f"coverage_sets[{i}] cell") for c in s))
+                for i, s in enumerate(coverage_sets)]
         if not sets:
             raise ValueError("at least one candidate sensor is required")
+        for i, s in enumerate(sets):
+            for c in s:
+                if grid is None and c < 0:
+                    raise ValueError(f"coverage_sets[{i}] cell {c} is negative")
+                if grid is not None and not grid.is_free(c):
+                    raise ValueError(f"coverage_sets[{i}] cell {c} is not a free cell "
+                                     f"of the {grid.rows}x{grid.cols} grid")
         n = len(sets)
+        select = _integer(select, "select")
         if not 1 <= select <= n:
             raise ValueError(
                 f"number of sensors to place must lie in 1..{n}, got {select}")
-        free_cell_count = int(free_cell_count)
+        free_cell_count = _integer(free_cell_count, "free_cell_count")
         if free_cell_count < 1:
             raise ValueError("free cell count must be positive")
         if free_cell_count >= MAX_FREE_CELLS:
@@ -291,9 +370,10 @@ class SensorCoverage(StochasticObjective):
                 f"{free_cell_count} free cells")
         self.coverage_sets = sets
         self.free_cell_count = free_cell_count
-        self.select = int(select)
+        self.select = select
         self.grid = grid
-        self.sensor_cells = None if sensor_cells is None else [int(c) for c in sensor_cells]
+        self.sensor_cells = (None if sensor_cells is None else
+                             [_integer(c, "sensor_cells entry") for c in sensor_cells])
         self.seed = int(seed)
 
         col = {cell: idx for idx, cell in enumerate(universe)}
@@ -376,12 +456,12 @@ class SensorCoverage(StochasticObjective):
     @classmethod
     def from_json(cls, data: dict) -> "SensorCoverage":
         grid = OccupancyGrid.from_rows(data["grid"]) if "grid" in data else None
-        select = int(data["select"])
-        seed = int(data.get("seed", 0))
+        select = data["select"]
+        seed = _integer(data.get("seed", 0), "seed")
         sensor_cells = data.get("sensor_cells")
         if "coverage_sets" in data:
             if "free_cell_count" in data:
-                free_count = int(data["free_cell_count"])
+                free_count = data["free_cell_count"]
             elif grid is not None:
                 free_count = len(grid.free_cells())
             else:
@@ -392,7 +472,8 @@ class SensorCoverage(StochasticObjective):
         if grid is None or sensor_cells is None:
             raise ValueError(
                 "a sensor instance needs either coverage_sets or grid + sensor_cells")
-        coverage = [visible_cells(grid, int(c)) for c in sensor_cells]
+        coverage = [visible_cells(grid, _integer(c, "sensor_cells entry"))
+                    for c in sensor_cells]
         return cls(coverage, len(grid.free_cells()), select,
                    grid=grid, sensor_cells=sensor_cells, seed=seed)
 

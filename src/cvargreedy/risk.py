@@ -89,16 +89,19 @@ def sorted_rows_cvar_var(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
 def auxiliary_scores(u: np.ndarray, taus: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """The one H kernel: tau - sum((tau - u)+) / (alpha * n) at every pair, unchecked.
 
-    Each row's pairwise np.sum keeps the hinge sum stable for large batches,
-    which the concavity and slope checks rely on. Rows are scored in chunks
-    so that one hinge temporary holds at most _HINGE_FLOATS floats.
+    ``u`` is one utility vector for every (tau, alpha) pair, or a
+    (pairs x n) array with one vector per pair; a pair gets the same bits
+    either way. Each row's pairwise np.sum keeps the hinge sum stable for
+    large batches, which the concavity and slope checks rely on. Rows are
+    scored in chunks so that one hinge temporary holds at most _HINGE_FLOATS
+    floats.
     """
-    n = u.size
+    n = u.shape[-1]
     out = np.empty(taus.size)
     step = max(1, _HINGE_FLOATS // n)
     for lo in range(0, taus.size, step):
         t = taus[lo:lo + step]
-        hinge = t[:, None] - u[None, :]
+        hinge = t[:, None] - (u if u.ndim == 1 else u[lo:lo + step])
         np.maximum(hinge, 0.0, out=hinge)
         out[lo:lo + step] = t - hinge.sum(axis=1) / (alphas[lo:lo + step] * n)
     return out

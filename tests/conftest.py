@@ -1,8 +1,8 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
 per-scenario utilities, the plain greedy and estimators, generic curvature,
-the per-tau solver sweep, the per-set brute-force optimum and scalarized
-curvature)."""
+the per-tau solver sweep, the exactly scored batched sweep, the per-set
+brute-force optimum and scalarized curvature)."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,9 @@ import pytest
 
 from cvargreedy import (BruteForceResult, Curvature, EnumerationCapError,
                         ScenarioSet, SgaResult, StochasticObjective, SweepPoint)
+from cvargreedy.greedy import greedy_sweep
 from cvargreedy.problems import SensorCoverage, VehicleAssignment
+from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import RandomCoverageObjective
 
 
@@ -132,6 +134,56 @@ class ClonedObjective(StochasticObjective):
         return self.base.utilities({e % n for e in subset}, scenarios)
 
 
+class ShiftedRows(StochasticObjective):
+    """Modular utility whose per-element rows are cyclic shifts of one vector.
+
+    Element e is worth v[(i + e) % n] in scenario i, for v the batch's draws,
+    so the rows of sets with the same shifts up to a rotation are
+    permutations of one another: equal multisets whose hinge sums differ
+    only in rounding. Set sums run in ascending id order.
+    """
+
+    def __init__(self, matroid, scale: float = 1.0):
+        self.ground = matroid.ground
+        self.matroid = matroid
+        self.scale = float(scale)
+        self.gamma_hint = self.scale * self.ground.size
+
+    def sample_scenarios(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return ScenarioSet(self.scale * rng.random(count), count, int(seed))
+
+    def utilities(self, subset, scenarios):
+        subset = self.ground.check_subset(subset)
+        v = scenarios.data
+        shift = np.arange(v.size)
+        total = np.zeros(v.size)
+        for e in sorted(subset):
+            total += v[(shift + e) % v.size]
+        return total
+
+
+class Offset(StochasticObjective):
+    """base(S) + offset for nonempty S: large utilities with small differences.
+
+    Adding a constant to every nonempty set keeps the utility normalized,
+    monotone and submodular."""
+
+    def __init__(self, base, offset: float):
+        self.base = base
+        self.offset = float(offset)
+        self.ground = base.ground
+        self.matroid = base.matroid
+        self.gamma_hint = base.gamma_hint + self.offset
+
+    def sample_scenarios(self, count, seed):
+        return self.base.sample_scenarios(count, seed)
+
+    def utilities(self, subset, scenarios):
+        u = self.base.utilities(subset, scenarios)
+        return u + self.offset if subset else u
+
+
 # ------------------------------------------------ plain greedy and estimators
 
 def plain_greedy(fn, matroid):
@@ -197,6 +249,27 @@ def reference_run_sga(objective, matroid, config, scenarios=None) -> SgaResult:
                      oracle_evaluations=sum(p.evaluations for p in points)
                      * config.samples,
                      config=config)
+
+
+def reference_solve(objective, matroid, scenarios, points) -> list[SweepPoint]:
+    """``sga._solve`` with every candidate row scored by ``auxiliary_scores``.
+
+    The batched sweep as it was before groups were screened: one
+    ``greedy_sweep`` over all (alpha, tau) points, one ``extension_utilities``
+    call per group, H of each row at every member tau."""
+    alphas = np.array([a for a, _ in points], dtype=float)
+    taus = np.array([t for _, t in points], dtype=float)
+
+    def score(members, current, candidates):
+        rows = objective.extension_utilities(current, candidates, scenarios)
+        return np.array([auxiliary_scores(u, taus[members], alphas[members])
+                         for u in rows])
+
+    initial = auxiliary_scores(objective.utilities(frozenset(), scenarios), taus, alphas)
+    selected, values, traces = greedy_sweep(score, matroid, initial)
+    return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
+                       evaluations=traces[i].evaluations + 1)
+            for i, (_, tau) in enumerate(points)]
 
 
 # ------------------------------------ per-set brute force and curvature

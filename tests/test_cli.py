@@ -163,6 +163,25 @@ def test_vacuous_bound_is_logged_outside_the_data(tmp_path, capsys, caplog):
     assert caplog.records == []
 
 
+def test_gamma_below_a_sampled_utility_is_logged(tmp_path, capsys, caplog):
+    instance = gen_sensor(tmp_path)
+    flags = ["--alpha", "0.5", "--delta", "1", "--samples", "30"]
+    assert main(["run", str(instance), *flags, "--gamma", "1",
+                 "--out", str(tmp_path / "low")]) == 0
+    low = [r for r in caplog.records if r.getMessage().startswith("gamma 1 is below")]
+    assert [(r.name, r.levelname) for r in low] == [("cvargreedy", "WARNING")]
+    top = float(low[0].getMessage().split("utility ")[1].split(" ")[0])
+    result = read_json(tmp_path / "low.json")["result"]
+    assert top > 1 and result["chosen_set"]
+    assert "below the largest" not in capsys.readouterr().out
+    assert sorted(read_json(tmp_path / "low.json")) == [
+        "bound", "config", "instance", "manifest", "result", "risk_label"]
+    # the default gamma, the free cell count, bounds every utility
+    caplog.clear()
+    assert main(["run", str(instance), *flags, "--out", str(tmp_path / "hint")]) == 0
+    assert not [m for m in caplog.messages if m.startswith("gamma")]
+
+
 def test_run_risk_neutral_label(tmp_path, capsys):
     instance = gen_sensor(tmp_path)
     code = main(["run", str(instance), "--alpha", "1", "--delta", "4",
@@ -216,10 +235,13 @@ def test_sweep_outputs(tmp_path, capsys, caplog):
     out = capsys.readouterr().out
     assert "alpha 0.2 (risk-averse)" in out
     assert "alpha 1 (risk-neutral)" in out
-    # one log line per risk level whose bound is vacuous
+    # one log line per risk level whose bound is vacuous, and one per chosen
+    # set with a sampled utility above gamma
     assert caplog.messages == [
         "curvature 1: the certified bound is vacuous at alpha 0.2 "
-        "(additive term 40)"]
+        "(additive term 40)",
+        "gamma 20 is below the largest sampled utility 23 of the chosen set at "
+        "alpha 1: it does not bound the utility, so the certified bound does not hold"]
     table = (tmp_path / "sw_alpha_table.csv").read_text().splitlines()
     assert table[5].startswith("alpha,h_value,tau,")
     assert len(table) == 5 + 1 + 2

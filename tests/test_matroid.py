@@ -1,12 +1,14 @@
 """Matroid axioms, oracle behavior and serialization."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvargreedy import (EnumerationCapError, GroundSet, PartitionMatroid,
+from cvargreedy import (EnumerationCapError, GroundSet, Matroid, PartitionMatroid,
                         UniformMatroid, matroid_from_json, matroid_to_json)
+from cvargreedy.synthetic import random_matroid
 
 from conftest import powerset
 
@@ -163,6 +165,30 @@ def test_extension_candidates_match_definition(m):
         expected = frozenset(e for e in m.ground.elements
                              if e not in s and m.is_independent(s | {e}))
         assert m.extension_candidates(s) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
+       kind=st.sampled_from(["uniform", "partition"]), fill=st.floats(0, 1))
+def test_extension_rule_matches_the_generic_rule(seed, n, kind, fill):
+    # random blocks (not contiguous runs) and random independent subsets,
+    # grown greedily until about ``fill`` of the rank is used
+    rng = np.random.default_rng(seed)
+    m = random_matroid(rng, GroundSet(n), kind)
+    s = frozenset()
+    for e in rng.permutation(n).tolist():
+        if rng.random() < fill and m.is_independent(s | {e}):
+            s = s | {e}
+    got = m.extension_candidates(s)
+    assert type(got) is frozenset
+    assert got == Matroid._extensions(m, s)
+    assert got == frozenset(e for e in range(n)
+                            if e not in s and m.is_independent(s | {e}))
+    dependent = next((s | {e} for e in range(n) if e not in s
+                      and not m.is_independent(s | {e})), None)
+    if dependent is not None:
+        with pytest.raises(ValueError, match="independent sets only"):
+            m.extension_candidates(dependent)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvargreedy import PartitionMatroid, ScenarioSet, UniformMatroid
 from cvargreedy import problems
@@ -220,6 +222,88 @@ def test_sensor_validation():
     with pytest.raises(ValueError):
         SensorCoverage.generate(candidates=1, select=1,
                                 grid=OccupancyGrid.from_rows(["11"]))
+
+
+def sensor_doc():
+    """A sensor instance file on a 3x4 grid with one obstacle (cell 5)."""
+    grid = OccupancyGrid.from_rows(["0000", "0100", "0000"])
+    return SensorCoverage.generate(candidates=4, select=2, grid=grid, seed=1).to_json()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("cell", 0.5, r"coverage_sets\[0\] cell must be an integer, got 0.5"),
+    ("cell", -1, r"coverage_sets\[0\] cell -1 is not a free cell of the 3x4 grid"),
+    ("cell", 10**6, r"coverage_sets\[0\] cell 1000000 is not a free cell"),
+    ("cell", 5, r"coverage_sets\[0\] cell 5 is not a free cell"),
+    ("select", 2.7, r"select must be an integer, got 2.7"),
+    ("free_cell_count", float("inf"), r"free_cell_count must be an integer, got infinity"),
+])
+def test_sensor_file_values_are_checked(field, value, message):
+    doc = sensor_doc()
+    if field == "cell":
+        doc["coverage_sets"][0][0] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError, match=message):
+        load_instance(doc)
+
+
+def test_sensor_cells_without_a_grid_are_nonnegative_integers():
+    assert SensorCoverage([(0, 10**6)], free_cell_count=5, select=1.0).select == 1
+    with pytest.raises(ValueError, match=r"coverage_sets\[1\] cell -1 is negative"):
+        SensorCoverage([(0,), (-1, 2)], free_cell_count=5, select=1)
+    with pytest.raises(ValueError, match=r"coverage_sets\[0\] cell must be an integer"):
+        SensorCoverage([(True,)], free_cell_count=5, select=1)
+
+
+_NOT_INTEGERS = st.one_of(
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.sampled_from([None, True, False, "2", [1], {"a": 1}]))
+
+
+@st.composite
+def corrupt_instances(draw):
+    """A valid instance file with one value replaced by a bad one."""
+    if draw(st.booleans()):
+        doc = VehicleAssignment.generate(3, 2, seed=draw(st.integers(0, 9))).to_json()
+        key = draw(st.sampled_from(["demand_positions", "vehicle_positions",
+                                    "seed", "ground_size"]))
+        if key in ("seed", "ground_size"):
+            doc[key] = draw(_NOT_INTEGERS)
+            return doc
+        row = draw(st.integers(0, len(doc[key]) - 1))
+        doc[key][row][draw(st.integers(0, 1))] = draw(st.sampled_from(
+            [float("nan"), float("inf"), -float("inf")]))
+        return doc
+    doc = sensor_doc()
+    field = draw(st.sampled_from(["cell", "select", "free_cell_count", "sensor_cells",
+                                  "seed"]))
+    if field == "cell":
+        bad = draw(_NOT_INTEGERS | st.integers(max_value=-1)
+                   | st.integers(min_value=12) | st.just(5))
+        cells = doc["coverage_sets"][draw(st.integers(0, 3))]
+        cells[draw(st.integers(0, len(cells) - 1))] = bad
+    elif field == "select":
+        doc["select"] = draw(_NOT_INTEGERS | st.integers(max_value=0)
+                             | st.integers(min_value=5))
+    elif field == "seed":
+        doc["seed"] = draw(_NOT_INTEGERS)
+    elif field == "free_cell_count":
+        doc["free_cell_count"] = draw(_NOT_INTEGERS | st.integers(max_value=0)
+                                      | st.integers(min_value=2**24))
+    else:  # a grid-only file rebuilds coverage from the sensor cells
+        del doc["coverage_sets"], doc["free_cell_count"]
+        doc["sensor_cells"][draw(st.integers(0, 3))] = draw(
+            _NOT_INTEGERS | st.integers(max_value=-1) | st.integers(min_value=12)
+            | st.just(5))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupt_instances())
+def test_load_instance_rejects_bad_values(doc):
+    with pytest.raises(ValueError):
+        load_instance(doc)
 
 
 # ----------------------------------------------------------- file formats

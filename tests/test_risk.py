@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cvargreedy import (auxiliary_from_values, auxiliary_value,
                         check_risk_level, cvar_of_set, empirical_cvar,
                         empirical_var, required_sample_count)
+from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import random_instance
 from conftest import plain_cvar_var, plain_h
 
@@ -126,6 +127,23 @@ def test_cvar_of_set_matches_plain_reference(seed, size, samples, alpha):
     subset = frozenset(np.flatnonzero(rng.random(size) < 0.5).tolist())
     expected = plain_cvar_var(obj.utilities(subset, sc), alpha)
     assert repr(cvar_of_set(obj, subset, sc, alpha)) == repr(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 60, 1000, 70_001]),
+       pairs=st.integers(0, 9))
+def test_per_pair_rows_score_like_one_row_each(seed, n, pairs):
+    # 70,001 samples put 3 pairs in each hinge chunk
+    rng = np.random.default_rng(seed)
+    rows = rng.random((pairs, n)) * 10
+    taus = np.array([rng.choice(row) if rng.random() < 0.5 else rng.uniform(0, 12)
+                     for row in rows])
+    alphas = rng.choice([0.001, 0.3, 1.0], pairs)
+    got = auxiliary_scores(rows, taus, alphas)
+    assert got.shape == (pairs,)
+    for i in range(pairs):
+        assert got[i] == plain_h(rows[i], taus[i], alphas[i])
+        assert got[i] == auxiliary_scores(rows[i], taus[i:i + 1], alphas[i:i + 1])[0]
 
 
 def test_required_sample_count():

@@ -3,6 +3,8 @@ evaluation accounting, the brute-force reference and the guarantee report."""
 from __future__ import annotations
 
 import dataclasses
+import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,13 +17,15 @@ from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
                         approximation_bound, auxiliary_curvature,
                         brute_force_opt, empirical_cvar, greedy_maximize,
                         run_sga, sga)
-from cvargreedy.problems import SensorCoverage
+from cvargreedy.problems import SensorCoverage, VehicleAssignment
+from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import (RandomCoverageObjective, random_instance,
                                   random_matroid)
-from conftest import (ClonedObjective, ModularDeterministic, matroid_curvature,
-                      random_sensor, reference_auxiliary_curvature,
-                      reference_brute_force_opt, reference_run_sga,
-                      total_curvature, with_failed_rows)
+from conftest import (ClonedObjective, ModularDeterministic, Offset, ShiftedRows,
+                      matroid_curvature, random_sensor,
+                      reference_auxiliary_curvature, reference_brute_force_opt,
+                      reference_run_sga, reference_solve, total_curvature,
+                      with_failed_rows)
 
 
 def two_weight_objective():
@@ -211,6 +215,153 @@ def test_nan_utilities_rejected():
     cfg = SgaConfig(alpha=0.5, gamma=2.0, delta=1.0, samples=4)
     with pytest.raises(ValueError, match=r"greedy step from \[\]: .*NaN"):
         run_sga(obj, obj.matroid, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vehicles=st.integers(1, 5),
+       demands=st.integers(1, 3),
+       alphas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0]), min_size=1,
+                       max_size=3),
+       spacing=st.sampled_from([1.0, 0.3, 1 / 9, 0.04]),
+       samples=st.sampled_from([1, 5, 60, 300]))
+def test_vehicle_sweep_matches_per_tau_reference(seed, vehicles, demands, alphas,
+                                                spacing, samples):
+    # with more vehicles than demands the greedy serves a demand several times
+    obj = VehicleAssignment.generate(vehicles, demands, seed=seed)
+    cfg = SgaConfig(alpha=alphas[0], gamma=obj.gamma_hint,
+                    delta=spacing * obj.gamma_hint, samples=samples, seed=seed)
+    refs = {}
+    for alpha in alphas:
+        at_alpha = dataclasses.replace(cfg, alpha=alpha)
+        refs[alpha] = reference_run_sga(obj, obj.matroid, at_alpha)
+        assert run_sga(obj, obj.matroid, at_alpha) == refs[alpha]
+    for point in alpha_sweep(obj, obj.matroid, cfg, alphas).points:
+        assert point.result == refs[point.alpha]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4),
+       n=st.sampled_from([1, 2, 3, 7, 8, 9, 64, 1000]), m=st.integers(1, 6))
+def test_count_below_matches_searchsorted(seed, rows, n, m):
+    # few distinct values, so taus often equal samples
+    rng = np.random.default_rng(seed)
+    ordered = np.sort(rng.integers(0, 5, (rows, n)).astype(float), axis=1)
+    taus = rng.integers(-1, 7, m) + rng.choice([0.0, 0.5], m)
+    expected = np.array([np.searchsorted(row, taus) for row in ordered])
+    assert np.array_equal(sga._count_below(ordered, taus), expected)
+
+
+def differential_objective(family: str, rng: np.random.Generator, seed: int):
+    """A small instance of one family, chosen for ties and near-ties."""
+    def matroid(size):
+        return random_matroid(rng, GroundSet(size), "mixed")
+
+    if family == "vehicle":
+        return VehicleAssignment.generate(int(rng.integers(1, 5)),
+                                          int(rng.integers(1, 4)), seed=seed)
+    if family == "sensor":
+        sites = int(rng.integers(1, 9))
+        return random_sensor(seed, sites, int(rng.integers(1, 30)),
+                             select=int(rng.integers(1, sites + 1)))
+    if family == "cloned":  # clones score exactly alike
+        size = int(rng.integers(1, 5))
+        return ClonedObjective(random_instance(seed, size=size), matroid(2 * size))
+    if family == "shifted":  # rows that are permutations of one another
+        return ShiftedRows(matroid(int(rng.integers(1, 8))),
+                           scale=float(rng.choice([1e-3, 1.0, 1e4])))
+    if family == "constant":  # constant rows, equal weights among them
+        size = int(rng.integers(1, 7))
+        return ModularDeterministic(rng.integers(0, 4, size) * 0.3, matroid(size))
+    # utilities near 1e8 that differ far below their magnitude
+    base = (VehicleAssignment.generate(3, 2, seed=seed) if family == "large-vehicle"
+            else random_instance(seed, size=int(rng.integers(1, 7))))
+    return Offset(base, 1e8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["vehicle", "sensor", "cloned", "shifted", "constant",
+                               "large-vehicle", "large-coverage"]),
+       samples=st.integers(1, 1000),
+       alphas=st.lists(st.sampled_from([0.001, 0.05, 0.3, 1.0]), min_size=1,
+                       max_size=3, unique=True),
+       grid=st.integers(1, 12), hits=st.integers(0, 8))
+def test_screened_solve_matches_exact_scoring(seed, family, samples, alphas, grid, hits):
+    rng = np.random.default_rng(seed)
+    obj = differential_objective(family, rng, seed)
+    sc = obj.sample_scenarios(samples, seed)
+    n = obj.ground.size
+    full = obj.utilities(frozenset(range(n)), sc)
+    # a grid over the utility range, sample values of random sets (ties with
+    # the data) and their neighbours one ulp away
+    taus = set(np.linspace(0.0, 1.05 * full.max(), grid).tolist())
+    taus.update(np.linspace(full.min(), full.max(), grid).tolist())
+    for _ in range(hits):
+        subset = frozenset(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
+        value = float(obj.utilities(subset, sc)[rng.integers(samples)])
+        taus.update([value, float(np.nextafter(value, np.inf)),
+                     max(0.0, float(np.nextafter(value, 0.0)))])
+    points = [(alpha, tau) for alpha in alphas for tau in sorted(taus)]
+    with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
+        ours = sga._solve(obj, obj.matroid, sc, points)
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), copies=st.integers(2, 8),
+       n=st.sampled_from([50, 1000]), m=st.integers(1, 4))
+def test_screen_keeps_the_exact_winner_of_near_ties(seed, copies, n, m):
+    # permuted copies of one row, each with one sample moved by up to 200
+    # ulps: the sorted-prefix ranking often orders them unlike the exact
+    # kernel, whose values differ only in the last bits
+    rng = np.random.default_rng(seed)
+    base = rng.random(n) * 100
+    taus = np.quantile(base, rng.uniform(0.3, 0.95, m))
+    alphas = rng.choice([0.001, 0.1, 1.0], m)
+    rows = np.array([rng.permutation(base) for _ in range(copies)])
+    for row in rows:
+        i = rng.integers(n)
+        row[i] += rng.integers(-200, 201) * np.spacing(row[i])
+    exact = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
+    table, _ = sga._screened_scores(rows, taus, alphas)
+    assert np.array_equal(table.argmax(axis=0), exact.argmax(axis=0))
+    assert np.array_equal(table.max(axis=0), exact.max(axis=0))
+
+
+def test_screen_leaves_non_finite_rows_to_the_exact_kernel():
+    matroid = UniformMatroid(GroundSet(3), 2)
+    nan = ModularDeterministic([float("nan")] * 3, matroid)
+    cfg = SgaConfig(alpha=0.5, gamma=2.0, delta=0.5, samples=4)
+    with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
+        with pytest.raises(ValueError, match=r"greedy step from \[\]: .*NaN"):
+            run_sga(nan, matroid, cfg)
+        # an infinite row goes to the exact kernel; so does a group whose
+        # prefix sum overflows (4 x 1e308), without a warning
+        for weights in ([float("inf"), 1.0, 2.0], [1e308, 1.0, 2.0]):
+            obj = ModularDeterministic(weights, matroid)
+            sc = obj.sample_scenarios(4, 0)
+            points = [(0.5, t) for t in cfg.tau_grid()]
+            assert (sga._solve(obj, matroid, sc, points)
+                    == reference_solve(obj, matroid, sc, points))
+
+
+def test_solve_logs_screened_and_rescored_pairs(caplog, capsys):
+    obj = VehicleAssignment.generate(5, 3, seed=2)
+    cfg = SgaConfig(alpha=0.2, gamma=obj.gamma_hint, delta=obj.gamma_hint / 30,
+                    samples=500, seed=1)
+    with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
+        result = run_sga(obj, obj.matroid, cfg)
+    assert result == reference_run_sga(obj, obj.matroid, cfg)
+    [record] = caplog.records
+    assert (record.name, record.levelname) == ("cvargreedy", "DEBUG")
+    screened, rescored, small = map(int, re.findall(r"\d+", record.getMessage()))
+    # the first group holds all 31 points (31 x 500 floats, above the size
+    # rule); groups of fewer than 20 points stay below it
+    assert screened >= 31 * obj.ground.size
+    assert 0 < rescored < screened
+    assert small > 0
+    assert screened <= sum(p.evaluations - 2 for p in result.sweep)
+    assert capsys.readouterr().out == ""
 
 
 def test_explicit_scenarios_size_checked():
