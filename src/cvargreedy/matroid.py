@@ -5,9 +5,12 @@ arrays directly. Sets are passed around as plain ``frozenset[int]``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 # enumerate_feasible scans the full powerset; past 16 elements that is 65k+
 # subsets and almost certainly a mistake by the caller.
@@ -16,6 +19,22 @@ ENUMERATION_CAP = 16
 
 class EnumerationCapError(ValueError):
     """Subset enumeration refused because the ground set exceeds the cap."""
+
+
+def _integer(value, name: str) -> int:
+    """An integral number as an int; otherwise a ValueError naming ``name``.
+
+    ``int()`` would truncate 0.5 to 0 and 2.7 to 2, and accepts ``True``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        if math.isinf(value):
+            raise ValueError(f"{name} must be an integer, got "
+                             f"{'-' if value < 0 else ''}infinity")
+        if float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r} "
+                     f"({type(value).__name__})")
 
 
 @dataclass(frozen=True)
@@ -202,15 +221,19 @@ def matroid_to_json(matroid: Matroid) -> dict:
 
 
 def matroid_from_json(data: dict, labels: tuple[str, ...] | None = None) -> Matroid:
-    ground = GroundSet(int(data["ground_size"]), labels)
+    ground = GroundSet(_integer(data["ground_size"], "ground_size"), labels)
     frag = data["matroid"]
+    if not isinstance(frag, dict):
+        raise ValueError(f"matroid must be a JSON object, got {type(frag).__name__}")
     kind = frag.get("type")
     if kind == "uniform":
-        return UniformMatroid(ground, int(frag["k"]))
+        return UniformMatroid(ground, _integer(frag["k"], "matroid k"))
     if kind == "partition":
         return PartitionMatroid(
             ground,
-            tuple(frozenset(int(e) for e in b) for b in frag["blocks"]),
-            tuple(int(c) for c in frag["capacities"]),
+            tuple(frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
+                  for i, b in enumerate(frag["blocks"])),
+            tuple(_integer(c, f"matroid capacities[{i}]")
+                  for i, c in enumerate(frag["capacities"])),
         )
     raise ValueError(f"unknown matroid type {kind!r}")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sga
-from .matroid import GroundSet, PartitionMatroid, UniformMatroid, matroid_from_json
+from .matroid import (GroundSet, PartitionMatroid, UniformMatroid, _integer,
+                      matroid_from_json)
 from .objective import (ScenarioSet, StochasticObjective, _u64,
                         check_sample_count)
 
@@ -28,22 +29,6 @@ MEAN_EFFICIENCY_SCALE = 10.0      # mean efficiency = 10 / distance
 SPREAD_EXPONENT = 2.5             # interval half-width = mean**2.5 / max(mean)
 _GEOM_EPS = 1e-9                  # tolerance for segment/cell interior overlap
 MAX_FREE_CELLS = 2**24            # float32 coverage counts are exact below this
-
-
-def _integer(value, field: str) -> int:
-    """An integral number as an int; a ValueError naming ``field`` otherwise.
-
-    ``int()`` would truncate 0.5 to 0 and 2.7 to 2, and accepts ``True``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        if math.isinf(value):
-            raise ValueError(f"{field} must be an integer, got "
-                             f"{'-' if value < 0 else ''}infinity")
-        if float(value).is_integer():
-            return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r} "
-                     f"({type(value).__name__})")
 
 
 # --------------------------------------------------------------------------
@@ -246,11 +231,11 @@ class OccupancyGrid:
     def from_rows(cls, rows) -> "OccupancyGrid":
         """Parse rows of 0/1 characters (strings) or 0/1 integers (lists)."""
         parsed = []
-        for row in rows:
+        for r, row in enumerate(rows):
             if isinstance(row, str):
                 parsed.append([int(ch) for ch in row.strip()])
             else:
-                parsed.append([int(v) for v in row])
+                parsed.append([_integer(v, f"grid[{r}] cell") for v in row])
         if not parsed or not parsed[0]:
             raise ValueError("grid rows must be nonempty")
         cols = len(parsed[0])

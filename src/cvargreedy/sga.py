@@ -39,13 +39,13 @@ MAX_GRID_POINTS = 10**6
 _BLOCK_FLOATS = 2**16
 
 # floats in one (candidates x samples) temporary of a greedy group's scoring
-# (128 KiB): the screen's sorted rows and prefix sums, and the vehicle
-# extension kernel's columns. The group's utilities are held whole anyway;
-# larger chunks only raise the peak RSS.
+# (128 KiB): the screen's sorted rows and prefix sums, the exact kernel's
+# pair rows, and the vehicle extension kernel's columns. The group's
+# utilities are held whole anyway; larger chunks only raise the peak RSS.
 _GROUP_FLOATS = 2**14
 
 # (member taus x samples) from which a greedy group is screened before it is
-# scored (see _screened_scores); smaller groups are scored exactly
+# scored (see _group_scores); smaller groups are scored exactly
 _SCREEN_MIN_FLOATS = 10_000
 
 
@@ -140,34 +140,28 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     """One ``greedy_sweep`` of H(., tau) over every (alpha, tau) point.
 
     Each group step makes one ``extension_utilities`` call for all its
-    candidates. A group of at least _SCREEN_MIN_FLOATS (member taus x
-    samples) is scored by ``_screened_scores``, a smaller one by H per
-    candidate row; both give the greedy the same picks and values. A point's
-    evaluations add the final recomputation of H(selected). The screened and
-    rescored pair counts go to the ``cvargreedy`` logger at DEBUG."""
+    candidates and scores them with ``_group_scores``, which gives the
+    greedy the picks and values of the exact H table. A point's evaluations
+    add the final recomputation of H(selected). The pairs seen, the pairs
+    scored exactly and the groups below the size rule go to the
+    ``cvargreedy`` logger at DEBUG."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
-    counts = {"screened": 0, "rescored": 0, "small": 0}
+    counts = {"pairs": 0, "exact": 0, "small": 0}
 
     def score(members: np.ndarray, current: frozenset, candidates: list) -> np.ndarray:
-        group_taus, group_alphas = taus[members], alphas[members]
         rows = objective.extension_utilities(current, candidates, scenarios)
-        if group_taus.size * rows.shape[1] < _SCREEN_MIN_FLOATS:
-            counts["small"] += 1
-        else:
-            screened = _screened_scores(rows, group_taus, group_alphas)
-            if screened is not None:
-                table, rescored = screened
-                counts["screened"] += table.size
-                counts["rescored"] += rescored
-                return table
-        return np.array([auxiliary_scores(u, group_taus, group_alphas) for u in rows])
+        table, exact = _group_scores(rows, taus[members], alphas[members])
+        counts["pairs"] += table.size
+        counts["exact"] += int(np.count_nonzero(exact))
+        counts["small"] += members.size * rows.shape[1] < _SCREEN_MIN_FLOATS
+        return table
 
     initial = auxiliary_scores(objective.utilities(frozenset(), scenarios), taus, alphas)
     selected, values, traces = greedy_sweep(score, matroid, initial)
-    log.debug("screened %d (candidate, tau) pairs and rescored %d of them exactly; "
-              "%d groups below the size rule scored exactly",
-              counts["screened"], counts["rescored"], counts["small"])
+    log.debug("scored %d (candidate, tau) pairs, %d of them exactly; "
+              "%d groups below the size rule",
+              counts["pairs"], counts["exact"], counts["small"])
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
                        evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]
@@ -183,35 +177,23 @@ def _gamma(m: int) -> float:
     return m * u / (1 - m * u)
 
 
-def _count_below(sorted_rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """k[r, j] = #{i : sorted_rows[r, i] < taus[j]}, one binary search over all pairs."""
-    rows, n = sorted_rows.shape
-    k = np.zeros((rows, taus.size), dtype=np.intp)
-    step = 1 << (n.bit_length() - 1)
-    while step:  # add step while the sample at index k + step - 1 lies below tau
-        probe = k + step
-        below = np.take_along_axis(sorted_rows, np.minimum(probe, n) - 1, axis=1) < taus
-        k += step * ((probe <= n) & below)
-        step >>= 1
-    return k
-
-
-def _screened_scores(rows: np.ndarray, taus: np.ndarray,
-                     alphas: np.ndarray) -> tuple[np.ndarray, int] | None:
+def _group_scores(rows: np.ndarray, taus: np.ndarray,
+                  alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (candidates x taus) H table for the greedy, ranked before it is scored.
 
-    Returns (table, rescored pairs), or None when a row is not finite or a
-    screen value overflows; the caller then scores the group exactly. Every
-    entry that can equal its column's maximum is the ``auxiliary_scores``
-    value, and every other entry lies below that maximum, so the argmax,
-    its smallest-id tie-break and the picked values are those of the exact
-    table.
+    Returns (table, exact pairs): the mask marks the pairs scored with
+    ``auxiliary_scores``. Every entry that can equal its column's maximum
+    is such a value, and every other entry lies below that maximum, so the
+    argmax, its smallest-id tie-break and the picked values are those of
+    the exact table. A group of fewer than _SCREEN_MIN_FLOATS (taus x
+    samples) floats, one with a non-finite row and one whose screen
+    overflows are scored exactly at every pair.
 
     Rank. With each row sorted (s_0 <= ... <= s_{n-1}), P its cumsum and
-    k = #{s < tau}, sum (tau - u)+ = k*tau - P[k] (Rockafellar & Uryasev 2000),
-    so H~ = tau - (k*tau - P[k]) / d with d = alpha*n rounded, the divisor
-    of the exact kernel too. The chunk of candidates that is sorted at once
-    stays within _GROUP_FLOATS floats.
+    k = #{s < tau} (``np.searchsorted``), sum (tau - u)+ = k*tau - P[k]
+    (Rockafellar & Uryasev 2000), so H~ = tau - (k*tau - P[k]) / d with
+    d = alpha*n rounded, the divisor of the exact kernel too. The chunk of
+    candidates that is sorted at once stays within _GROUP_FLOATS floats.
 
     Bound. Let u = 2**-53, gamma_m = m*u / (1 - m*u) (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3-4; n*u < 0.01 is assumed), S*
@@ -236,42 +218,44 @@ def _screened_scores(rows: np.ndarray, taus: np.ndarray,
     float is added to cover the absolute error (at most 2**-1075) of a
     divide that underflows. At k = 0 both sides compute exactly tau, and
     the bound is 0. An overflow makes the entries that use it non-finite,
-    which sends the group to the exact kernel.
+    which sends every pair of the group to the exact kernel.
 
-    Rescore. A column's exact maximum is at least its largest lower end
+    Score. A column's exact maximum is at least its largest lower end
     L = max(H~ - M'). A pair whose upper end H~ + M' is below L can neither
     reach that maximum nor, keeping H~ < L, pass it. The other pairs with
-    M' > 0 are rescored with ``auxiliary_scores`` on their unsorted rows, in
+    M' > 0 are scored with ``auxiliary_scores`` on their unsorted rows, in
     chunks of pairs within _GROUP_FLOATS floats; the pairs with k = 0 are
     exact already.
     """
     n = rows.shape[1]
-    divisor = alphas * n
-    margin = 10 * _gamma(n + 1)
     table = np.empty((len(rows), taus.size))
-    bound = np.empty_like(table)
+    exact = np.ones(table.shape, dtype=bool)
     step = max(1, _GROUP_FLOATS // n)
-    for lo in range(0, len(rows), step):
-        ordered = np.sort(rows[lo:lo + step], axis=1)
-        if not np.isfinite(ordered[:, [0, -1]]).all():
-            return None
-        prefix = np.zeros((len(ordered), n + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            np.cumsum(ordered, axis=1, out=prefix[:, 1:])
-            k = _count_below(ordered, taus)
-            at_k = np.take_along_axis(prefix, k, axis=1)
-            table[lo:lo + step] = taus - (k * taus - at_k) / divisor
-            reach = k * (taus + np.abs(ordered[:, :1])) / divisor
-            bound[lo:lo + step] = np.where(k > 0, margin * (reach + taus) + _TINY, 0.0)
-    if not (np.isfinite(table).all() and np.isfinite(bound).all()):
-        return None
-    low = (table - bound).max(axis=0)
-    rescore = (bound > 0) & (table + bound >= low)
-    r, c = np.nonzero(rescore)
+    if taus.size * n >= _SCREEN_MIN_FLOATS:
+        divisor = alphas * n
+        margin = 10 * _gamma(n + 1)
+        bound = np.empty_like(table)
+        for lo in range(0, len(rows), step):
+            ordered = np.sort(rows[lo:lo + step], axis=1)
+            if not np.isfinite(ordered[:, [0, -1]]).all():
+                bound[:] = np.nan  # the proof needs finite rows
+                break
+            prefix = np.zeros((len(ordered), n + 1))
+            k = np.array([np.searchsorted(row, taus) for row in ordered])
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                np.cumsum(ordered, axis=1, out=prefix[:, 1:])
+                at_k = np.take_along_axis(prefix, k, axis=1)
+                table[lo:lo + step] = taus - (k * taus - at_k) / divisor
+                reach = k * (taus + np.abs(ordered[:, :1])) / divisor
+                bound[lo:lo + step] = np.where(k > 0, margin * (reach + taus) + _TINY, 0.0)
+        if np.isfinite(bound).all() and np.isfinite(table).all():
+            low = (table - bound).max(axis=0)
+            exact = (bound > 0) & (table + bound >= low)
+    r, c = np.nonzero(exact)
     for lo in range(0, r.size, step):
         pairs = r[lo:lo + step], c[lo:lo + step]
         table[pairs] = auxiliary_scores(rows[pairs[0]], taus[pairs[1]], alphas[pairs[1]])
-    return table, r.size
+    return table, exact
 
 
 # --------------------------------------------------------------------------

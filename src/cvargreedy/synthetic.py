@@ -58,29 +58,21 @@ class RandomCoverageObjective(StochasticObjective):
         return ScenarioSet((bits, factors), count, int(seed))
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
-        subset = self.ground.check_subset(subset)
-        if not subset:
-            return np.zeros(len(scenarios))
-        ids = sorted(subset)
-        bits, factors = scenarios.data
-        fired = bits[:, ids].astype(np.float32)
-        covered = (fired @ self._cover_f[ids]) > 0.5
-        cover_value = covered @ self.cell_weights
-        modular_value = factors[:, ids] @ self.modular_base[ids]
-        return cover_value + modular_value
+        return self.set_utilities([subset], scenarios)[0]
 
     def set_utilities(self, sets, scenarios: ScenarioSet) -> np.ndarray:
-        """``utilities`` of every set, batched over the sets of each size.
+        """The utilities of every set, batched over the sets of each size.
 
-        Row i is bit-equal to ``utilities(sets[i], scenarios)``: the cover
-        counts are exact small integers in float32, and numpy runs each
-        stacked float matmul as one matrix-vector product per set, the call
-        ``utilities`` makes when the operands have the same layout.
-        ``factors[:, ids]`` is column-major, so the modular operand is built
-        column-major per set too; a C-order batch changes the last bits of
-        the sum for sets of three or more elements. The sets of one size go
-        in chunks whose (sets x samples x max(size, cells)) temporaries stay
-        within sga._BLOCK_FLOATS floats.
+        ``utilities`` is the batch of one set. Row i does not depend on the
+        other sets: it is bit-equal to scoring sets[i] with one plain
+        matrix-vector product per term. The cover counts are exact small
+        integers in float32, and numpy runs each stacked float matmul as one
+        matrix-vector product per set when the operands have the same
+        layout. ``factors[:, ids]`` is column-major, so the modular operand
+        is built column-major per set too; a C-order batch changes the last
+        bits of the sum for sets of three or more elements. The sets of one
+        size go in chunks whose (sets x samples x max(size, cells))
+        temporaries stay within sga._BLOCK_FLOATS floats.
         """
         sets = [self.ground.check_subset(s) for s in sets]
         by_size = defaultdict(list)

@@ -112,6 +112,24 @@ def scalar_utilities(objective, subset, scenarios: ScenarioSet) -> np.ndarray:
                      for i in range(len(scenarios))])
 
 
+def reference_coverage_utilities(objective: RandomCoverageObjective, subset,
+                                 scenarios: ScenarioSet) -> np.ndarray:
+    """Random coverage utilities of one set, one matrix-vector product per term.
+
+    The single-set kernel that the batched ``set_utilities`` must match bit
+    for bit (``utilities`` itself reads through ``set_utilities``)."""
+    subset = objective.ground.check_subset(subset)
+    if not subset:
+        return np.zeros(len(scenarios))
+    ids = sorted(subset)
+    bits, factors = scenarios.data
+    fired = bits[:, ids].astype(np.float32)
+    covered = (fired @ objective._cover_f[ids]) > 0.5
+    cover_value = covered @ objective.cell_weights
+    modular_value = factors[:, ids] @ objective.modular_base[ids]
+    return cover_value + modular_value
+
+
 class ClonedObjective(StochasticObjective):
     """Element e acts as element e mod n of ``base``: f(S) = base(S mod n).
 

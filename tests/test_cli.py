@@ -389,14 +389,44 @@ def _missing_select(doc):
     return doc
 
 
+def _put(value, *keys):
+    """A corruption that sets doc[keys[0]][keys[1]]... to value."""
+    def corrupt(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return corrupt
+
+
+def _list_grid_rows(doc):
+    doc["grid"] = [[int(ch) for ch in row] for row in doc["grid"]]
+    doc["grid"][1][0] = 0.7
+    return doc
+
+
 @pytest.mark.parametrize("problem,corrupt,message", [
     ("vehicle", _top_level_list, "must be a JSON object"),
     ("sensor", _null_select, "NoneType"),
     ("sensor", _infinite_coverage, "infinity"),
     ("vehicle", _infinite_position, "must be finite"),
     ("sensor", _missing_select, "missing required field 'select'"),
+    # integer fields are read whole, never truncated
+    ("sensor", _put(4.5, "ground_size"), "ground_size must be an integer, got 4.5"),
+    ("sensor", _put(2.9, "matroid", "k"), "matroid k must be an integer, got 2.9"),
+    ("vehicle", _put(1.7, "matroid", "blocks", 1, 0),
+     "matroid blocks[1] entry must be an integer, got 1.7"),
+    ("vehicle", _put(1.5, "matroid", "capacities", 0),
+     "matroid capacities[0] must be an integer, got 1.5"),
+    ("vehicle", _put(True, "matroid", "capacities", 1),
+     "matroid capacities[1] must be an integer, got True"),
+    ("sensor", _list_grid_rows, "grid[1] cell must be an integer, got 0.7"),
+    ("vehicle", _put(5, "matroid"), "matroid must be a JSON object, got int"),
 ], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position",
-        "missing-select"])
+        "missing-select", "fractional-ground-size", "fractional-k", "fractional-block-id",
+        "fractional-capacity", "boolean-capacity", "fractional-grid-cell",
+        "matroid-not-an-object"])
 def test_malformed_instance_file(tmp_path, capsys, problem, corrupt, message):
     good = gen_vehicle(tmp_path) if problem == "vehicle" else gen_sensor(tmp_path)
     bad = tmp_path / "bad.json"

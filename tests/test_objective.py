@@ -3,6 +3,7 @@ must satisfy: normalization, monotonicity, submodularity, determinism."""
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,8 @@ from cvargreedy import (GroundSet, ScenarioSet, StochasticObjective,
                         UniformMatroid, check_sample_count, child_seed, sga)
 from cvargreedy.problems import OccupancyGrid, SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import random_instance
-from conftest import (ModularDeterministic, random_sensor, scalar_utilities,
-                      with_failed_rows)
+from conftest import (ModularDeterministic, random_sensor,
+                      reference_coverage_utilities, scalar_utilities, with_failed_rows)
 
 
 def make_objectives():
@@ -235,13 +236,15 @@ def test_sensor_rejects_counts_float32_cannot_hold():
 
 # ---------------------------------------------------- batched set scoring
 
-def check_set_rows(objective, sets, scenarios):
-    """Rows of set_utilities equal utilities(S) bit for bit, one per set."""
+def check_set_rows(objective, sets, scenarios, single=None):
+    """Rows of set_utilities equal single(S) bit for bit, one per set;
+    single is ``utilities`` unless given."""
+    single = single or objective.utilities
     rows = objective.set_utilities(sets, scenarios)
     assert rows.shape == (len(sets), len(scenarios))
     assert rows.dtype == np.float64
     for row, subset in zip(rows, sets):
-        assert np.array_equal(row, objective.utilities(subset, scenarios))
+        assert np.array_equal(row, single(subset, scenarios))
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,7 +262,9 @@ def test_random_coverage_set_rows_equal_utilities(seed, size, cells, count, samp
     sets += [frozenset(), frozenset(range(size)), frozenset(range(size))]
     sets = [sets[i] for i in rng.permutation(len(sets))]
     sets = [sorted(s, reverse=True) if i % 2 else s for i, s in enumerate(sets)]
-    check_set_rows(inst, sets, sc)
+    single = partial(reference_coverage_utilities, inst)
+    check_set_rows(inst, sets, sc, single)
+    check_set_rows(inst, sets, sc)  # utilities is the batch of one set
     assert inst.set_utilities([], sc).shape == (0, samples)
 
 
@@ -272,7 +277,8 @@ def test_random_coverage_set_rows_on_feasible_families(monkeypatch, budget):
     for seed in range(6):
         inst = random_instance(seed, size=6 + seed)
         check_set_rows(inst, inst.matroid.enumerate_feasible(),
-                       inst.sample_scenarios(60, 1000 + seed))
+                       inst.sample_scenarios(60, 1000 + seed),
+                       partial(reference_coverage_utilities, inst))
 
 
 @pytest.mark.parametrize("objective", [

@@ -267,17 +267,23 @@ def corrupt_instances(draw):
     if draw(st.booleans()):
         doc = VehicleAssignment.generate(3, 2, seed=draw(st.integers(0, 9))).to_json()
         key = draw(st.sampled_from(["demand_positions", "vehicle_positions",
-                                    "seed", "ground_size"]))
+                                    "seed", "ground_size", "blocks", "capacities"]))
         if key in ("seed", "ground_size"):
             doc[key] = draw(_NOT_INTEGERS)
-            return doc
-        row = draw(st.integers(0, len(doc[key]) - 1))
-        doc[key][row][draw(st.integers(0, 1))] = draw(st.sampled_from(
-            [float("nan"), float("inf"), -float("inf")]))
+        elif key == "blocks":  # the partition fragment: a block id
+            block = doc["matroid"]["blocks"][draw(st.integers(0, 2))]
+            block[draw(st.integers(0, 1))] = draw(_NOT_INTEGERS)
+        elif key == "capacities":
+            doc["matroid"]["capacities"][draw(st.integers(0, 2))] = draw(
+                _NOT_INTEGERS | st.integers(max_value=0))
+        else:
+            row = draw(st.integers(0, len(doc[key]) - 1))
+            doc[key][row][draw(st.integers(0, 1))] = draw(st.sampled_from(
+                [float("nan"), float("inf"), -float("inf")]))
         return doc
     doc = sensor_doc()
     field = draw(st.sampled_from(["cell", "select", "free_cell_count", "sensor_cells",
-                                  "seed"]))
+                                  "seed", "ground_size", "k", "grid"]))
     if field == "cell":
         bad = draw(_NOT_INTEGERS | st.integers(max_value=-1)
                    | st.integers(min_value=12) | st.just(5))
@@ -286,8 +292,15 @@ def corrupt_instances(draw):
     elif field == "select":
         doc["select"] = draw(_NOT_INTEGERS | st.integers(max_value=0)
                              | st.integers(min_value=5))
-    elif field == "seed":
-        doc["seed"] = draw(_NOT_INTEGERS)
+    elif field in ("seed", "ground_size"):
+        doc[field] = draw(_NOT_INTEGERS)
+    elif field == "k":  # the uniform fragment
+        doc["matroid"]["k"] = draw(_NOT_INTEGERS | st.integers(max_value=0))
+    elif field == "grid":  # rows as lists of 0/1 integers
+        rows = [[int(ch) for ch in row] for row in doc["grid"]]
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 3))] = draw(
+            _NOT_INTEGERS | st.integers().filter(lambda v: v not in (0, 1)))
+        doc["grid"] = rows
     elif field == "free_cell_count":
         doc["free_cell_count"] = draw(_NOT_INTEGERS | st.integers(max_value=0)
                                       | st.integers(min_value=2**24))

@@ -239,18 +239,6 @@ def test_vehicle_sweep_matches_per_tau_reference(seed, vehicles, demands, alphas
         assert point.result == refs[point.alpha]
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4),
-       n=st.sampled_from([1, 2, 3, 7, 8, 9, 64, 1000]), m=st.integers(1, 6))
-def test_count_below_matches_searchsorted(seed, rows, n, m):
-    # few distinct values, so taus often equal samples
-    rng = np.random.default_rng(seed)
-    ordered = np.sort(rng.integers(0, 5, (rows, n)).astype(float), axis=1)
-    taus = rng.integers(-1, 7, m) + rng.choice([0.0, 0.5], m)
-    expected = np.array([np.searchsorted(row, taus) for row in ordered])
-    assert np.array_equal(sga._count_below(ordered, taus), expected)
-
-
 def differential_objective(family: str, rng: np.random.Generator, seed: int):
     """A small instance of one family, chosen for ties and near-ties."""
     def matroid(size):
@@ -322,10 +310,34 @@ def test_screen_keeps_the_exact_winner_of_near_ties(seed, copies, n, m):
     for row in rows:
         i = rng.integers(n)
         row[i] += rng.integers(-200, 201) * np.spacing(row[i])
-    exact = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
-    table, _ = sga._screened_scores(rows, taus, alphas)
-    assert np.array_equal(table.argmax(axis=0), exact.argmax(axis=0))
-    assert np.array_equal(table.max(axis=0), exact.max(axis=0))
+    expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
+    with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
+        table, exact = sga._group_scores(rows, taus, alphas)
+    assert np.array_equal(table.argmax(axis=0), expected.argmax(axis=0))
+    assert np.array_equal(table.max(axis=0), expected.max(axis=0))
+    assert np.array_equal(table[exact], expected[exact])
+
+
+@pytest.mark.parametrize("bad", [None, float("inf"), -float("inf"), float("nan"), -1e308])
+def test_small_and_non_finite_groups_are_scored_exactly(bad):
+    # 7 rows x 1000 samples x 9 taus is below the size rule; with a bad
+    # sample the group is screened (x 10 taus) but still scored exactly, the
+    # pairs in chunks of 16 (_GROUP_FLOATS // 1000)
+    rng = np.random.default_rng(3)
+    rows = rng.random((7, 1000)) * 10
+    taus = np.linspace(0.0, 9.0, 10)
+    alphas = np.resize([0.1, 0.5, 1.0], 10)
+    if bad is None:
+        taus, alphas = taus[:9], alphas[:9]
+        assert taus.size * 1000 < sga._SCREEN_MIN_FLOATS
+    else:
+        assert taus.size * 1000 >= sga._SCREEN_MIN_FLOATS
+        rows[4, 10:14] = bad  # four samples of -1e308 overflow the prefix sum
+    with np.errstate(invalid="ignore", over="ignore"):  # in the exact kernel too
+        expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
+        table, exact = sga._group_scores(rows, taus, alphas)
+    assert exact.all()
+    assert np.array_equal(table, expected, equal_nan=True)
 
 
 def test_screen_leaves_non_finite_rows_to_the_exact_kernel():
@@ -354,13 +366,15 @@ def test_solve_logs_screened_and_rescored_pairs(caplog, capsys):
     assert result == reference_run_sga(obj, obj.matroid, cfg)
     [record] = caplog.records
     assert (record.name, record.levelname) == ("cvargreedy", "DEBUG")
-    screened, rescored, small = map(int, re.findall(r"\d+", record.getMessage()))
-    # the first group holds all 31 points (31 x 500 floats, above the size
-    # rule); groups of fewer than 20 points stay below it
-    assert screened >= 31 * obj.ground.size
-    assert 0 < rescored < screened
+    pairs, exact, small = map(int, re.findall(r"\d+", record.getMessage()))
+    # every candidate of every step at every point is one pair; the first
+    # group holds all 31 points (31 x 500 floats, above the size rule) and
+    # screens most of its pairs out; groups of fewer than 20 points stay
+    # below the rule and are scored exactly
+    assert pairs == sum(p.evaluations - 2 for p in result.sweep)
+    assert pairs >= 31 * obj.ground.size
+    assert 0 < exact < pairs
     assert small > 0
-    assert screened <= sum(p.evaluations - 2 for p in result.sweep)
     assert capsys.readouterr().out == ""
 
 
