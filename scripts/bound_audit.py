@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Audit the approximation guarantee on random small instances.
 
-For each seeded instance the script runs the solver, computes the exact
+For each seeded instance the script runs the solver and the guarantee
+check of ``cvargreedy verify`` (``cvargreedy.cli.verification``): the exact
 optimum and the exact matroid-restricted curvature of the scalarized
-objective by enumeration, assembles the certified lower bound and records the
-slack (solver value minus bound). A negative slack beyond tolerance would
-falsify the guarantee; the audit prints the worst case and writes one CSV row
-per run.
+objective by enumeration, the certified lower bound and the slack (solver
+value minus bound). A slack below -SLACK_TOL, or NaN, counts as a violation
+and would falsify the guarantee; the audit prints the worst case and writes
+one CSV row per run.
 
 Usage:
     python scripts/bound_audit.py --instances 50 --out results/bound_audit.csv
@@ -20,11 +21,9 @@ import sys
 import time
 from pathlib import Path
 
-from cvargreedy import (SgaConfig, approximation_bound, auxiliary_curvature,
-                        brute_force_opt, run_sga)
+from cvargreedy import SgaConfig, run_sga
+from cvargreedy.cli import SLACK_TOL, verification
 from cvargreedy.synthetic import random_instance
-
-TOLERANCE = 1e-9
 
 
 def parse_args() -> argparse.Namespace:
@@ -48,7 +47,7 @@ def run() -> int:
     args = parse_args()
     deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
     alpha_cycle = [0.15, 0.3, 0.5, 0.75, 1.0]
-    rows = []
+    rows, violations = [], 0
     t0 = time.perf_counter()
     for i in range(args.instances):
         seed = args.seed_offset + i
@@ -60,30 +59,25 @@ def run() -> int:
                             samples=args.samples, seed=seed + 1000)
             scenarios = obj.sample_scenarios(cfg.samples, cfg.seed)
             result = run_sga(obj, obj.matroid, cfg, scenarios=scenarios)
-            ref = brute_force_opt(obj, obj.matroid, scenarios, cfg.alpha,
-                                  cfg.tau_grid())
-            curv = auxiliary_curvature(obj, obj.matroid, scenarios,
-                                       cfg.tau_grid(),
-                                       method="exact_matroid_enumeration")
-            report = approximation_bound(curv, cfg, h_star=ref.cvar_star)
+            block, passed = verification(obj, cfg, scenarios, result)
+            violations += not passed
             rows.append({
                 "seed": seed, "size": size, "alpha": alpha, "delta": delta,
                 "solver_value": result.h_value,
-                "grid_optimum": ref.h_star,
-                "cvar_optimum": ref.cvar_star,
-                "curvature": curv.value,
-                "certified_lower_bound": report.certified_lower_bound,
-                "slack": result.h_value - report.certified_lower_bound,
+                "grid_optimum": block["h_star"],
+                "cvar_optimum": block["cvar_optimum"],
+                "curvature": block["curvature"],
+                "certified_lower_bound": block["certified_lower_bound"],
+                "slack": block["slack"],
             })
     elapsed = time.perf_counter() - t0
 
     worst = min(rows, key=lambda r: r["slack"])
-    violations = sum(r["slack"] < -TOLERANCE for r in rows)
     print(f"{len(rows)} audited runs in {elapsed:.1f}s")
     print(f"worst slack {worst['slack']:+.4e} "
           f"(seed {worst['seed']}, alpha {worst['alpha']}, "
           f"delta {worst['delta']})")
-    print(f"violations beyond {TOLERANCE:g}: {violations}")
+    print(f"violations beyond {SLACK_TOL:g}: {violations}")
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -186,8 +186,8 @@ def _log_if_gamma_low(utilities: np.ndarray, cfg: SgaConfig) -> None:
                     "bound does not hold", cfg.gamma, top, cfg.alpha)
 
 
-def _verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
-    """Brute-force optimum, exact curvature and the guarantee verdict."""
+def verification(objective, cfg: SgaConfig, scenarios, result) -> tuple[dict, bool]:
+    """Brute-force optimum, exact curvature and the verdict slack >= -SLACK_TOL."""
     taus = cfg.tau_grid()
     brute = brute_force_opt(objective, objective.matroid, scenarios, cfg.alpha, taus)
     curvature = auxiliary_curvature(objective, objective.matroid, scenarios, taus,
@@ -248,7 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     passed = True
     if args.verify:
-        block, passed = _verification(objective, cfg, scenarios, result)
+        block, passed = verification(objective, cfg, scenarios, result)
         payload["verification"] = block
     manifest = RunManifest.create(
         args.argv, {"config": _config_dict(cfg), "instance": instance_data},
@@ -318,7 +318,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args, objective, args.alpha)
     scenarios = objective.sample_scenarios(cfg.samples, cfg.seed)
     result = run_sga(objective, objective.matroid, cfg, scenarios=scenarios)
-    block, passed = _verification(objective, cfg, scenarios, result)
+    block, passed = verification(objective, cfg, scenarios, result)
     print(f"solver value {result.h_value:.6g} at tau {result.chosen_tau:.6g}, "
           f"set {_set_cell(result.chosen_set) or '{}'}")
     print(f"exact grid optimum {block['h_star']:.6g} at tau "

@@ -32,10 +32,10 @@ _GRID_TOL = 1e-9
 # largest tau grid a config accepts; a finer grid is a typo, not a workload
 MAX_GRID_POINTS = 10**6
 
-# floats in one (sets x samples x taus) temporary of brute force and curvature
-# (512 KiB). Narrower tau slices cost time: each slice reruns the reduction's
-# inner loop once per sample (2**14 floats took twice as long per set at 1000
-# samples x 50 taus); wider blocks only raise the peak RSS.
+# floats in each buffer of brute force and curvature (512 KiB): a block's
+# utilities, its (sets x taus) rows and the temporary of _sample_sums.
+# Narrower tau slices cost time (2**14 floats took twice as long per set at
+# 1000 samples x 50 taus); wider buffers only raise the peak RSS.
 _BLOCK_FLOATS = 2**16
 
 # floats in one (candidates x samples) temporary of a greedy group's scoring
@@ -277,27 +277,12 @@ def _utility_blocks(objective: StochasticObjective, scenarios: ScenarioSet,
     """Yield (start, block) where block holds the utilities of sets[start:start + rows].
 
     One ``set_utilities`` call per block, no cache. A block has as many rows
-    as keep a (rows x samples x width) temporary within _BLOCK_FLOATS floats,
-    and at least one.
+    as keep both the (rows x samples) block and the caller's (rows x width)
+    result within _BLOCK_FLOATS floats, and at least one.
     """
-    rows = max(1, _BLOCK_FLOATS // (len(scenarios) * width))
+    rows = max(1, _BLOCK_FLOATS // max(len(scenarios), width))
     for start in range(0, len(sets), rows):
         yield start, objective.set_utilities(sets[start:start + rows], scenarios)
-
-
-def _tau_slices(count: int, samples: int) -> list[slice]:
-    """Split a grid of ``count`` taus so samples x slice stays within _BLOCK_FLOATS.
-
-    No slice holds a lone tau of a longer grid: numpy sums a (samples x 1)
-    column pairwise but adds a wider block one sample at a time, so a lone
-    column would change the last bits. So every slice holds at least two
-    taus, even past the budget, and the last may hold one more than the rest.
-    """
-    width = count if count == 1 else max(2, _BLOCK_FLOATS // samples)
-    starts = list(range(0, count, width))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 def _shortfall(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -309,11 +294,25 @@ def _sample_sums(block: np.ndarray, taus: np.ndarray, term) -> np.ndarray:
     """sum over samples of term(u, tau) for every row u of block and every tau.
 
     Row by row the same bits as ``term(u[:, None], taus[None, :]).sum(axis=0)``
-    on a single set. Returns a (rows x taus) array.
+    on a single set. Returns a (rows x taus) array. Slices of taus and chunks
+    of rows keep the (rows x samples x slice) temporary within _BLOCK_FLOATS
+    floats. No slice holds a lone tau of a longer grid: numpy sums a (samples
+    x 1) column pairwise but a wider block one sample at a time, which would
+    change the last bits. So a slice holds at least two taus, even past the
+    budget, and the last may hold one more than the rest.
     """
-    out = np.empty((len(block), taus.size))
-    for cols in _tau_slices(taus.size, block.shape[1]):
-        out[:, cols] = term(block[:, :, None], taus[cols]).sum(axis=1)
+    rows, samples = block.shape
+    count = taus.size
+    width = count if count == 1 else max(2, _BLOCK_FLOATS // samples)
+    starts = list(range(0, count, width))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    out = np.empty((rows, count))
+    for a, b in zip(starts, starts[1:] + [count]):
+        step = max(1, _BLOCK_FLOATS // (samples * (b - a)))
+        for lo in range(0, rows, step):
+            chunk = block[lo:lo + step, :, None]
+            out[lo:lo + step, a:b] = term(chunk, taus[a:b]).sum(axis=1)
     return out
 
 
@@ -342,10 +341,11 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
     handling: smallest tau first, then enumeration order of the sets. Taus
     must be finite and nonnegative.
 
-    The family is scored in blocks of sets, and a long grid in slices of
-    taus, so that no temporary exceeds _BLOCK_FLOATS floats (512 KiB) unless
-    one set's samples x two taus already do; every result is bit-identical
-    to scoring one set at a time with ``empirical_cvar``/``empirical_var``.
+    Blocks of sets, slices of taus and chunks of rows keep every buffer
+    within _BLOCK_FLOATS floats (512 KiB) unless one set's samples, taus or
+    samples x two taus already exceed it; every result is bit-identical to
+    scoring one set at a time with ``empirical_cvar``/``empirical_var``. A
+    NaN H raises ``ValueError`` naming the earliest such set.
     """
     alpha = check_risk_level(alpha)
     taus = _tau_array(taus)
@@ -358,9 +358,12 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
     best_h = cvar_star = -float("inf")
     for start, block in _utility_blocks(objective, scenarios, feasible, taus.size):
         h = taus - _sample_sums(block, taus, _shortfall) / (alpha * n)
-        cols = h.argmax(axis=1)  # first occurrence: smallest tau
+        cols = h.argmax(axis=1)  # first occurrence: smallest tau (or NaN)
         row_max = h[np.arange(len(block)), cols]
-        r = int(row_max.argmax())  # first occurrence: earliest set
+        r = int(row_max.argmax())  # first occurrence: earliest set (or NaN)
+        if np.isnan(row_max[r]):
+            raise ValueError(f"H of the set {sorted(feasible[start + r])} is NaN: "
+                             "the objective returned NaN utilities")
         if row_max[r] > best_h:
             best_h = float(row_max[r])
             best_set, best_tau = feasible[start + r], float(taus[cols[r]])
@@ -405,11 +408,11 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     ground set X ("total_over_ground_set") or every independent S
     ("exact_matroid_enumeration"). 1 - w and the clip are monotone, so the
     result is clip(1 - w) for w the least ratio over all (S, e, tau), and it
-    is exactly 1 once a ratio is <= 0, where the element loop stops. Total
-    mode holds O(taus) floats: G(X), then G({e}) and G(X - e) per element.
-    Exact mode scores the feasible family in blocks and the ratios in chunks,
-    so no temporary exceeds _BLOCK_FLOATS floats (512 KiB) beyond its
-    (sets x taus) matrix. Bit-identical to computing G one set at a time.
+    is exactly 1 once a ratio is <= 0, where the element loop stops. Both
+    modes read G through one blocked path: total mode G(X), then G({e}) and
+    G(X - e) per element; exact mode the family's (sets x taus) G matrix,
+    filled in place, with the ratios in chunks. No other buffer exceeds
+    _BLOCK_FLOATS floats (512 KiB). Bit-identical to one set at a time.
     """
     grid = _tau_array(taus)
     if method not in ("total_over_ground_set", "exact_matroid_enumeration"):
@@ -418,23 +421,24 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     if positive.size == 0:
         return Curvature(0.0, method)
     elements = matroid.ground.elements
-    if method == "total_over_ground_set":
-        def g_of(subset: frozenset[int]) -> np.ndarray:
-            u = objective.utilities(subset, scenarios)
-            return _sample_sums(u[None, :], positive, np.minimum)[0]
 
+    def g_of(sets: list[frozenset[int]]) -> np.ndarray:  # one G row per set
+        g = np.empty((len(sets), positive.size))
+        for start, block in _utility_blocks(objective, scenarios, sets, positive.size):
+            g[start:start + len(block)] = _sample_sums(block, positive, np.minimum)
+        return g
+
+    if method == "total_over_ground_set":
         full = frozenset(elements)
-        g_full = g_of(full)
+        g_full = g_of([full])[0]
 
         def ratios(e: int):  # the ratios of every S that holds e, in chunks
-            single = g_of(frozenset((e,)))
+            single = g_of([frozenset((e,))])[0]
             if not _worthless(e, single):
-                yield (g_full - g_of(full - {e})) / single
+                yield (g_full - g_of([full - {e}])[0]) / single
     else:
         family = matroid.enumerate_feasible()
-        g = np.empty((len(family), positive.size))
-        for start, block in _utility_blocks(objective, scenarios, family, positive.size):
-            g[start:start + len(block)] = _sample_sums(block, positive, np.minimum)
+        g = g_of(family)
         # family[i] is row i of g; pos maps a set's bitmask to its row
         masks = np.array([sum(1 << e for e in s) for s in family])
         pos = np.full(1 << len(elements), -1)

@@ -310,6 +310,27 @@ def test_verification_bound_uses_grid_free_optimum(tmp_path):
         curvature, cfg, brute.cvar_star).certified_lower_bound
 
 
+def test_verify_rejects_nan_utilities(tmp_path, capsys, monkeypatch):
+    # one NaN sample in one feasible set is an input error (exit 2), not a verdict
+    utilities = VehicleAssignment.utilities
+
+    def nan_in_0_3(self, subset, scenarios):
+        u = utilities(self, subset, scenarios)
+        if frozenset(subset) == {0, 3}:
+            u[0] = float("nan")
+        return u
+
+    instance = gen_vehicle(tmp_path)
+    monkeypatch.setattr(VehicleAssignment, "utilities", nan_in_0_3)
+    code = main(["verify", str(instance), "--alpha", "0.5", "--samples", "20",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: H of the set [0, 3] is NaN" in captured.err
+    assert "guarantee" not in captured.out
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_missing_instance_file(tmp_path, capsys):

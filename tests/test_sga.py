@@ -442,6 +442,37 @@ def test_brute_force_input_validation():
             brute_force_opt(obj, matroid, sc, 0.5, bad)
 
 
+class NanInSet(ClonedObjective):
+    """The base objective with one NaN sample in the utilities of one set."""
+
+    def __init__(self, base, matroid, target):
+        super().__init__(base, matroid)
+        self.target = frozenset(target)
+
+    def utilities(self, subset, scenarios):
+        u = super().utilities(subset, scenarios)
+        if frozenset(subset) == self.target:
+            u[len(u) // 2] = np.nan
+        return u
+
+
+@pytest.mark.parametrize("budget", [None, 1, 50 * 3])
+def test_brute_force_rejects_nan_utilities(budget):
+    # np.argmax picks the NaN row of a block, which then never beat the best
+    # so far: the whole block, the optimum {0, 2} too, was dropped silently
+    base = random_instance(2, size=4, matroid_kind="uniform")
+    matroid = UniformMatroid(GroundSet(4), 2)
+    sc = base.sample_scenarios(50, 0)
+    taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 4,
+                     samples=50).tau_grid()
+    clean = brute_force_opt(ClonedObjective(base, matroid), matroid, sc, 0.3, taus)
+    assert clean.best_set == {0, 2}
+    obj = NanInSet(base, matroid, {0, 3})
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS):
+        with pytest.raises(ValueError, match=r"H of the set \[0, 3\] is NaN"):
+            brute_force_opt(obj, matroid, sc, 0.3, taus)
+
+
 def test_auxiliary_curvature_rejects_bad_taus():
     obj = random_instance(1, size=6)
     sc = obj.sample_scenarios(20, 0)
@@ -517,13 +548,14 @@ def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alp
         assert repr(curvature.value) == repr(expected.value)
 
 
-def test_family_scored_with_one_objective_call_per_block(monkeypatch):
-    obj = random_instance(12, size=7, matroid_kind="uniform")
-    sc = obj.sample_scenarios(30, 5)
-    taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 6,
-                     samples=30).tau_grid()  # 0 and six positive taus
+def test_family_scored_with_one_objective_call_per_block():
+    # a block holds budget // max(samples, taus) sets; total curvature reads
+    # G(X), G({e}) and G(X - e) through the same blocks, one set each (it
+    # stops after element 0 at 6 samples and visits all 7 at 30)
+    obj = random_instance(18, size=7, matroid_kind="uniform")
     family = obj.matroid.enumerate_feasible()
-    evaluated, blocks = [], []
+    full = frozenset(range(7))
+    evaluated, blocks, total_reads = [], [], []
     utilities = RandomCoverageObjective.utilities
     set_utilities = RandomCoverageObjective.set_utilities
 
@@ -535,23 +567,81 @@ def test_family_scored_with_one_objective_call_per_block(monkeypatch):
         blocks.append(list(sets))
         return set_utilities(self, sets, scenarios)
 
-    monkeypatch.setattr(RandomCoverageObjective, "utilities", count_utilities)
-    monkeypatch.setattr(RandomCoverageObjective, "set_utilities", count_sets)
-    budget = 30 * 7 * 10  # ten sets per block at 7 taus, eleven at 6
-    with mock.patch.object(sga, "_BLOCK_FLOATS", budget):
-        ours = brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
-        brute_blocks, blocks[:] = blocks[:], []
-        curvature = auxiliary_curvature(obj, obj.matroid, sc, taus,
+    for samples, budget, brute_rows, exact_rows in (
+            (6, 70, 10, 11),     # 7 and 6 taus outnumber the samples
+            (30, 300, 10, 10)):  # the samples outnumber the taus
+        sc = obj.sample_scenarios(samples, 5)
+        taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 6,
+                         samples=samples).tau_grid()  # 0 and six positive taus
+        found = {}
+        with mock.patch.object(RandomCoverageObjective, "utilities", count_utilities), \
+                mock.patch.object(RandomCoverageObjective, "set_utilities", count_sets), \
+                mock.patch.object(sga, "_BLOCK_FLOATS", budget):
+            ours = brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+            found["brute"], blocks[:] = blocks[:], []
+            exact = auxiliary_curvature(obj, obj.matroid, sc, taus,
                                         method="exact_matroid_enumeration")
-    monkeypatch.undo()
-    assert evaluated == []
-    for found, rows in ((brute_blocks, 10), (blocks, 11)):
-        assert [len(b) for b in found] == [len(family[i:i + rows])
-                                           for i in range(0, len(family), rows)]
-        assert [s for b in found for s in b] == family
-    assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
-    assert curvature == reference_auxiliary_curvature(
-        obj, obj.matroid, sc, taus, method="exact_matroid_enumeration")
+            found["exact"], blocks[:] = blocks[:], []
+            total = auxiliary_curvature(obj, obj.matroid, sc, taus)
+        assert evaluated == []
+        for name, rows in (("brute", brute_rows), ("exact", exact_rows)):
+            assert [len(b) for b in found[name]] == [
+                len(family[i:i + rows]) for i in range(0, len(family), rows)]
+            assert [s for b in found[name] for s in b] == family
+        assert blocks[0] == [full] and len(blocks) % 2 == 1
+        assert blocks[1:] == [b for e in range(len(blocks) // 2)
+                              for b in ([frozenset({e})], [full - {e}])]
+        total_reads.append(len(blocks))
+        blocks.clear()
+        assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+        assert exact == reference_auxiliary_curvature(
+            obj, obj.matroid, sc, taus, method="exact_matroid_enumeration")
+        assert total == reference_auxiliary_curvature(obj, obj.matroid, sc, taus)
+    assert total_reads == [3, 15]
+
+
+@pytest.mark.parametrize("grid, widths, rows", [
+    ("one", {1}, 8),      # a one-tau grid: one (samples x 1) column
+    ("short", {4}, 2),    # one slice of 4 taus, chunks of two rows
+    ("long", {8, 9}, 1),  # 17 taus: slices of 8 and 9, the lone-tau tail folded
+    ("long0", {8, 2}, 2),  # 0 and 17 positive taus: 8, 8 and 2 (curvature: 8 and 9)
+])
+def test_blocked_scoring_on_small_buffers(grid, widths, rows):
+    # with a 40-float budget and 5 samples, a block holds 8 sets (2 on the
+    # long grids, longer than the batch) and spans several row chunks and,
+    # on the long grids, several tau slices; widths and rows are the
+    # brute-force slices and the largest row chunk. Taus from 0.7 gamma up
+    # leave the curvature of the first instance below 1 in both modes, so
+    # every ratio is compared, not only a first one <= 0.
+    objectives = [random_instance(4, size=6, matroid_kind="uniform"),
+                  random_instance(5, size=7, matroid_kind="partition")]
+    base = random_instance(7, size=3, matroid_kind="uniform")
+    objectives.append(ClonedObjective(base, UniformMatroid(GroundSet(6), 3)))
+    shortfall, shapes = sga._shortfall, []
+
+    def record(u, tau):
+        shapes.append((u.shape[0], tau.size))
+        return shortfall(u, tau)
+
+    for obj in objectives:
+        g = obj.gamma_hint
+        taus = {"one": [0.85 * g], "short": [0.0, 0.7 * g, 0.8 * g, 0.95 * g],
+                "long": list(np.linspace(0.7, 1.0, 17) * g),
+                "long0": [0.0] + list(np.linspace(0.7, 1.0, 17) * g)}[grid]
+        sc = obj.sample_scenarios(5, 11)
+        with mock.patch.object(sga, "_BLOCK_FLOATS", 40), \
+                mock.patch.object(sga, "_shortfall", record):
+            ours = brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+            curvatures = [auxiliary_curvature(obj, obj.matroid, sc, taus, method=m)
+                          for m in ("total_over_ground_set", "exact_matroid_enumeration")]
+        assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+        for curvature in curvatures:
+            assert curvature == reference_auxiliary_curvature(
+                obj, obj.matroid, sc, taus, method=curvature.method)
+        if obj is objectives[0]:
+            assert max(c.value for c in curvatures) < 1.0
+    assert {w for _, w in shapes} == widths
+    assert max(r for r, _ in shapes) == rows
 
 
 @pytest.mark.parametrize("method", ["total_over_ground_set",
