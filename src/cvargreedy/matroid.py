@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -62,9 +63,20 @@ class GroundSet:
             return str(element)
         return self.labels[element]
 
+    @cached_property
+    def _ids(self) -> frozenset[int]:
+        # built on first use, so a ground set that is never checked costs nothing
+        return frozenset(range(self.size))
+
     def check_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        """Validate ids and return the subset as a frozenset."""
+        """Validate ids and return the subset as a frozenset.
+
+        Plain ints of the ground set pass without a Python loop; anything
+        else (bools, numpy ints, int subclasses, bad ids) takes the loop that
+        accepts int subclasses and names the first bad id."""
         s = frozenset(subset)
+        if s <= self._ids and {*map(type, s)} <= {int}:
+            return s
         for e in s:
             if not isinstance(e, (int,)) or isinstance(e, bool):
                 raise ValueError(f"element ids must be integers, got {e!r}")

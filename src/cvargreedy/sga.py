@@ -19,7 +19,8 @@ import numpy as np
 from .greedy import greedy_sweep
 from .matroid import Matroid
 from .objective import ScenarioSet, StochasticObjective, child_seed
-from .risk import auxiliary_scores, check_risk_level, sorted_rows_cvar_var
+from .risk import (_tail_index, auxiliary_scores, check_risk_level,
+                   sorted_rows_cvar_var)
 
 log = logging.getLogger("cvargreedy")
 
@@ -336,16 +337,56 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
                     scenarios: ScenarioSet, alpha: float, taus) -> BruteForceResult:
     """Exhaustive maximization of the scalarized objective.
 
-    Evaluates every independent set at every tau of the grid, and per set the
-    exact cvar (whose maximizing tau needs no grid). Deterministic tie
-    handling: smallest tau first, then enumeration order of the sets. Taus
-    must be finite and nonnegative.
+    Returns the best (set, tau) pair of the grid and the best per-set exact
+    cvar (whose maximizing tau needs no grid). Ties go to the earliest set
+    in enumeration order, then to the smallest tau within it; a NaN cvar
+    never wins. Taus must be finite and nonnegative. A NaN utility raises
+    ``ValueError`` naming the earliest such set. Every result is
+    bit-identical to scoring every set at every tau, one set at a time.
 
-    Blocks of sets, slices of taus and chunks of rows keep every buffer
-    within _BLOCK_FLOATS floats (512 KiB) unless one set's samples, taus or
-    samples x two taus already exceed it; every result is bit-identical to
-    scoring one set at a time with ``empirical_cvar``/``empirical_var``. A
-    NaN H raises ``ValueError`` naming the earliest such set.
+    Two passes read the family in blocks, one ``set_utilities`` call each,
+    with every buffer within _BLOCK_FLOATS floats (512 KiB) unless one
+    set's samples or taus exceed it (see ``_utility_blocks`` and
+    ``_sample_sums``); at the 16-element cap the (sets,) vector of upper
+    ends is 2**16 floats. Pass 1 sorts each row and takes its cvar with
+    ``sorted_rows_cvar_var`` and an upper end U = cvar + M' of its grid H
+    (below). L is the grid maximum of the cvar-best set, computed on its
+    unsorted row as pass 2 computes it. max over tau of H(S, tau) is the
+    cvar of S (Rockafellar & Uryasev 2000), so a set with U < L has every
+    computed grid H below L: it can neither reach nor tie the grid optimum,
+    which is at least L. Pass 2 recomputes the utilities of the other sets
+    (U >= L, or U not finite) and scores them at every tau.
+
+    Margin. Let u = 2**-53, gamma_m = m*u / (1 - m*u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3-4; n*u < 0.01 is assumed),
+    eta <= 2**-1075 the absolute error of a divide that underflows,
+    v_0 <= ... <= v_{n-1} a finite sorted row, A = max(|v_0|, |v_{n-1}|),
+    T the largest tau, d = alpha*n rounded (the divisor of both kernels,
+    d <= n) and k = ceil(d - 1e-9) clipped to [1, n] (the estimator's tail
+    size, so k - 1 < d). phi(t) = t - sum (t - v_i)+ / d is concave with
+    slope 1 - #{v_i < t}/d, and the real cvar C* = v_k + sum_{i<k} (v_i -
+    v_k)/d is phi(v_k).
+    - Grid-free gap: phi rises up to v_k, and past it its slope is at most
+      1 - k/d, so max phi <= C* + 2A(d - k)+/d. The term is nonzero only
+      where the 1e-9 backoff of k applies.
+    - cvar: with E = sum_{i<k} (v_k - v_i) < 2A*d, the differences round
+      once each and their sum in any order errs by gamma_{k-1}*E; the
+      divide and the add round once more, and |C*| <= A, so
+      |cvar - C*| <= 5*gamma_{k+1}*A + 2*eta.
+    - Grid H: with x = sum (tau - v_i)+ / d <= (n/d)(T + A), each positive
+      hinge term rounds once (the others are exactly 0), their sum in any
+      order errs by gamma_{n-1} times itself, and the divide and the
+      subtract from tau round once each, so the computed H^ <= H* +
+      gamma_{n+2}*x + u*T + 2*eta <= H* + 2*gamma_{n+2}(n/d)(T + A) + 2*eta,
+      where the real H* <= max phi.
+    As n/d >= 1, every computed grid H of the set is at most cvar + M with
+    M = 7*gamma_{n+2}(n/d)(T + A) + 2A(d - k)+/d + 4*eta. The code computes
+    M' with every coefficient doubled and 4 times the smallest normal float
+    for the eta term: the few roundings of its nonnegative terms leave
+    M' >= 1.99*M, and the add cvar + M' errs by at most u(1.01*A + M')
+    < 0.99*M, so U >= cvar + M. An overflow makes cvar or M' non-finite,
+    or a grid H -inf, and a set with a non-finite U survives. The cvar-best
+    set survives too, as its grid H are at most its U.
     """
     alpha = check_risk_level(alpha)
     taus = _tau_array(taus)
@@ -353,28 +394,46 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
         raise ValueError("at least one tau grid point is required")
     feasible = matroid.enumerate_feasible()
     n = len(scenarios)
-    best_set = best_cvar_set = frozenset()
-    best_tau = cvar_tau = 0.0
-    best_h = cvar_star = -float("inf")
-    for start, block in _utility_blocks(objective, scenarios, feasible, taus.size):
-        h = taus - _sample_sums(block, taus, _shortfall) / (alpha * n)
-        cols = h.argmax(axis=1)  # first occurrence: smallest tau (or NaN)
+    d, k = alpha * n, _tail_index(alpha, n)
+    scale, excess = 14 * _gamma(n + 2) * n / d, 4 * max(0.0, d - k) / d
+    top = float(taus.max())
+
+    def grid_h(block: np.ndarray) -> np.ndarray:
+        return taus - _sample_sums(block, taus, _shortfall) / d
+
+    cvar_best_set, cvar_tau, cvar_star, cvar_row = frozenset(), 0.0, -np.inf, None
+    upper = np.empty(len(feasible))
+    for start, block in _utility_blocks(objective, scenarios, feasible, 1):
+        ordered = np.sort(block, axis=1)
+        nan = np.isnan(ordered[:, -1])  # NaN sorts last
+        if nan.any():
+            raise ValueError(f"H of the set {sorted(feasible[start + int(nan.argmax())])} "
+                             "is NaN: the objective returned NaN utilities")
+        cvar, var = sorted_rows_cvar_var(ordered, alpha)
+        r = int(np.where(np.isnan(cvar), -np.inf, cvar).argmax())  # earliest set
+        if cvar[r] > cvar_star:
+            cvar_star, cvar_tau = float(cvar[r]), float(var[r])
+            cvar_best_set, cvar_row = feasible[start + r], block[r].copy()
+        reach = np.maximum(np.abs(ordered[:, 0]), np.abs(ordered[:, -1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite U survive
+            upper[start:start + len(block)] = cvar + (
+                scale * (top + reach) + excess * reach + 4 * _TINY)
+    low = -np.inf if cvar_row is None else grid_h(cvar_row[None]).max()
+    keep = (upper >= low) | ~np.isfinite(upper)
+    survivors = [s for s, kept in zip(feasible, keep.tolist()) if kept]
+    best_set, best_tau, best_h = frozenset(), 0.0, -np.inf
+    for start, block in _utility_blocks(objective, scenarios, survivors, taus.size):
+        h = grid_h(block)
+        cols = h.argmax(axis=1)  # first occurrence: smallest tau
         row_max = h[np.arange(len(block)), cols]
-        r = int(row_max.argmax())  # first occurrence: earliest set (or NaN)
-        if np.isnan(row_max[r]):
-            raise ValueError(f"H of the set {sorted(feasible[start + r])} is NaN: "
-                             "the objective returned NaN utilities")
+        r = int(row_max.argmax())  # first occurrence: earliest set
         if row_max[r] > best_h:
             best_h = float(row_max[r])
-            best_set, best_tau = feasible[start + r], float(taus[cols[r]])
-        block.sort(axis=1)
-        cvar, var = sorted_rows_cvar_var(block, alpha)
-        r = int(cvar.argmax())
-        if cvar[r] > cvar_star:
-            cvar_star = float(cvar[r])
-            best_cvar_set, cvar_tau = feasible[start + r], float(var[r])
+            best_set, best_tau = survivors[start + r], float(taus[cols[r]])
+    log.debug("brute force: %d feasible sets, %d of them scored on the tau grid",
+              len(feasible), len(survivors))
     return BruteForceResult(best_set=best_set, best_tau=best_tau, h_star=best_h,
-                            cvar_best_set=best_cvar_set, cvar_tau=cvar_tau,
+                            cvar_best_set=cvar_best_set, cvar_tau=cvar_tau,
                             cvar_star=cvar_star)
 
 
@@ -413,6 +472,11 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     G(X - e) per element; exact mode the family's (sets x taus) G matrix,
     filled in place, with the ratios in chunks. No other buffer exceeds
     _BLOCK_FLOATS floats (512 KiB). Bit-identical to one set at a time.
+
+    Exact mode first reads each family row's min and max in one blocked
+    pass, and returns 1 without the G matrix when ``_saturated_pair`` proves
+    that the loop would return exactly 1; otherwise it takes the full path.
+    A DEBUG record of the ``cvargreedy`` logger says which.
     """
     grid = _tau_array(taus)
     if method not in ("total_over_ground_set", "exact_matroid_enumeration"):
@@ -438,11 +502,17 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
                 yield (g_full - g_of([full - {e}])[0]) / single
     else:
         family = matroid.enumerate_feasible()
-        g = g_of(family)
         # family[i] is row i of g; pos maps a set's bitmask to its row
         masks = np.array([sum(1 << e for e in s) for s in family])
         pos = np.full(1 << len(elements), -1)
         pos[masks] = np.arange(len(family))
+        certified = _saturated_pair(objective, scenarios, family, masks, pos, positive)
+        log.debug("exact curvature: %d feasible sets, %s", len(family),
+                  "certified 1 from a saturated pair" if certified
+                  else "scored from the full G matrix")
+        if certified:
+            return Curvature(1.0, method)
+        g = g_of(family)
         step = max(1, _BLOCK_FLOATS // positive.size)
 
         def ratios(e: int):
@@ -466,6 +536,52 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     # no finite ratio: every element is empirically worthless
     k = np.clip(1.0 - worst, 0.0, 1.0) if np.isfinite(worst) else 0.0
     return Curvature(float(k), method)
+
+
+def _saturated_pair(objective: StochasticObjective, scenarios: ScenarioSet,
+                    family: list[frozenset[int]], masks: np.ndarray, pos: np.ndarray,
+                    positive: np.ndarray) -> bool:
+    """True if a pair of saturated sets makes the exact curvature exactly 1.
+
+    ``masks`` and ``pos`` are the bitmask of each family set and the row of
+    each bitmask (-1 outside the family). One blocked pass keeps each
+    family row's min and max. The pair is T and T + e in the family whose
+    utilities are all >= tau1, the smallest positive tau, with a row of {e}
+    that is not all 0. At tau1 every term min(u, tau1) of both rows is
+    tau1, and ``_sample_sums`` adds every row in one order, so
+    G_tau1(T + e) == G_tau1(T) bit for bit and the ratio of (T + e, e) at
+    tau1 is exactly 0, while G_tau1({e}) is at least its largest term, > 0.
+
+    The element loop of ``auxiliary_curvature`` then returns exactly 1
+    unless a ratio is NaN or -inf (a -inf minimum reads as "no finite
+    ratio"). Neither can occur when every utility is finite and >= 0 and
+    fl(4 n T / b) is finite, for n samples, T the largest tau and b the
+    least min(max u_{e}, tau1) over the elements e whose row is not all 0
+    (the loop skips every other element as worthless): a sum of n terms in
+    [0, T] stays below 2 n T, so every G and every difference of two is
+    finite, each G({e}) is at least b, and so each ratio's magnitude is at
+    most fl(4 n T / b). Otherwise this returns False, and the caller takes
+    the full path, NaN errors included.
+    """
+    low, high = np.empty(len(family)), np.empty(len(family))
+    for start, block in _utility_blocks(objective, scenarios, family, 1):
+        low[start:start + len(block)] = block.min(axis=1)
+        high[start:start + len(block)] = block.max(axis=1)
+    if not (np.isfinite(high).all() and low.min() >= 0.0):  # a NaN fails both
+        return False
+    n, tau1 = len(scenarios), positive[0]
+    singles = pos[1 << np.arange(len(pos).bit_length() - 1)]  # row of {e}, or -1
+    worth = high[singles[singles >= 0]]
+    worth = np.minimum(worth[worth > 0.0], tau1)
+    if worth.size == 0 or not math.isfinite(4.0 * n * positive[-1] / worth.min()):
+        return False
+    saturated = masks[low >= tau1]
+    for e, single in enumerate(singles.tolist()):
+        if single >= 0 and high[single] > 0.0:
+            holders = saturated[saturated & (1 << e) != 0]
+            if (low[pos[holders ^ (1 << e)]] >= tau1).any():
+                return True
+    return False
 
 
 def _worthless(e: int, single: np.ndarray) -> bool:

@@ -1,6 +1,8 @@
 """Matroid axioms, oracle behavior and serialization."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,30 @@ def test_ground_set_rejects_foreign_elements():
         g.check_subset({-1})
     with pytest.raises(ValueError):
         g.check_subset({"a"})
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "element ids must be integers, got True"),
+    (np.int64(1), f"element ids must be integers, got {np.int64(1)!r}"),
+    (1.0, "element ids must be integers, got 1.0"),
+    (-1, "element -1 outside ground set of size 3"),
+    (3, "element 3 outside ground set of size 3"),
+])
+def test_check_subset_messages(bad, message):
+    # bools, numpy ints and floats hash like the ids they equal, so they pass
+    # the subset test of the fast path and must still fail its type test
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroundSet(3).check_subset({0, bad})
+
+
+def test_check_subset_accepts_int_subclasses():
+    class Id(int):
+        pass
+
+    g = GroundSet(3)
+    assert g.check_subset([Id(2), 0]) == {0, 2}
+    assert g.check_subset(iter([2, 0, 2])) == {0, 2}
+    assert g.check_subset(()) == frozenset()
 
 
 # ------------------------------------------------------------- independence

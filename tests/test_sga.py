@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvargreedy import (BoundReport, Curvature, GroundSet, SgaConfig,
-                        UniformMatroid, additive_penalty, alpha_sweep,
+from cvargreedy import (BoundReport, Curvature, GroundSet, ScenarioSet, SgaConfig,
+                        StochasticObjective, UniformMatroid, additive_penalty, alpha_sweep,
                         approximation_bound, auxiliary_curvature,
                         brute_force_opt, empirical_cvar, greedy_maximize,
                         run_sga, sga)
@@ -443,15 +443,15 @@ def test_brute_force_input_validation():
 
 
 class NanInSet(ClonedObjective):
-    """The base objective with one NaN sample in the utilities of one set."""
+    """The base objective with one NaN sample in the utilities of the targets."""
 
-    def __init__(self, base, matroid, target):
+    def __init__(self, base, matroid, *targets):
         super().__init__(base, matroid)
-        self.target = frozenset(target)
+        self.targets = {frozenset(t) for t in targets}
 
     def utilities(self, subset, scenarios):
         u = super().utilities(subset, scenarios)
-        if frozenset(subset) == self.target:
+        if frozenset(subset) in self.targets:
             u[len(u) // 2] = np.nan
         return u
 
@@ -471,6 +471,242 @@ def test_brute_force_rejects_nan_utilities(budget):
     with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS):
         with pytest.raises(ValueError, match=r"H of the set \[0, 3\] is NaN"):
             brute_force_opt(obj, matroid, sc, 0.3, taus)
+
+
+def _debug_record(records, prefix: str) -> str:
+    [message] = [r.getMessage() for r in records if r.getMessage().startswith(prefix)]
+    return message
+
+
+def _grid_scored(records) -> tuple[int, int]:
+    """(feasible sets, sets scored on the grid) of brute force's DEBUG record."""
+    feasible, scored = map(int, re.findall(r"\d+", _debug_record(records, "brute force")))
+    return feasible, scored
+
+
+def test_pruned_brute_force_matches_per_set_reference(caplog):
+    # alpha * n = 0.15 * 60 is 9 exactly, so H is flat between the 9th and
+    # 10th order statistics, and a grid of 400 steps puts several taus on
+    # that segment of the optimal set in 6 of these 12 cases: near ties over
+    # tau. Clones tie exactly over sets.
+    alpha, samples, flat = 0.15, 60, 0
+    for seed in range(6):
+        base = random_instance(seed, size=3 + seed % 3, matroid_kind="uniform")
+        cloned = UniformMatroid(GroundSet(2 * base.ground.size), base.matroid.k + 1)
+        for obj in (random_instance(seed, size=6 + seed % 5),
+                    ClonedObjective(base, cloned)):
+            sc = obj.sample_scenarios(samples, seed)
+            taus = np.array(SgaConfig(alpha=alpha, gamma=obj.gamma_hint,
+                                      delta=obj.gamma_hint / 400,
+                                      samples=samples).tau_grid())
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
+                ours = brute_force_opt(obj, obj.matroid, sc, alpha, taus)
+            ref = reference_brute_force_opt(obj, obj.matroid, sc, alpha, taus)
+            for field in dataclasses.fields(ref):
+                assert getattr(ours, field.name) == getattr(ref, field.name), field.name
+            feasible, scored = _grid_scored(caplog.records)
+            assert feasible == len(obj.matroid.enumerate_feasible())
+            assert 0 < scored < feasible
+            u = np.sort(obj.utilities(ours.best_set, sc))
+            flat += np.count_nonzero((u[8] <= taus) & (taus <= u[9])) > 1
+    assert flat == 6
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["vehicle", "sensor", "cloned", "shifted", "constant",
+                               "large-vehicle", "large-coverage"]),
+       samples=st.integers(1, 300), alpha=st.sampled_from([0.001, 0.05, 0.15, 0.3, 1.0]),
+       grid=st.integers(1, 12), hits=st.integers(0, 8))
+def test_pruned_brute_force_matches_on_near_ties(seed, family, samples, alpha, grid, hits):
+    # taus on sample values and one ulp off them put grid H on the cvar
+    # itself, where only the margin tells the sets apart; permuted rows
+    # ("shifted") have equal cvars and grid H that differ in rounding
+    rng = np.random.default_rng(seed)
+    obj = differential_objective(family, rng, seed)
+    sc = obj.sample_scenarios(samples, seed)
+    family_sets = obj.matroid.enumerate_feasible()
+    rows = obj.set_utilities(family_sets, sc)
+    taus = set(np.linspace(0.0, 1.05 * rows.max(), grid).tolist())
+    for _ in range(hits):
+        value = float(rows[rng.integers(len(rows)), rng.integers(samples)])
+        taus.update([value, float(np.nextafter(value, np.inf)),
+                     max(0.0, float(np.nextafter(value, 0.0)))])
+    taus = sorted(taus)
+    assert (brute_force_opt(obj, obj.matroid, sc, alpha, taus)
+            == reference_brute_force_opt(obj, obj.matroid, sc, alpha, taus))
+
+
+class InfInSets(ClonedObjective):
+    """The base objective with the first ``count`` samples +inf for some sets."""
+
+    def __init__(self, base, matroid, counts):
+        super().__init__(base, matroid)
+        self.counts = {frozenset(s): c for s, c in counts.items()}
+
+    def utilities(self, subset, scenarios):
+        u = super().utilities(subset, scenarios)
+        u[:self.counts.get(frozenset(subset), 0)] = np.inf
+        return u
+
+
+def test_infinite_utilities_are_scored_on_the_grid(caplog):
+    # {1, 3} is +inf in every sample: its cvar is NaN (inf - inf in the
+    # shifted tail sum) and never wins, but its grid H is tau, the grid
+    # optimum. {0, 2} has 5 +inf samples past its tail, so a finite cvar but
+    # an infinite margin. Both are scored on the grid however they compare.
+    base = random_instance(2, size=4, matroid_kind="uniform")
+    matroid = UniformMatroid(GroundSet(4), 2)
+    obj = InfInSets(base, matroid, {(1, 3): 50, (0, 2): 5})
+    sc = base.sample_scenarios(50, 0)
+    taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 8,
+                     samples=50).tau_grid()
+    for budget in (None, 50 * 3):
+        caplog.clear()
+        with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS), \
+                caplog.at_level(logging.DEBUG, logger="cvargreedy"), \
+                np.errstate(invalid="ignore"):
+            ours = brute_force_opt(obj, matroid, sc, 0.3, taus)
+            ref = reference_brute_force_opt(obj, matroid, sc, 0.3, taus)
+        assert (ours.best_set, ours.h_star) == ({1, 3}, taus[-1])
+        assert np.isfinite(ours.cvar_star) and ours.cvar_best_set != {1, 3}
+        for field in dataclasses.fields(ref):
+            assert getattr(ours, field.name) == getattr(ref, field.name), field.name
+        assert _grid_scored(caplog.records)[1] < len(matroid.enumerate_feasible())
+
+
+@pytest.mark.parametrize("budget", [None, 1, 50 * 3])
+def test_brute_force_names_the_earliest_nan_set_after_the_cvar_optimum(budget):
+    base = random_instance(2, size=4, matroid_kind="uniform")
+    matroid = UniformMatroid(GroundSet(4), 2)
+    sc = base.sample_scenarios(50, 0)
+    taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 4,
+                     samples=50).tau_grid()
+    family = matroid.enumerate_feasible()
+    clean = brute_force_opt(ClonedObjective(base, matroid), matroid, sc, 0.3, taus)
+    assert family.index(clean.cvar_best_set) < family.index(frozenset({1, 3}))
+    obj = NanInSet(base, matroid, {2, 3}, {1, 3})
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS):
+        with pytest.raises(ValueError, match=r"H of the set \[1, 3\] is NaN"):
+            brute_force_opt(obj, matroid, sc, 0.3, taus)
+
+
+def _certified(records) -> bool:
+    """Whether exact curvature's DEBUG record says the certificate settled it."""
+    message = _debug_record(records, "exact curvature")
+    assert message.endswith(("certified 1 from a saturated pair",
+                             "scored from the full G matrix"))
+    return "certified" in message
+
+
+def test_certified_curvature_skips_the_g_matrix(caplog):
+    # 6 of these 8 audit-like instances have a saturated pair; the other 2
+    # are below 1 and take the full path. A certified one never clips G.
+    terms, sample_sums, settled = [], sga._sample_sums, []
+
+    def record(block, taus, term):
+        terms.append(term)
+        return sample_sums(block, taus, term)
+
+    for seed in range(8):
+        obj = random_instance(seed, size=6 + seed % 4)
+        sc = obj.sample_scenarios(60, seed)
+        taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 8,
+                         samples=60).tau_grid()
+        caplog.clear()
+        terms.clear()
+        with mock.patch.object(sga, "_sample_sums", record), \
+                caplog.at_level(logging.DEBUG, logger="cvargreedy"):
+            ours = auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                       method="exact_matroid_enumeration")
+        assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                                     method=ours.method)
+        settled.append(_certified(caplog.records))
+        assert (np.minimum not in terms) == settled[-1]
+        assert settled[-1] == (ours.value == 1.0)
+    assert settled.count(True) == 6
+
+
+def _curvature_and_path(obj, sc, taus, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
+        ours = auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                   method="exact_matroid_enumeration")
+    return ours, _certified(caplog.records)
+
+
+def test_curvature_certificate_falls_back_on_negative_utilities(caplog):
+    obj = random_instance(1, size=7)
+    sc = obj.sample_scenarios(60, 1)
+    taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 8,
+                     samples=60).tau_grid()
+    assert _curvature_and_path(obj, sc, taus, caplog) == (
+        Curvature(1.0, "exact_matroid_enumeration"), True)
+    shifted = Offset(obj, -0.05)
+    assert shifted.set_utilities(obj.matroid.enumerate_feasible(), sc).min() < 0
+    ours, certified = _curvature_and_path(shifted, sc, taus, caplog)
+    assert not certified
+    assert ours == reference_auxiliary_curvature(shifted, obj.matroid, sc, taus,
+                                                 method=ours.method)
+
+
+def test_curvature_certificate_falls_back_on_nan_utilities(caplog):
+    # element 0's ratios come first, so the full path meets the NaN of
+    # {0, 1} before any ratio <= 0 and must still raise
+    base = random_instance(1, size=7)
+    obj = NanInSet(base, base.matroid, {0, 1})
+    sc = base.sample_scenarios(60, 1)
+    taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 8,
+                     samples=60).tau_grid()
+    assert _curvature_and_path(ClonedObjective(base, base.matroid), sc, taus,
+                               caplog)[1]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cvargreedy"), \
+            pytest.raises(ValueError, match="ratio of element 0 is NaN"):
+        auxiliary_curvature(obj, obj.matroid, sc, taus,
+                            method="exact_matroid_enumeration")
+    assert not _certified(caplog.records)
+
+
+def test_curvature_certificate_falls_back_below_one(caplog):
+    obj = random_instance(4, size=6, matroid_kind="uniform")
+    sc = obj.sample_scenarios(5, 11)
+    taus = list(np.linspace(0.7, 1.0, 17) * obj.gamma_hint)
+    ours, certified = _curvature_and_path(obj, sc, taus, caplog)
+    assert ours.value < 1.0 and not certified
+    assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                                 method=ours.method)
+
+
+class Table(StochasticObjective):
+    """A utility per set, the same in every scenario."""
+
+    def __init__(self, values, matroid):
+        self.values = {frozenset(s): float(v) for s, v in values.items()}
+        self.ground, self.matroid, self.gamma_hint = matroid.ground, matroid, 2.0
+
+    def sample_scenarios(self, count, seed):
+        return ScenarioSet(np.zeros((count, 1)), count, int(seed))
+
+    def utilities(self, subset, scenarios):
+        return np.full(len(scenarios), self.values[self.ground.check_subset(subset)])
+
+
+def test_curvature_certificate_falls_back_when_a_ratio_can_overflow(caplog):
+    # {1} and {1, 2} saturate tau1 = 1, but G({0}) is subnormal and
+    # G({0, 1}) < G({1}), so element 0's ratio is -inf: the full path reads
+    # that as "no finite ratio" and reports 0, not 1
+    matroid = UniformMatroid(GroundSet(3), 2)
+    obj = Table({(): 0, (0,): 1e-310, (1,): 2, (2,): 2, (0, 1): 0.5, (0, 2): 2,
+                 (1, 2): 2}, matroid)
+    sc = obj.sample_scenarios(4, 0)
+    with np.errstate(over="ignore"):
+        ours, certified = _curvature_and_path(obj, sc, [0.0, 1.0, 2.0], caplog)
+        ref = reference_auxiliary_curvature(obj, matroid, sc, [0.0, 1.0, 2.0],
+                                            method=ours.method)
+    assert not certified
+    assert ours == ref == Curvature(0.0, "exact_matroid_enumeration")
 
 
 def test_auxiliary_curvature_rejects_bad_taus():
@@ -549,9 +785,13 @@ def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alp
 
 
 def test_family_scored_with_one_objective_call_per_block():
-    # a block holds budget // max(samples, taus) sets; total curvature reads
-    # G(X), G({e}) and G(X - e) through the same blocks, one set each (it
-    # stops after element 0 at 6 samples and visits all 7 at 30)
+    # brute force reads the family in blocks of budget // samples sets for
+    # its cvar pass and then only the survivors in blocks of
+    # budget // max(samples, taus) for the grid; exact curvature reads the
+    # family in blocks of budget // samples for its certificate and, where
+    # that fails, again in blocks of budget // max(samples, taus) for the G
+    # matrix. Total curvature reads G(X), G({e}) and G(X - e) one set each
+    # (it stops after element 0 at 6 samples and visits all 7 at 30).
     obj = random_instance(18, size=7, matroid_kind="uniform")
     family = obj.matroid.enumerate_feasible()
     full = frozenset(range(7))
@@ -567,9 +807,12 @@ def test_family_scored_with_one_objective_call_per_block():
         blocks.append(list(sets))
         return set_utilities(self, sets, scenarios)
 
-    for samples, budget, brute_rows, exact_rows in (
-            (6, 70, 10, 11),     # 7 and 6 taus outnumber the samples
-            (30, 300, 10, 10)):  # the samples outnumber the taus
+    def layout(rows):
+        return [family[i:i + rows] for i in range(0, len(family), rows)]
+
+    for samples, budget, scan_rows, grid_rows, certified in (
+            (6, 70, 11, 10, True),     # 7 and 6 taus outnumber the samples
+            (30, 300, 10, 10, False)):  # the samples outnumber the taus
         sc = obj.sample_scenarios(samples, 5)
         taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 6,
                          samples=samples).tau_grid()  # 0 and six positive taus
@@ -584,10 +827,14 @@ def test_family_scored_with_one_objective_call_per_block():
             found["exact"], blocks[:] = blocks[:], []
             total = auxiliary_curvature(obj, obj.matroid, sc, taus)
         assert evaluated == []
-        for name, rows in (("brute", brute_rows), ("exact", exact_rows)):
-            assert [len(b) for b in found[name]] == [
-                len(family[i:i + rows]) for i in range(0, len(family), rows)]
-            assert [s for b in found[name] for s in b] == family
+        scan = layout(scan_rows)
+        assert found["brute"][:len(scan)] == scan
+        scored = found["brute"][len(scan):]
+        assert all(len(b) <= grid_rows for b in scored)
+        scored = [s for b in scored for s in b]
+        assert scored == [s for s in family if s in scored]
+        assert 0 < len(scored) < len(family)
+        assert found["exact"] == scan + ([] if certified else layout(grid_rows))
         assert blocks[0] == [full] and len(blocks) % 2 == 1
         assert blocks[1:] == [b for e in range(len(blocks) // 2)
                               for b in ([frozenset({e})], [full - {e}])]
@@ -596,6 +843,7 @@ def test_family_scored_with_one_objective_call_per_block():
         assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
         assert exact == reference_auxiliary_curvature(
             obj, obj.matroid, sc, taus, method="exact_matroid_enumeration")
+        assert (exact.value == 1.0) == certified
         assert total == reference_auxiliary_curvature(obj, obj.matroid, sc, taus)
     assert total_reads == [3, 15]
 
