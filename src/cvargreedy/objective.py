@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .matroid import GroundSet, Matroid
+from .matroid import GroundSet, Matroid, _integer
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -56,7 +56,7 @@ class ScenarioSet:
 
 
 def check_sample_count(count: int) -> int:
-    count = int(count)
+    count = _integer(count, "sample count")
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     return count

@@ -263,50 +263,42 @@ class OccupancyGrid:
         return [c for c in range(self.rows * self.cols) if c not in self.obstacles]
 
 
-def _segment_blocked(p0: np.ndarray, p1: np.ndarray, obstacle_rc: np.ndarray) -> bool:
-    """True when the open segment p0->p1 crosses some obstacle cell interior.
+def visible_cells(grid: OccupancyGrid, origin: int) -> list[int]:
+    """Free cells seen from the origin cell along center-to-center segments.
 
-    Slab clipping against each obstacle square [r, r+1] x [c, c+1]. Grazing a
+    A segment is blocked when it crosses some obstacle cell's interior: slab
+    clipping against each obstacle square [r, r+1] x [c, c+1]. Grazing a
     cell corner or sliding along an edge has zero interior overlap and does
     not block; with half-integer cell centers the comparisons stay far from
-    the epsilon.
+    the epsilon. One array pass clips a chunk of targets against every
+    obstacle at once, each (targets x obstacles) temporary within
+    ``sga._GROUP_FLOATS`` floats. A target level with the origin on an axis
+    takes that axis's inside test instead of the divide by its zero step;
+    the origin takes both and, being free, is inside no obstacle.
     """
-    if obstacle_rc.size == 0:
-        return False
-    d = p1 - p0
-    if d[0] == 0.0 and d[1] == 0.0:
-        return False
-    m = obstacle_rc.shape[0]
-    t_lo = np.zeros(m)
-    t_hi = np.ones(m)
-    for axis in (0, 1):
-        o = obstacle_rc[:, axis]
-        p = p0[axis]
-        dd = d[axis]
-        if dd == 0.0:
-            inside = (o + _GEOM_EPS < p) & (p < o + 1.0 - _GEOM_EPS)
-            t_hi = np.where(inside, t_hi, -np.inf)
-        else:
-            t1 = (o - p) / dd
-            t2 = (o + 1.0 - p) / dd
-            t_lo = np.maximum(t_lo, np.minimum(t1, t2))
-            t_hi = np.minimum(t_hi, np.maximum(t1, t2))
-    return bool(np.any(t_hi - t_lo > _GEOM_EPS))
-
-
-def visible_cells(grid: OccupancyGrid, origin: int) -> list[int]:
-    """Free cells seen from the origin cell along center-to-center segments."""
     if not grid.is_free(origin):
         raise ValueError(f"origin cell {origin} is not a free cell")
-    obstacle_rc = np.array([grid.cell_rc(c) for c in sorted(grid.obstacles)],
-                           dtype=float).reshape(-1, 2)
-    o_rc = np.array(grid.cell_rc(origin), dtype=float) + 0.5
-    seen = []
-    for target in grid.free_cells():
-        t_rc = np.array(grid.cell_rc(target), dtype=float) + 0.5
-        if not _segment_blocked(o_rc, t_rc, obstacle_rc):
-            seen.append(target)
-    return seen
+    obstacles = np.divmod(np.array(sorted(grid.obstacles), dtype=np.intp), grid.cols)
+    free = np.array(grid.free_cells(), dtype=np.intp)
+    ends = np.divmod(free, grid.cols)
+    start = np.array(grid.cell_rc(origin), dtype=float) + 0.5
+    seen = np.empty(free.size, dtype=bool)
+    step = max(1, sga._GROUP_FLOATS // max(1, len(grid.obstacles)))
+    for lo in range(0, free.size, step):
+        t_lo, t_hi = 0.0, 1.0
+        for axis in (0, 1):
+            o, p = obstacles[axis], start[axis]
+            dd = (ends[axis][lo:lo + step] + 0.5 - p)[:, None]
+            flat = dd == 0.0
+            with np.errstate(divide="ignore"):  # o - p is never 0: p is a cell center
+                t1 = (o - p) / dd
+                t2 = (o + 1.0 - p) / dd
+            inside = (o + _GEOM_EPS < p) & (p < o + 1.0 - _GEOM_EPS)
+            t_lo = np.where(flat, t_lo, np.maximum(t_lo, np.minimum(t1, t2)))
+            t_hi = np.where(flat, np.where(inside, t_hi, -np.inf),
+                            np.minimum(t_hi, np.maximum(t1, t2)))
+        seen[lo:lo + step] = ~np.any(t_hi - t_lo > _GEOM_EPS, axis=1)
+    return free[seen].tolist()
 
 
 # --------------------------------------------------------------------------

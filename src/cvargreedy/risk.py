@@ -22,9 +22,6 @@ import numpy as np
 # (e.g. 0.07*100 == 7.000000000000001) cannot push the index up by one.
 _INDEX_TOL = 1e-9
 
-# floats in one hinge temporary of auxiliary_scores (2 MiB)
-_HINGE_FLOATS = 2**18
-
 
 def check_risk_level(alpha: float) -> float:
     alpha = float(alpha)
@@ -87,24 +84,18 @@ def sorted_rows_cvar_var(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
 
 
 def auxiliary_scores(u: np.ndarray, taus: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """The one H kernel: tau - sum((tau - u)+) / (alpha * n) at every pair, unchecked.
+    """The greedy's H kernel: tau - sum((tau - u)+) / (alpha * n) at every pair, unchecked.
 
     ``u`` is one utility vector for every (tau, alpha) pair, or a
     (pairs x n) array with one vector per pair; a pair gets the same bits
     either way. Each row's pairwise np.sum keeps the hinge sum stable for
-    large batches, which the concavity and slope checks rely on. Rows are
-    scored in chunks so that one hinge temporary holds at most _HINGE_FLOATS
-    floats.
+    large batches, which the concavity and slope checks rely on. The (pairs
+    x n) hinge temporary is made whole: callers bound it (``sga`` scores a
+    greedy group in chunks of pairs).
     """
-    n = u.shape[-1]
-    out = np.empty(taus.size)
-    step = max(1, _HINGE_FLOATS // n)
-    for lo in range(0, taus.size, step):
-        t = taus[lo:lo + step]
-        hinge = t[:, None] - (u if u.ndim == 1 else u[lo:lo + step])
-        np.maximum(hinge, 0.0, out=hinge)
-        out[lo:lo + step] = t - hinge.sum(axis=1) / (alphas[lo:lo + step] * n)
-    return out
+    hinge = taus[:, None] - u
+    np.maximum(hinge, 0.0, out=hinge)
+    return taus - hinge.sum(axis=1) / (alphas * u.shape[-1])
 
 
 def auxiliary_from_values(values, tau: float, alpha: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .greedy import greedy_sweep
-from .matroid import Matroid
+from .matroid import Matroid, _integer
 from .objective import ScenarioSet, StochasticObjective, child_seed
 from .risk import (_tail_index, auxiliary_scores, check_risk_level,
                    sorted_rows_cvar_var)
@@ -41,8 +41,9 @@ _BLOCK_FLOATS = 2**16
 
 # floats in one (candidates x samples) temporary of a greedy group's scoring
 # (128 KiB): the screen's sorted rows and prefix sums, the exact kernel's
-# pair rows, and the vehicle extension kernel's columns. The group's
-# utilities are held whole anyway; larger chunks only raise the peak RSS.
+# pair rows, and the vehicle extension kernel's columns; also each (targets
+# x obstacles) array of the sensor visibility pass. The group's utilities
+# are held whole anyway; larger chunks only raise the peak RSS.
 _GROUP_FLOATS = 2**14
 
 # (member taus x samples) from which a greedy group is screened before it is
@@ -67,7 +68,9 @@ class SgaConfig:
         if not 0 < self.delta <= self.gamma:
             raise ValueError(
                 f"delta must lie in (0, gamma={self.gamma}], got {self.delta}")
-        if int(self.samples) < 1:
+        object.__setattr__(self, "samples", _integer(self.samples, "samples"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         steps = self.gamma / self.delta - _GRID_TOL
         if steps > MAX_GRID_POINTS - 1:
@@ -142,10 +145,12 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
 
     Each group step makes one ``extension_utilities`` call for all its
     candidates and scores them with ``_group_scores``, which gives the
-    greedy the picks and values of the exact H table. A point's evaluations
-    add the final recomputation of H(selected). The pairs seen, the pairs
-    scored exactly and the groups below the size rule go to the
-    ``cvargreedy`` logger at DEBUG."""
+    greedy the picks and values of the exact H table. The empty set is
+    scored as a group of one row: its ranked values at k = 0 are exact, and
+    every other pair is rescored. A point's evaluations add the final
+    recomputation of H(selected). The pairs seen, the pairs scored exactly
+    and the groups below the size rule go to the ``cvargreedy`` logger at
+    DEBUG."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
     counts = {"pairs": 0, "exact": 0, "small": 0}
@@ -158,7 +163,8 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
         counts["small"] += members.size * rows.shape[1] < _SCREEN_MIN_FLOATS
         return table
 
-    initial = auxiliary_scores(objective.utilities(frozenset(), scenarios), taus, alphas)
+    empty = objective.utilities(frozenset(), scenarios)[None]
+    initial = _group_scores(empty, taus, alphas)[0][0]
     selected, values, traces = greedy_sweep(score, matroid, initial)
     log.debug("scored %d (candidate, tau) pairs, %d of them exactly; "
               "%d groups below the size rule",
@@ -467,7 +473,9 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     ground set X ("total_over_ground_set") or every independent S
     ("exact_matroid_enumeration"). 1 - w and the clip are monotone, so the
     result is clip(1 - w) for w the least ratio over all (S, e, tau), and it
-    is exactly 1 once a ratio is <= 0, where the element loop stops. Both
+    is exactly 1 once a ratio is <= 0, where the element loop stops. A ratio
+    that overflows to -inf gives 1 as well; with no ratio at all (every
+    element worthless) w is +inf and the result 0. Both
     modes read G through one blocked path: total mode G(X), then G({e}) and
     G(X - e) per element; exact mode the family's (sets x taus) G matrix,
     filled in place, with the ratios in chunks. No other buffer exceeds
@@ -533,8 +541,8 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
             worst = min(worst, low)
         if worst <= 0.0:
             break
-    # no finite ratio: every element is empirically worthless
-    k = np.clip(1.0 - worst, 0.0, 1.0) if np.isfinite(worst) else 0.0
+    # worst is +inf when every element is empirically worthless (no ratio)
+    k = np.clip(1.0 - worst, 0.0, 1.0)
     return Curvature(float(k), method)
 
 
@@ -553,28 +561,24 @@ def _saturated_pair(objective: StochasticObjective, scenarios: ScenarioSet,
     tau1 is exactly 0, while G_tau1({e}) is at least its largest term, > 0.
 
     The element loop of ``auxiliary_curvature`` then returns exactly 1
-    unless a ratio is NaN or -inf (a -inf minimum reads as "no finite
-    ratio"). Neither can occur when every utility is finite and >= 0 and
-    fl(4 n T / b) is finite, for n samples, T the largest tau and b the
-    least min(max u_{e}, tau1) over the elements e whose row is not all 0
-    (the loop skips every other element as worthless): a sum of n terms in
-    [0, T] stays below 2 n T, so every G and every difference of two is
-    finite, each G({e}) is at least b, and so each ratio's magnitude is at
-    most fl(4 n T / b). Otherwise this returns False, and the caller takes
-    the full path, NaN errors included.
+    unless a ratio is NaN; a ratio that overflows to -inf clips to 1 too.
+    No ratio is NaN when every utility is finite and >= 0 and fl(2 n T) is
+    finite, for n samples and T the largest tau: a sum of n terms in [0, T]
+    stays below 2 n T, so every G and every difference of two is finite,
+    and each ratio divides one by a G({e}) > 0 (a row of {e} that is not
+    all 0 has a positive term at every positive tau; the loop skips every
+    other element as worthless). Otherwise this returns False, and the
+    caller takes the full path, NaN errors included.
     """
     low, high = np.empty(len(family)), np.empty(len(family))
     for start, block in _utility_blocks(objective, scenarios, family, 1):
         low[start:start + len(block)] = block.min(axis=1)
         high[start:start + len(block)] = block.max(axis=1)
-    if not (np.isfinite(high).all() and low.min() >= 0.0):  # a NaN fails both
+    if not (np.isfinite(high).all() and low.min() >= 0.0  # a NaN fails both
+            and math.isfinite(2.0 * len(scenarios) * positive[-1])):
         return False
-    n, tau1 = len(scenarios), positive[0]
+    tau1 = positive[0]
     singles = pos[1 << np.arange(len(pos).bit_length() - 1)]  # row of {e}, or -1
-    worth = high[singles[singles >= 0]]
-    worth = np.minimum(worth[worth > 0.0], tau1)
-    if worth.size == 0 or not math.isfinite(4.0 * n * positive[-1] / worth.min()):
-        return False
     saturated = masks[low >= tau1]
     for e, single in enumerate(singles.tolist()):
         if single >= 0 and high[single] > 0.0:

@@ -1,8 +1,8 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
-per-scenario utilities, the plain greedy and estimators, generic curvature,
-the per-tau solver sweep, the exactly scored batched sweep, the per-set
-brute-force optimum and scalarized curvature)."""
+per-segment visibility, per-scenario utilities, the plain greedy and
+estimators, generic curvature, the per-tau solver sweep, the exactly scored
+batched sweep, the per-set brute-force optimum and scalarized curvature)."""
 from __future__ import annotations
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from cvargreedy import (BruteForceResult, Curvature, EnumerationCapError,
                         ScenarioSet, SgaResult, StochasticObjective, SweepPoint)
 from cvargreedy.greedy import greedy_sweep
-from cvargreedy.problems import SensorCoverage, VehicleAssignment
+from cvargreedy.problems import _GEOM_EPS, SensorCoverage, VehicleAssignment
 from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import RandomCoverageObjective
 
@@ -202,6 +202,48 @@ class Offset(StochasticObjective):
         return u + self.offset if subset else u
 
 
+# ------------------------------------------------------------ visibility
+
+def segment_blocked(p0: np.ndarray, p1: np.ndarray, obstacle_rc: np.ndarray) -> bool:
+    """True when the open segment p0->p1 crosses some obstacle cell interior.
+
+    Slab clipping against each obstacle square [r, r+1] x [c, c+1], one
+    segment at a time. Grazing a cell corner or sliding along an edge has
+    zero interior overlap and does not block.
+    """
+    if obstacle_rc.size == 0:
+        return False
+    d = p1 - p0
+    if d[0] == 0.0 and d[1] == 0.0:
+        return False
+    m = obstacle_rc.shape[0]
+    t_lo = np.zeros(m)
+    t_hi = np.ones(m)
+    for axis in (0, 1):
+        o = obstacle_rc[:, axis]
+        p = p0[axis]
+        dd = d[axis]
+        if dd == 0.0:
+            inside = (o + _GEOM_EPS < p) & (p < o + 1.0 - _GEOM_EPS)
+            t_hi = np.where(inside, t_hi, -np.inf)
+        else:
+            t1 = (o - p) / dd
+            t2 = (o + 1.0 - p) / dd
+            t_lo = np.maximum(t_lo, np.minimum(t1, t2))
+            t_hi = np.minimum(t_hi, np.maximum(t1, t2))
+    return bool(np.any(t_hi - t_lo > _GEOM_EPS))
+
+
+def reference_visible_cells(grid, origin: int) -> list[int]:
+    """``visible_cells`` with one ``segment_blocked`` call per target cell."""
+    obstacle_rc = np.array([grid.cell_rc(c) for c in sorted(grid.obstacles)],
+                           dtype=float).reshape(-1, 2)
+    o_rc = np.array(grid.cell_rc(origin), dtype=float) + 0.5
+    return [target for target in grid.free_cells()
+            if not segment_blocked(o_rc, np.array(grid.cell_rc(target), dtype=float) + 0.5,
+                                   obstacle_rc)]
+
+
 # ------------------------------------------------ plain greedy and estimators
 
 def plain_greedy(fn, matroid):
@@ -348,8 +390,6 @@ def reference_auxiliary_curvature(objective, matroid, scenarios, taus,
             continue
         ratio = (g_of[subset] - g_of[subset - {e}]) / g_of[singletons[e]]
         worst_ratio = np.minimum(worst_ratio, ratio)
-    if not np.any(np.isfinite(worst_ratio)):
-        return Curvature(0.0, method)
     k = float(np.max(np.clip(1.0 - worst_ratio, 0.0, 1.0)))
     return Curvature(k, method)
 

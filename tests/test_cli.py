@@ -444,10 +444,13 @@ def _list_grid_rows(doc):
      "matroid capacities[1] must be an integer, got True"),
     ("sensor", _list_grid_rows, "grid[1] cell must be an integer, got 0.7"),
     ("vehicle", _put(5, "matroid"), "matroid must be a JSON object, got int"),
+    ("vehicle", _put([], "matroid", "blocks", 0), "empty blocks are not allowed"),
+    ("vehicle", _put([0, 1], "matroid", "blocks", 0),
+     "element 1 appears in more than one block"),
 ], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position",
         "missing-select", "fractional-ground-size", "fractional-k", "fractional-block-id",
         "fractional-capacity", "boolean-capacity", "fractional-grid-cell",
-        "matroid-not-an-object"])
+        "matroid-not-an-object", "empty-block", "duplicate-block-element"])
 def test_malformed_instance_file(tmp_path, capsys, problem, corrupt, message):
     good = gen_vehicle(tmp_path) if problem == "vehicle" else gen_sensor(tmp_path)
     bad = tmp_path / "bad.json"

@@ -71,6 +71,13 @@ def test_scenario_set_size_mismatch():
         check_sample_count(0)
 
 
+@pytest.mark.parametrize("bad", [2.7, True, 0.5, "3", float("nan")])
+def test_sample_count_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        check_sample_count(bad)
+    assert check_sample_count(3.0) == 3 and type(check_sample_count(np.int64(3))) is int
+
+
 def test_sampling_deterministic(objective):
     a = objective.sample_scenarios(20, seed=5)
     b = objective.sample_scenarios(20, seed=5)

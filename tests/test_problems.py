@@ -2,16 +2,19 @@
 intervals and sensor visibility / failure model, plus instance file round trips."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvargreedy import PartitionMatroid, ScenarioSet, UniformMatroid
-from cvargreedy import problems
+from cvargreedy import problems, sga
 from cvargreedy.problems import (OccupancyGrid, SensorCoverage,
                                  VehicleAssignment, load_instance,
                                  visible_cells)
+from conftest import reference_visible_cells
 
 
 # --------------------------------------------------------------- vehicles
@@ -160,6 +163,25 @@ def test_visibility_around_block():
     seen = visible_cells(grid, 0)
     assert 8 not in seen          # opposite corner is behind the block
     assert {0, 1, 2, 3, 6} <= set(seen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), cols=st.integers(1, 12),
+       density=st.sampled_from([0.0, 0.15, 0.4, 0.8]),
+       budget=st.sampled_from([1, 3, 17, 2**14]))
+def test_visibility_matches_per_segment_reference(seed, rows, cols, density, budget):
+    # 1x1 grids, single rows and columns, obstacle-free grids, and chunks of
+    # one target up to every target at once
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((rows, cols)) < density).astype(int)
+    cells.flat[rng.integers(rows * cols)] = 0  # at least one free origin
+    grid = OccupancyGrid.from_rows(cells.tolist())
+    free = grid.free_cells()
+    for origin in rng.choice(free, size=min(3, len(free)), replace=False).tolist():
+        with mock.patch.object(sga, "_GROUP_FLOATS", budget):
+            seen = visible_cells(grid, origin)
+        assert seen == reference_visible_cells(grid, origin)
+        assert origin in seen
 
 
 # ---------------------------------------------------------------- sensors

@@ -48,6 +48,18 @@ def test_config_validation():
             SgaConfig(**bad)
 
 
+@pytest.mark.parametrize("field, bad", [("samples", 20.5), ("samples", True),
+                                        ("samples", "20"), ("seed", 1.5),
+                                        ("seed", True), ("seed", float("inf"))])
+def test_config_rejects_non_integer_samples_and_seed(field, bad):
+    good = dict(alpha=0.5, gamma=2.0, delta=1.0, samples=20, seed=1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SgaConfig(**dict(good, **{field: bad}))
+    config = SgaConfig(**dict(good, samples=20.0, seed=np.int64(1)))
+    assert type(config.samples) is int and type(config.seed) is int
+    assert config == SgaConfig(**good)
+
+
 def test_tau_grid():
     cfg = SgaConfig(alpha=0.5, gamma=2.0, delta=1.0, samples=1)
     assert cfg.tau_grid() == [0.0, 1.0, 2.0]
@@ -338,6 +350,67 @@ def test_small_and_non_finite_groups_are_scored_exactly(bad):
         table, exact = sga._group_scores(rows, taus, alphas)
     assert exact.all()
     assert np.array_equal(table, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("samples, pairs", [(1000, 50), (1000, 200), (60, 100),
+                                             (1000, 9)])
+@pytest.mark.parametrize("bad", [None, float("inf"), -float("inf"), float("nan")])
+def test_one_row_group_matches_the_one_vector_kernel(samples, pairs, bad):
+    # the greedy scores its empty set as a group of one row: each pair is
+    # either k = 0 (taus at or below the row's minimum), where the screen is
+    # exact, or rescored by the kernel. The first two sizes are screened.
+    rng = np.random.default_rng(samples + pairs)
+    row = rng.uniform(1.0, 10.0, samples)
+    if bad is not None:
+        row[5] = bad
+    low = np.nanmin(np.where(np.isinf(row), np.nan, row))
+    taus = np.concatenate([[0.0, low / 2, low], row[rng.integers(samples, size=5)],
+                           rng.uniform(0.0, 11.0, pairs - 8)])
+    alphas = np.resize([0.05, 0.3, 1.0], pairs)
+    with np.errstate(invalid="ignore"):
+        expected = auxiliary_scores(row, taus, alphas)
+        table, exact = sga._group_scores(row[None], taus, alphas)
+    assert np.array_equal(table[0], expected, equal_nan=True)
+    screened = pairs * samples >= sga._SCREEN_MIN_FLOATS and bad is None
+    assert exact.all() != screened
+
+
+class Baseline(StochasticObjective):
+    """base(S) plus one fixed row for every set, the empty set too."""
+
+    def __init__(self, base, floor):
+        self.base, self.floor = base, floor
+        self.ground, self.matroid = base.ground, base.matroid
+        self.gamma_hint = base.gamma_hint + float(floor.max())
+
+    def sample_scenarios(self, count, seed):
+        return self.base.sample_scenarios(count, seed)
+
+    def utilities(self, subset, scenarios):
+        return self.base.utilities(subset, scenarios) + self.floor
+
+
+@pytest.mark.parametrize("samples, grid", [(1000, 50), (1000, 2), (60, 100)])
+def test_empty_set_is_scored_as_a_group(samples, grid):
+    # no output shows H(empty) but the first pick's gain, so check the
+    # values _solve hands to greedy_sweep against the one-vector kernel
+    base = VehicleAssignment.generate(3, 2, seed=samples)
+    obj = Baseline(base, np.random.default_rng(grid).uniform(0.0, 5.0, samples))
+    sc = obj.sample_scenarios(samples, 1)
+    points = [(alpha, tau) for alpha in (0.1, 1.0)
+              for tau in np.linspace(0.0, obj.gamma_hint, grid).tolist()]
+    seen, sweep = [], sga.greedy_sweep
+
+    def record(score, matroid, initial):
+        seen.append(initial)
+        return sweep(score, matroid, initial)
+
+    with mock.patch.object(sga, "greedy_sweep", record):
+        ours = sga._solve(obj, obj.matroid, sc, points)
+    alphas, taus = np.array(points).T
+    [initial] = seen
+    assert np.array_equal(initial, auxiliary_scores(obj.floor, taus, alphas))
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
 
 
 def test_screen_leaves_non_finite_rows_to_the_exact_kernel():
@@ -693,20 +766,26 @@ class Table(StochasticObjective):
         return np.full(len(scenarios), self.values[self.ground.check_subset(subset)])
 
 
-def test_curvature_certificate_falls_back_when_a_ratio_can_overflow(caplog):
-    # {1} and {1, 2} saturate tau1 = 1, but G({0}) is subnormal and
-    # G({0, 1}) < G({1}), so element 0's ratio is -inf: the full path reads
-    # that as "no finite ratio" and reports 0, not 1
+def test_curvature_is_one_when_a_ratio_overflows(caplog):
+    # G({0}) is subnormal and G({0, 1}) < G({1}), so element 0's ratio at
+    # {0, 1} is -inf, which clips to curvature 1. At taus 1 and 2, {1} and
+    # {1, 2} saturate tau1 = 1 and certify it; at tau 3, above every
+    # utility, nothing saturates and the full path meets the -inf. Total
+    # mode meets it at X = {0, 1, 2}, as G(X) < G({1, 2}).
     matroid = UniformMatroid(GroundSet(3), 2)
     obj = Table({(): 0, (0,): 1e-310, (1,): 2, (2,): 2, (0, 1): 0.5, (0, 2): 2,
-                 (1, 2): 2}, matroid)
+                 (1, 2): 2, (0, 1, 2): 0.5}, matroid)
     sc = obj.sample_scenarios(4, 0)
-    with np.errstate(over="ignore"):
-        ours, certified = _curvature_and_path(obj, sc, [0.0, 1.0, 2.0], caplog)
-        ref = reference_auxiliary_curvature(obj, matroid, sc, [0.0, 1.0, 2.0],
-                                            method=ours.method)
-    assert not certified
-    assert ours == ref == Curvature(0.0, "exact_matroid_enumeration")
+    for taus, certify in (([0.0, 1.0, 2.0], True), ([0.0, 3.0], False)):
+        with np.errstate(over="ignore"):
+            ours, certified = _curvature_and_path(obj, sc, taus, caplog)
+            ref = reference_auxiliary_curvature(obj, matroid, sc, taus,
+                                                method=ours.method)
+            total = auxiliary_curvature(obj, matroid, sc, taus)
+            total_ref = reference_auxiliary_curvature(obj, matroid, sc, taus)
+        assert certified == certify
+        assert ours == ref == Curvature(1.0, "exact_matroid_enumeration")
+        assert total == total_ref == Curvature(1.0, "total_over_ground_set")
 
 
 def test_auxiliary_curvature_rejects_bad_taus():
