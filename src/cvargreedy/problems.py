@@ -272,9 +272,7 @@ def visible_cells(grid: OccupancyGrid, origin: int) -> list[int]:
     not block; with half-integer cell centers the comparisons stay far from
     the epsilon. One array pass clips a chunk of targets against every
     obstacle at once, each (targets x obstacles) temporary within
-    ``sga._GROUP_FLOATS`` floats. A target level with the origin on an axis
-    takes that axis's inside test instead of the divide by its zero step;
-    the origin takes both and, being free, is inside no obstacle.
+    ``sga._GROUP_FLOATS`` floats.
     """
     if not grid.is_free(origin):
         raise ValueError(f"origin cell {origin} is not a free cell")
@@ -289,14 +287,14 @@ def visible_cells(grid: OccupancyGrid, origin: int) -> list[int]:
         for axis in (0, 1):
             o, p = obstacles[axis], start[axis]
             dd = (ends[axis][lo:lo + step] + 0.5 - p)[:, None]
-            flat = dd == 0.0
-            with np.errstate(divide="ignore"):  # o - p is never 0: p is a cell center
+            # a zero step gives infinities, never NaN (o - p != 0 at a cell
+            # center): same signs clear the pair, opposite signs (inside the
+            # slab) leave it; t_lo >= 0 and t_hi <= 1 keep t_hi - t_lo off NaN
+            with np.errstate(divide="ignore"):
                 t1 = (o - p) / dd
                 t2 = (o + 1.0 - p) / dd
-            inside = (o + _GEOM_EPS < p) & (p < o + 1.0 - _GEOM_EPS)
-            t_lo = np.where(flat, t_lo, np.maximum(t_lo, np.minimum(t1, t2)))
-            t_hi = np.where(flat, np.where(inside, t_hi, -np.inf),
-                            np.minimum(t_hi, np.maximum(t1, t2)))
+            t_lo = np.maximum(t_lo, np.minimum(t1, t2))
+            t_hi = np.minimum(t_hi, np.maximum(t1, t2))
         seen[lo:lo + step] = ~np.any(t_hi - t_lo > _GEOM_EPS, axis=1)
     return free[seen].tolist()
 
