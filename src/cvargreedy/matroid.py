@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -46,6 +45,7 @@ class GroundSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "size", _integer(self.size, "ground set size"))
         if self.size < 1:
             raise ValueError(f"ground set needs at least one element, got size={self.size}")
         if self.labels is not None:
@@ -87,14 +87,16 @@ class GroundSet:
 
 
 class Matroid:
-    """Independence oracle base class. Instances are immutable and pure.
+    """A set is independent iff it holds at most capacities[i] elements of blocks[i].
 
-    Subclasses implement ``_independent`` and may override ``_extensions``;
-    the public methods validate their argument once and then apply them
-    unchecked.
-    """
+    A uniform matroid is one block of every element with capacity k.
+    Instances are immutable and pure; the public methods validate their
+    argument once and then apply the rule unchecked."""
 
     ground: GroundSet
+    blocks: tuple[frozenset[int], ...]
+    capacities: tuple[int, ...]
+    _block_of: tuple[int, ...]  # the block of each element
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         """Validate the element ids, then apply the independence rule."""
@@ -102,40 +104,51 @@ class Matroid:
 
     def _independent(self, s: frozenset[int]) -> bool:
         """The independence rule on a frozenset of valid ids (not re-checked)."""
-        raise NotImplementedError
+        used = [0] * len(self.blocks)
+        for e in s:
+            used[self._block_of[e]] += 1
+        return all(u <= c for u, c in zip(used, self.capacities))
 
     def extension_candidates(self, subset: Iterable[int]) -> frozenset[int]:
-        """All elements s outside the (independent) subset with subset+s independent."""
+        """The elements outside the (independent) subset whose block is below capacity."""
         s = self.ground.check_subset(subset)
         if not self._independent(s):
             raise ValueError("extension candidates are defined for independent sets only")
-        return self._extensions(s)
+        used = [0] * len(self.blocks)
+        for e in s:
+            used[self._block_of[e]] += 1
+        return frozenset().union(*(b for b, u, c in zip(self.blocks, used, self.capacities)
+                                   if u < c)) - s
 
-    def _extensions(self, s: frozenset[int]) -> frozenset[int]:
-        """The extension rule on a valid independent frozenset (not re-checked).
+    def feasible_masks(self) -> np.ndarray:
+        """Every independent subset as an int64 bitmask (bit e = element e).
 
-        This default tests every one-element extension; a subclass may
-        override it with a direct rule that returns the same set."""
-        return frozenset(e for e in self.ground.elements
-                         if e not in s and self._independent(s | {e}))
-
-    def enumerate_feasible(self) -> list[frozenset[int]]:
-        """Every independent subset, empty set included, in (size, lexicographic) order.
-
-        Stops at the first size without an independent set: independence is
-        hereditary, so no larger set can be independent either.
-        """
+        In (size, lexicographic) order, from the block counts of a uint8 bit
+        table of the powerset; a set holding the smaller element sorts first."""
         n = self.ground.size
         if n > ENUMERATION_CAP:
             raise EnumerationCapError(f"the ground set has {n} elements, more than "
                                       f"the enumeration cap of {ENUMERATION_CAP}")
+        masks = np.arange(1 << n, dtype="<i8")  # byte j holds bits 8j..8j+7
+        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                             bitorder="little")
+        membership = np.zeros((n, len(self.blocks)), np.uint8)
+        membership[np.arange(n), self._block_of] = 1
+        keep = (bits @ membership <= np.array(self.capacities)).all(axis=1)
+        masks, bits = masks[keep], bits[keep]
+        return masks[np.lexsort((*(1 - bits.T[::-1]), bits.sum(axis=1)))]
+
+    def enumerate_feasible(self) -> list[frozenset[int]]:
+        """``feasible_masks`` as frozensets, empty set first, read per size."""
+        masks = self.feasible_masks()
+        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1,
+                             count=self.ground.size, bitorder="little")
         feasible: list[frozenset[int]] = []
-        for r in range(n + 1):
-            found = [s for s in map(frozenset, combinations(range(n), r))
-                     if self._independent(s)]
-            if not found:
-                break
-            feasible += found
+        start = 0
+        for r, rows in enumerate(np.bincount(bits.sum(axis=1)).tolist()):
+            ids = np.nonzero(bits[start:start + rows])[1].reshape(rows, r)
+            feasible += map(frozenset, map(np.ndarray.tolist, ids))
+            start += rows
         return feasible
 
     def fragment(self) -> dict:
@@ -145,21 +158,21 @@ class Matroid:
 
 @dataclass(frozen=True)
 class UniformMatroid(Matroid):
-    """Independent iff the subset has at most k elements."""
+    """Independent iff the subset has at most k elements: one block of capacity k."""
 
     ground: GroundSet
     k: int
+    blocks: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    capacities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integer(self.k, "matroid k"))
         if self.k < 1:
             raise ValueError(f"capacity must be at least 1, got k={self.k}")
-
-    def _independent(self, s: frozenset[int]) -> bool:
-        return len(s) <= self.k
-
-    def _extensions(self, s: frozenset[int]) -> frozenset[int]:
-        """Every element outside the subset while it holds fewer than k elements."""
-        return frozenset(self.ground.elements) - s if len(s) < self.k else frozenset()
+        object.__setattr__(self, "blocks", (frozenset(self.ground.elements),))
+        object.__setattr__(self, "capacities", (self.k,))
+        object.__setattr__(self, "_block_of", (0,) * self.ground.size)
 
     def fragment(self) -> dict:
         return {"type": "uniform", "k": self.k}
@@ -172,11 +185,12 @@ class PartitionMatroid(Matroid):
     ground: GroundSet
     blocks: tuple[frozenset[int], ...]
     capacities: tuple[int, ...]
-    _block_of: dict = field(init=False, repr=False, compare=False)
+    _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         blocks = tuple(frozenset(b) for b in self.blocks)
-        capacities = tuple(int(c) for c in self.capacities)
+        capacities = tuple(_integer(c, f"matroid capacities[{i}]")
+                           for i, c in enumerate(self.capacities))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "capacities", capacities)
         if len(blocks) != len(capacities):
@@ -197,27 +211,8 @@ class PartitionMatroid(Matroid):
             raise ValueError(
                 f"blocks must cover the ground set exactly (missing={sorted(missing)}, "
                 f"unknown={sorted(extra)})")
-        object.__setattr__(self, "_block_of", block_of)
-
-    def _independent(self, s: frozenset[int]) -> bool:
-        used = [0] * len(self.blocks)
-        for e in s:
-            bi = self._block_of[e]
-            used[bi] += 1
-            if used[bi] > self.capacities[bi]:
-                return False
-        return True
-
-    def _extensions(self, s: frozenset[int]) -> frozenset[int]:
-        """The elements outside the subset whose block is below its capacity.
-
-        Counts the block use of the subset once instead of testing every
-        one-element extension."""
-        used = [0] * len(self.blocks)
-        for e in s:
-            used[self._block_of[e]] += 1
-        return frozenset().union(*(b for b, u, c in zip(self.blocks, used, self.capacities)
-                                   if u < c)) - s
+        object.__setattr__(self, "_block_of",
+                           tuple(block_of[e] for e in self.ground.elements))
 
     def fragment(self) -> dict:
         return {
@@ -239,13 +234,9 @@ def matroid_from_json(data: dict, labels: tuple[str, ...] | None = None) -> Matr
         raise ValueError(f"matroid must be a JSON object, got {type(frag).__name__}")
     kind = frag.get("type")
     if kind == "uniform":
-        return UniformMatroid(ground, _integer(frag["k"], "matroid k"))
+        return UniformMatroid(ground, frag["k"])
     if kind == "partition":
         return PartitionMatroid(
-            ground,
-            tuple(frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
-                  for i, b in enumerate(frag["blocks"])),
-            tuple(_integer(c, f"matroid capacities[{i}]")
-                  for i, c in enumerate(frag["capacities"])),
-        )
+            ground, tuple(frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
+                          for i, b in enumerate(frag["blocks"])), tuple(frag["capacities"]))
     raise ValueError(f"unknown matroid type {kind!r}")

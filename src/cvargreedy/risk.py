@@ -15,6 +15,7 @@ alpha = 1 is the risk-neutral case: cvar reduces to the sample mean.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +25,8 @@ _INDEX_TOL = 1e-9
 
 
 def check_risk_level(alpha: float) -> float:
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"risk level must be a number, got {alpha!r}")
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"risk level must lie in (0, 1], got {alpha}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,6 +63,11 @@ class SgaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "gamma", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         check_risk_level(self.alpha)
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
@@ -509,9 +515,8 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
             if not _worthless(e, single):
                 yield (g_full - g_of([full - {e}])[0]) / single
     else:
-        family = matroid.enumerate_feasible()
-        # family[i] is row i of g; pos maps a set's bitmask to its row
-        masks = np.array([sum(1 << e for e in s) for s in family])
+        # row i of g is family[i], with bitmask masks[i]; pos maps a bitmask to its row
+        family, masks = matroid.enumerate_feasible(), matroid.feasible_masks()
         pos = np.full(1 << len(elements), -1)
         pos[masks] = np.arange(len(family))
         certified = _saturated_pair(objective, scenarios, family, masks, pos, positive)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvargreedy import (EnumerationCapError, GroundSet, Matroid, PartitionMatroid,
+from cvargreedy import (EnumerationCapError, GroundSet, PartitionMatroid,
                         UniformMatroid, matroid_from_json, matroid_to_json)
 from cvargreedy.synthetic import random_matroid
 
@@ -93,6 +93,22 @@ def test_partition_independence():
     assert not m.is_independent({0, 1})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda bad: GroundSet(bad), "size must be an integer"),
+    (lambda bad: UniformMatroid(GroundSet(3), bad), "k must be an integer"),
+    (lambda bad: partition(3, [{0, 1}, {2}], [1, bad]),
+     r"capacities\[1\] must be an integer"),
+], ids=["ground-set-size", "uniform-k", "partition-capacity"])
+def test_sizes_and_capacities_must_be_integers(build, message):
+    # int() would truncate 1.7 to 1 and take True for 1, and a float k
+    # would be written to JSON that matroid_from_json rejects
+    for bad in (2.5, 1.7, True, "2", float("inf")):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+    built = build(2.0)  # an integral float is read as its int
+    assert repr(built) == repr(build(2))  # 2, not 2.0
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):  # overlap
         partition(3, [{0, 1}, {1, 2}], [1, 1])
@@ -141,6 +157,8 @@ def test_enumerate_feasible_cap():
     m = uniform(17, 3)
     with pytest.raises(EnumerationCapError, match="17 elements"):
         m.enumerate_feasible()
+    with pytest.raises(EnumerationCapError, match="17 elements"):
+        m.feasible_masks()
 
 
 # ------------------------------------------------------- axioms (exhaustive)
@@ -207,7 +225,6 @@ def test_extension_rule_matches_the_generic_rule(seed, n, kind, fill):
             s = s | {e}
     got = m.extension_candidates(s)
     assert type(got) is frozenset
-    assert got == Matroid._extensions(m, s)
     assert got == frozenset(e for e in range(n)
                             if e not in s and m.is_independent(s | {e}))
     dependent = next((s | {e} for e in range(n) if e not in s
@@ -217,15 +234,38 @@ def test_extension_rule_matches_the_generic_rule(seed, n, kind, fill):
             m.extension_candidates(dependent)
 
 
+def _assert_family_matches_powerset_filter(m):
+    expected = [frozenset(c) for c in powerset(m.ground.elements)
+                if m.is_independent(frozenset(c))]
+    family, masks = m.enumerate_feasible(), m.feasible_masks()
+    # same sets in the same order: size-major, lexicographic inside each size
+    assert family == expected
+    assert family == sorted(family, key=lambda s: (len(s), sorted(s)))
+    assert masks.dtype == np.int64
+    assert masks.tolist() == [sum(1 << e for e in s) for s in family]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matroids())
 def test_enumerate_feasible_matches_powerset_filter(m):
-    expected = [frozenset(c) for c in powerset(m.ground.elements)
-                if m.is_independent(frozenset(c))]
-    got = m.enumerate_feasible()
-    # same sets in the same order: size-major, lexicographic inside each size
-    assert got == expected
-    assert got == sorted(got, key=lambda s: (len(s), sorted(s)))
+    _assert_family_matches_powerset_filter(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       kind=st.sampled_from(["uniform", "partition"]))
+def test_feasible_masks_match_powerset_filter(seed, n, kind):
+    # random blocks (not contiguous runs), as the audit's instances have
+    m = random_matroid(np.random.default_rng(seed), GroundSet(n), kind)
+    _assert_family_matches_powerset_filter(m)
+
+
+@pytest.mark.parametrize("m", [
+    uniform(16, 8),
+    partition(16, [range(b, 16, 4) for b in range(4)], [2, 2, 2, 2]),
+], ids=["uniform", "partition"])
+def test_feasible_masks_at_the_enumeration_cap(m):
+    _assert_family_matches_powerset_filter(m)
 
 
 # ------------------------------------------------------------ serialization

@@ -43,6 +43,9 @@ def test_risk_level_validation():
         with pytest.raises(ValueError):
             empirical_var([1.0], bad)
     assert check_risk_level(1) == 1.0
+    for bad in (True, "0.5", None):
+        with pytest.raises(ValueError, match="risk level must be a number"):
+            check_risk_level(bad)
     with pytest.raises(ValueError):
         empirical_cvar([], 0.5)
     # a non-finite value would turn the shifted tail sum into inf - inf

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,25 @@ def test_config_rejects_non_integer_samples_and_seed(field, bad):
     config = SgaConfig(**dict(good, samples=20.0, seed=np.int64(1)))
     assert type(config.samples) is int and type(config.seed) is int
     assert config == SgaConfig(**good)
+
+
+@pytest.mark.parametrize("field", ["alpha", "gamma", "delta"])
+@pytest.mark.parametrize("bad", ["0.5", True, None, [0.5]])
+def test_config_rejects_non_numbers(field, bad):
+    good = dict(alpha=0.5, gamma=2.0, delta=1.0, samples=3)
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+        SgaConfig(**dict(good, **{field: bad}))
+
+
+def test_config_stores_floats():
+    # ints, numpy scalars and fractions are read as floats, so the grid and
+    # the bound never see another type
+    config = SgaConfig(alpha=Fraction(1, 2), gamma=np.int64(2), delta=1, samples=3)
+    assert all(type(v) is float for v in (config.alpha, config.gamma, config.delta))
+    assert config == SgaConfig(alpha=0.5, gamma=2.0, delta=1.0, samples=3)
+    assert [type(t) for t in config.tau_grid()] == [float] * 3
+    assert approximation_bound(0.5, config) == approximation_bound(
+        0.5, SgaConfig(alpha=0.5, gamma=2.0, delta=1.0, samples=3))
 
 
 def test_tau_grid():
