@@ -104,19 +104,21 @@ class Matroid:
 
     def _independent(self, s: frozenset[int]) -> bool:
         """The independence rule on a frozenset of valid ids (not re-checked)."""
+        return all(u <= c for u, c in zip(self._used(s), self.capacities))
+
+    def _used(self, s: frozenset[int]) -> list[int]:
+        """How many elements of s each block holds."""
         used = [0] * len(self.blocks)
         for e in s:
             used[self._block_of[e]] += 1
-        return all(u <= c for u, c in zip(used, self.capacities))
+        return used
 
     def extension_candidates(self, subset: Iterable[int]) -> frozenset[int]:
         """The elements outside the (independent) subset whose block is below capacity."""
         s = self.ground.check_subset(subset)
-        if not self._independent(s):
+        used = self._used(s)
+        if any(u > c for u, c in zip(used, self.capacities)):
             raise ValueError("extension candidates are defined for independent sets only")
-        used = [0] * len(self.blocks)
-        for e in s:
-            used[self._block_of[e]] += 1
         return frozenset().union(*(b for b, u, c in zip(self.blocks, used, self.capacities)
                                    if u < c)) - s
 
@@ -139,17 +141,8 @@ class Matroid:
         return masks[np.lexsort((*(1 - bits.T[::-1]), bits.sum(axis=1)))]
 
     def enumerate_feasible(self) -> list[frozenset[int]]:
-        """``feasible_masks`` as frozensets, empty set first, read per size."""
-        masks = self.feasible_masks()
-        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1,
-                             count=self.ground.size, bitorder="little")
-        feasible: list[frozenset[int]] = []
-        start = 0
-        for r, rows in enumerate(np.bincount(bits.sum(axis=1)).tolist()):
-            ids = np.nonzero(bits[start:start + rows])[1].reshape(rows, r)
-            feasible += map(frozenset, map(np.ndarray.tolist, ids))
-            start += rows
-        return feasible
+        """``feasible_masks`` as frozensets, empty set first."""
+        return _mask_sets(self.feasible_masks(), self.ground.size)
 
     def fragment(self) -> dict:
         """JSON-serializable description of the independence rule."""
@@ -188,7 +181,11 @@ class PartitionMatroid(Matroid):
     _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        blocks = tuple(frozenset(b) for b in self.blocks)
+        # plain-int blocks pass without a per-entry check, as in check_subset;
+        # a block is read once into a tuple, so any iterable will do
+        blocks = tuple(frozenset(b) if {*map(type, b)} <= {int} else
+                       frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
+                       for i, b in enumerate(map(tuple, self.blocks)))
         capacities = tuple(_integer(c, f"matroid capacities[{i}]")
                            for i, c in enumerate(self.capacities))
         object.__setattr__(self, "blocks", blocks)
@@ -222,6 +219,19 @@ class PartitionMatroid(Matroid):
         }
 
 
+def _mask_sets(masks: np.ndarray, n: int) -> list[frozenset[int]]:
+    """Int64 bitmasks over n elements, sorted by size, as frozensets, read per size."""
+    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                         bitorder="little")
+    sets: list[frozenset[int]] = []
+    start = 0
+    for r, rows in enumerate(np.bincount(bits.sum(axis=1)).tolist()):
+        ids = np.nonzero(bits[start:start + rows])[1].reshape(rows, r)
+        sets += map(frozenset, map(np.ndarray.tolist, ids))
+        start += rows
+    return sets
+
+
 def matroid_to_json(matroid: Matroid) -> dict:
     """Serialize as {"ground_size": n, "matroid": {...rule...}}."""
     return {"ground_size": matroid.ground.size, "matroid": matroid.fragment()}
@@ -236,7 +246,5 @@ def matroid_from_json(data: dict, labels: tuple[str, ...] | None = None) -> Matr
     if kind == "uniform":
         return UniformMatroid(ground, frag["k"])
     if kind == "partition":
-        return PartitionMatroid(
-            ground, tuple(frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
-                          for i, b in enumerate(frag["blocks"])), tuple(frag["capacities"]))
+        return PartitionMatroid(ground, tuple(frag["blocks"]), tuple(frag["capacities"]))
     raise ValueError(f"unknown matroid type {kind!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .greedy import greedy_sweep
-from .matroid import Matroid, _integer
+from .matroid import Matroid, _integer, _mask_sets
 from .objective import ScenarioSet, StochasticObjective, child_seed
 from .risk import (_tail_index, auxiliary_scores, check_risk_level,
                    sorted_rows_cvar_var)
@@ -479,18 +479,18 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     ground set X ("total_over_ground_set") or every independent S
     ("exact_matroid_enumeration"). 1 - w and the clip are monotone, so the
     result is clip(1 - w) for w the least ratio over all (S, e, tau), and it
-    is exactly 1 once a ratio is <= 0, where the element loop stops. A ratio
-    that overflows to -inf gives 1 as well; with no ratio at all (every
-    element worthless) w is +inf and the result 0. Both
-    modes read G through one blocked path: total mode G(X), then G({e}) and
-    G(X - e) per element; exact mode the family's (sets x taus) G matrix,
-    filled in place, with the ratios in chunks. No other buffer exceeds
-    _BLOCK_FLOATS floats (512 KiB). Bit-identical to one set at a time.
-
-    Exact mode first reads each family row's min and max in one blocked
-    pass, and returns 1 without the G matrix when ``_saturated_pair`` proves
-    that the loop would return exactly 1; otherwise it takes the full path.
-    A DEBUG record of the ``cvargreedy`` logger says which.
+    is exactly 1 once a ratio is <= 0, where the reading stops: the least
+    ratio is the same number in any order, and any ratio <= 0, -inf from an
+    overflow included, clips to 1. With no ratio at all (every element
+    worthless) w is +inf and the result 0. A NaN met before the stop raises;
+    one past it is never read. Total mode reads G(X), then G({e}) and
+    G(X - e) element by element. Exact mode reads the feasible family once,
+    in its (size, lexicographic) order, one size at a time in blocks: it
+    fills each block's rows of the (sets x taus) G matrix and takes their
+    ratios at once, as S - e and {e} come earlier in that order. Rows past
+    the stop are never filled, and a DEBUG record of the ``cvargreedy``
+    logger says how many were read. No other buffer exceeds _BLOCK_FLOATS
+    floats (512 KiB). Bit-identical to one set at a time.
     """
     grid = _tau_array(taus)
     if method not in ("total_over_ground_set", "exact_matroid_enumeration"):
@@ -510,87 +510,49 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
         full = frozenset(elements)
         g_full = g_of([full])[0]
 
-        def ratios(e: int):  # the ratios of every S that holds e, in chunks
-            single = g_of([frozenset((e,))])[0]
-            if not _worthless(e, single):
-                yield (g_full - g_of([full - {e}])[0]) / single
+        def ratios():  # element by element, the ratio of X at every tau
+            for e in elements:
+                single = g_of([frozenset((e,))])[0]
+                if not _worthless(e, single):
+                    yield e, (g_full - g_of([full - {e}])[0]) / single
     else:
         # row i of g is family[i], with bitmask masks[i]; pos maps a bitmask to its row
-        family, masks = matroid.enumerate_feasible(), matroid.feasible_masks()
+        masks = matroid.feasible_masks()
+        family = _mask_sets(masks, len(elements))
         pos = np.full(1 << len(elements), -1)
         pos[masks] = np.arange(len(family))
-        certified = _saturated_pair(objective, scenarios, family, masks, pos, positive)
-        log.debug("exact curvature: %d feasible sets, %s", len(family),
-                  "certified 1 from a saturated pair" if certified
-                  else "scored from the full G matrix")
-        if certified:
-            return Curvature(1.0, method)
-        g = g_of(family)
-        step = max(1, _BLOCK_FLOATS // positive.size)
+        ends = np.cumsum(np.bincount(list(map(len, family)))).tolist()  # per size
+        g = np.empty((len(family), positive.size))  # rows are filled as they are read
+        read = 0
 
-        def ratios(e: int):
-            top = np.flatnonzero(masks & (1 << e))
-            if top.size == 0 or _worthless(e, g[pos[1 << e]]):
-                return  # e is in no independent set, or empirically worthless
-            single, rest = g[pos[1 << e]], pos[masks[top] ^ (1 << e)]
-            for lo in range(0, top.size, step):
-                yield (g[top[lo:lo + step]] - g[rest[lo:lo + step]]) / single
+        def ratios():  # block by block, the ratios of its sets for each element
+            nonlocal read
+            for lo, hi in zip([0] + ends, ends):
+                for start, block in _utility_blocks(objective, scenarios, family[lo:hi],
+                                                    positive.size):
+                    rows = np.arange(lo + start, lo + start + len(block))
+                    g[rows] = _sample_sums(block, positive, np.minimum)
+                    read += len(block)
+                    for e in elements:
+                        top = rows[masks[rows] & (1 << e) != 0]
+                        single = g[pos[1 << e]]
+                        if top.size and not _worthless(e, single):
+                            yield e, (g[top] - g[pos[masks[top] ^ (1 << e)]]) / single
 
     worst = np.inf
-    for e in elements:
-        for ratio in ratios(e):
-            low = ratio.min()
-            if np.isnan(low):
-                raise ValueError(f"a curvature ratio of element {e} is NaN: "
-                                 "the objective returned NaN utilities")
-            worst = min(worst, low)
+    for e, ratio in ratios():
+        low = ratio.min()
+        if np.isnan(low):
+            raise ValueError(f"a curvature ratio of element {e} is NaN: "
+                             "the objective returned NaN utilities")
+        worst = min(worst, low)
         if worst <= 0.0:
             break
+    if method == "exact_matroid_enumeration":
+        log.debug("exact curvature: read %d of %d feasible sets", read, len(family))
     # worst is +inf when every element is empirically worthless (no ratio)
     k = np.clip(1.0 - worst, 0.0, 1.0)
     return Curvature(float(k), method)
-
-
-def _saturated_pair(objective: StochasticObjective, scenarios: ScenarioSet,
-                    family: list[frozenset[int]], masks: np.ndarray, pos: np.ndarray,
-                    positive: np.ndarray) -> bool:
-    """True if a pair of saturated sets makes the exact curvature exactly 1.
-
-    ``masks`` and ``pos`` are the bitmask of each family set and the row of
-    each bitmask (-1 outside the family). One blocked pass keeps each
-    family row's min and max. The pair is T and T + e in the family whose
-    utilities are all >= tau1, the smallest positive tau, with a row of {e}
-    that is not all 0. At tau1 every term min(u, tau1) of both rows is
-    tau1, and ``_sample_sums`` adds every row in one order, so
-    G_tau1(T + e) == G_tau1(T) bit for bit and the ratio of (T + e, e) at
-    tau1 is exactly 0, while G_tau1({e}) is at least its largest term, > 0.
-
-    The element loop of ``auxiliary_curvature`` then returns exactly 1
-    unless a ratio is NaN; a ratio that overflows to -inf clips to 1 too.
-    No ratio is NaN when every utility is finite and >= 0 and fl(2 n T) is
-    finite, for n samples and T the largest tau: a sum of n terms in [0, T]
-    stays below 2 n T, so every G and every difference of two is finite,
-    and each ratio divides one by a G({e}) > 0 (a row of {e} that is not
-    all 0 has a positive term at every positive tau; the loop skips every
-    other element as worthless). Otherwise this returns False, and the
-    caller takes the full path, NaN errors included.
-    """
-    low, high = np.empty(len(family)), np.empty(len(family))
-    for start, block in _utility_blocks(objective, scenarios, family, 1):
-        low[start:start + len(block)] = block.min(axis=1)
-        high[start:start + len(block)] = block.max(axis=1)
-    if not (np.isfinite(high).all() and low.min() >= 0.0  # a NaN fails both
-            and math.isfinite(2.0 * len(scenarios) * positive[-1])):
-        return False
-    tau1 = positive[0]
-    singles = pos[1 << np.arange(len(pos).bit_length() - 1)]  # row of {e}, or -1
-    saturated = masks[low >= tau1]
-    for e, single in enumerate(singles.tolist()):
-        if single >= 0 and high[single] > 0.0:
-            holders = saturated[saturated & (1 << e) != 0]
-            if (low[pos[holders ^ (1 << e)]] >= tau1).any():
-                return True
-    return False
 
 
 def _worthless(e: int, single: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Matroid axioms, oracle behavior and serialization."""
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -107,6 +108,15 @@ def test_sizes_and_capacities_must_be_integers(build, message):
             build(bad)
     built = build(2.0)  # an integral float is read as its int
     assert repr(built) == repr(build(2))  # 2, not 2.0
+
+
+def test_partition_block_entries_must_be_integers():
+    # True hashes as 1 and would be written to JSON as true, which
+    # matroid_from_json rejects; an integral float is read as its int
+    for bad in (True, 1.7, "1"):
+        with pytest.raises(ValueError, match=r"matroid blocks\[0\] entry must be an integer"):
+            partition(2, [{bad}, {0}], [1, 1])
+    assert partition(2, [{1.0}, {0}], [1, 1]) == partition(2, [{1}, {0}], [1, 1])
 
 
 def test_partition_validation():
@@ -283,6 +293,14 @@ def test_json_round_trip_partition():
     data = matroid_to_json(m)
     assert data["matroid"]["type"] == "partition"
     assert matroid_from_json(data) == m
+
+
+def test_json_round_trip_partition_with_numpy_ids():
+    # numpy ids are read as ints, so the description is plain JSON
+    m = partition(4, [{np.int64(0), 3}, {np.int32(1), np.uint8(2)}], [1, 2])
+    assert {*map(type, m.blocks[0] | m.blocks[1])} == {int}
+    text = json.dumps(matroid_to_json(m))
+    assert matroid_from_json(json.loads(text)) == m == partition(4, [{0, 3}, {1, 2}], [1, 2])
 
 
 def test_json_unknown_type():

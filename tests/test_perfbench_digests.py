@@ -3,7 +3,7 @@ and passes the workload's own output checks, so a change that moves any bit
 of the CLI data sections or of the bound audit fails here, in seconds, and
 not only in a full benchmark run. The audit replays four seeds: each draws
 its own scenario batches, so together they exercise the pruned brute force
-and the curvature certificate on 336 cases."""
+and the early stop of the exact curvature on 336 cases."""
 from __future__ import annotations
 
 import sys

@@ -685,89 +685,88 @@ def test_brute_force_names_the_earliest_nan_set_after_the_cvar_optimum(budget):
             brute_force_opt(obj, matroid, sc, 0.3, taus)
 
 
-def _certified(records) -> bool:
-    """Whether exact curvature's DEBUG record says the certificate settled it."""
-    message = _debug_record(records, "exact curvature")
-    assert message.endswith(("certified 1 from a saturated pair",
-                             "scored from the full G matrix"))
-    return "certified" in message
+def _rows_read(records) -> tuple[int, int]:
+    """(family rows read, feasible sets) of exact curvature's DEBUG record."""
+    read, family = map(int, re.findall(r"\d+", _debug_record(records, "exact curvature")))
+    return read, family
 
 
-def test_certified_curvature_skips_the_g_matrix(caplog):
-    # 6 of these 8 audit-like instances have a saturated pair; the other 2
-    # are below 1 and take the full path. A certified one never clips G.
-    terms, sample_sums, settled = [], sga._sample_sums, []
+def _exact_curvature(obj, sc, taus, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
+        ours = auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                   method="exact_matroid_enumeration")
+    return ours, _rows_read(caplog.records)
 
-    def record(block, taus, term):
-        terms.append(term)
-        return sample_sums(block, taus, term)
 
+def test_exact_curvature_stops_at_the_first_ratio_at_most_zero(caplog):
+    # 6 of these 8 audit-like instances have curvature 1 and stop reading
+    # the family early; the other 2 are below 1 and read all of it. Each
+    # call builds the family's bitmasks once.
+    masks, calls = sga.Matroid.feasible_masks, []
+
+    def count_masks(self):
+        calls.append(self)
+        return masks(self)
+
+    stopped = []
     for seed in range(8):
         obj = random_instance(seed, size=6 + seed % 4)
         sc = obj.sample_scenarios(60, seed)
         taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 8,
                          samples=60).tau_grid()
-        caplog.clear()
-        terms.clear()
-        with mock.patch.object(sga, "_sample_sums", record), \
-                caplog.at_level(logging.DEBUG, logger="cvargreedy"):
-            ours = auxiliary_curvature(obj, obj.matroid, sc, taus,
-                                       method="exact_matroid_enumeration")
+        calls.clear()
+        with mock.patch.object(sga.Matroid, "feasible_masks", count_masks):
+            ours, (read, family) = _exact_curvature(obj, sc, taus, caplog)
+        assert calls == [obj.matroid]
         assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
                                                      method=ours.method)
-        settled.append(_certified(caplog.records))
-        assert (np.minimum not in terms) == settled[-1]
-        assert settled[-1] == (ours.value == 1.0)
-    assert settled.count(True) == 6
+        assert family == len(obj.matroid.enumerate_feasible())
+        stopped.append(read < family)
+        assert stopped[-1] == (ours.value == 1.0)
+    assert stopped.count(True) == 6
 
 
-def _curvature_and_path(obj, sc, taus, caplog):
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
-        ours = auxiliary_curvature(obj, obj.matroid, sc, taus,
-                                   method="exact_matroid_enumeration")
-    return ours, _certified(caplog.records)
-
-
-def test_curvature_certificate_falls_back_on_negative_utilities(caplog):
+def test_exact_curvature_matches_reference_on_negative_utilities(caplog):
     obj = random_instance(1, size=7)
     sc = obj.sample_scenarios(60, 1)
     taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 8,
                      samples=60).tau_grid()
-    assert _curvature_and_path(obj, sc, taus, caplog) == (
-        Curvature(1.0, "exact_matroid_enumeration"), True)
+    assert _exact_curvature(obj, sc, taus, caplog)[0] == Curvature(
+        1.0, "exact_matroid_enumeration")
     shifted = Offset(obj, -0.05)
     assert shifted.set_utilities(obj.matroid.enumerate_feasible(), sc).min() < 0
-    ours, certified = _curvature_and_path(shifted, sc, taus, caplog)
-    assert not certified
+    ours, _ = _exact_curvature(shifted, sc, taus, caplog)
     assert ours == reference_auxiliary_curvature(shifted, obj.matroid, sc, taus,
                                                  method=ours.method)
 
 
-def test_curvature_certificate_falls_back_on_nan_utilities(caplog):
-    # element 0's ratios come first, so the full path meets the NaN of
-    # {0, 1} before any ratio <= 0 and must still raise
+def test_exact_curvature_raises_on_a_nan_before_the_stop(caplog):
+    # the 99 sets of size <= 4 are read by size; the first ratio <= 0 is
+    # among the 35 of size 3, so the read stops after 64 rows. The NaN of
+    # {0, 1} comes before it, first among element 0's ratios, and raises;
+    # the NaN of {3, 4, 5, 6}, the last set, lies past the stop and is never
+    # read.
     base = random_instance(1, size=7)
-    obj = NanInSet(base, base.matroid, {0, 1})
     sc = base.sample_scenarios(60, 1)
     taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 8,
                      samples=60).tau_grid()
-    assert _curvature_and_path(ClonedObjective(base, base.matroid), sc, taus,
-                               caplog)[1]
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="cvargreedy"), \
-            pytest.raises(ValueError, match="ratio of element 0 is NaN"):
-        auxiliary_curvature(obj, obj.matroid, sc, taus,
+    clean = _exact_curvature(ClonedObjective(base, base.matroid), sc, taus, caplog)
+    assert clean == (Curvature(1.0, "exact_matroid_enumeration"), (64, 99))
+    with pytest.raises(ValueError, match="ratio of element 0 is NaN"):
+        auxiliary_curvature(NanInSet(base, base.matroid, {0, 1}), base.matroid, sc, taus,
                             method="exact_matroid_enumeration")
-    assert not _certified(caplog.records)
+    past = NanInSet(base, base.matroid, {3, 4, 5, 6})
+    assert np.isnan(past.utilities(frozenset({3, 4, 5, 6}), sc)).any()
+    assert _exact_curvature(past, sc, taus, caplog) == clean
 
 
-def test_curvature_certificate_falls_back_below_one(caplog):
+def test_exact_curvature_below_one_reads_the_whole_family(caplog):
     obj = random_instance(4, size=6, matroid_kind="uniform")
     sc = obj.sample_scenarios(5, 11)
     taus = list(np.linspace(0.7, 1.0, 17) * obj.gamma_hint)
-    ours, certified = _curvature_and_path(obj, sc, taus, caplog)
-    assert ours.value < 1.0 and not certified
+    ours, (read, family) = _exact_curvature(obj, sc, taus, caplog)
+    assert ours.value < 1.0 and read == family
     assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
                                                  method=ours.method)
 
@@ -788,22 +787,20 @@ class Table(StochasticObjective):
 
 def test_curvature_is_one_when_a_ratio_overflows(caplog):
     # G({0}) is subnormal and G({0, 1}) < G({1}), so element 0's ratio at
-    # {0, 1} is -inf, which clips to curvature 1. At taus 1 and 2, {1} and
-    # {1, 2} saturate tau1 = 1 and certify it; at tau 3, above every
-    # utility, nothing saturates and the full path meets the -inf. Total
-    # mode meets it at X = {0, 1, 2}, as G(X) < G({1, 2}).
+    # {0, 1} is -inf, which clips to curvature 1. Exact mode meets it in the
+    # first block of pairs, at every grid; total mode meets it at
+    # X = {0, 1, 2}, as G(X) < G({1, 2}).
     matroid = UniformMatroid(GroundSet(3), 2)
     obj = Table({(): 0, (0,): 1e-310, (1,): 2, (2,): 2, (0, 1): 0.5, (0, 2): 2,
                  (1, 2): 2, (0, 1, 2): 0.5}, matroid)
     sc = obj.sample_scenarios(4, 0)
-    for taus, certify in (([0.0, 1.0, 2.0], True), ([0.0, 3.0], False)):
+    for taus in ([0.0, 1.0, 2.0], [0.0, 3.0]):
         with np.errstate(over="ignore"):
-            ours, certified = _curvature_and_path(obj, sc, taus, caplog)
+            ours, _ = _exact_curvature(obj, sc, taus, caplog)
             ref = reference_auxiliary_curvature(obj, matroid, sc, taus,
                                                 method=ours.method)
             total = auxiliary_curvature(obj, matroid, sc, taus)
             total_ref = reference_auxiliary_curvature(obj, matroid, sc, taus)
-        assert certified == certify
         assert ours == ref == Curvature(1.0, "exact_matroid_enumeration")
         assert total == total_ref == Curvature(1.0, "total_over_ground_set")
 
@@ -887,10 +884,11 @@ def test_family_scored_with_one_objective_call_per_block():
     # brute force reads the family in blocks of budget // samples sets for
     # its cvar pass and then only the survivors in blocks of
     # budget // max(samples, taus) for the grid; exact curvature reads the
-    # family in blocks of budget // samples for its certificate and, where
-    # that fails, again in blocks of budget // max(samples, taus) for the G
-    # matrix. Total curvature reads G(X), G({e}) and G(X - e) one set each
-    # (it stops after element 0 at 6 samples and visits all 7 at 30).
+    # family one size at a time, in blocks of budget // max(samples,
+    # positive taus), up to the block of its first ratio <= 0 (at 6 samples;
+    # at 30 the curvature is below 1 and every block is read). Total
+    # curvature reads G(X), G({e}) and G(X - e) one set each (it stops
+    # after element 0 at 6 samples and visits all 7 at 30).
     obj = random_instance(18, size=7, matroid_kind="uniform")
     family = obj.matroid.enumerate_feasible()
     full = frozenset(range(7))
@@ -909,7 +907,11 @@ def test_family_scored_with_one_objective_call_per_block():
     def layout(rows):
         return [family[i:i + rows] for i in range(0, len(family), rows)]
 
-    for samples, budget, scan_rows, grid_rows, certified in (
+    def by_size(rows):
+        sizes = [[s for s in family if len(s) == r] for r in range(8)]
+        return [b[i:i + rows] for b in sizes for i in range(0, len(b), rows)]
+
+    for samples, budget, scan_rows, grid_rows, stops in (
             (6, 70, 11, 10, True),     # 7 and 6 taus outnumber the samples
             (30, 300, 10, 10, False)):  # the samples outnumber the taus
         sc = obj.sample_scenarios(samples, 5)
@@ -933,7 +935,9 @@ def test_family_scored_with_one_objective_call_per_block():
         scored = [s for b in scored for s in b]
         assert scored == [s for s in family if s in scored]
         assert 0 < len(scored) < len(family)
-        assert found["exact"] == scan + ([] if certified else layout(grid_rows))
+        read = by_size(scan_rows)  # budget // max(samples, 6)
+        assert found["exact"] == read[:len(found["exact"])]
+        assert (len(found["exact"]) < len(read)) == stops
         assert blocks[0] == [full] and len(blocks) % 2 == 1
         assert blocks[1:] == [b for e in range(len(blocks) // 2)
                               for b in ([frozenset({e})], [full - {e}])]
@@ -942,7 +946,7 @@ def test_family_scored_with_one_objective_call_per_block():
         assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
         assert exact == reference_auxiliary_curvature(
             obj, obj.matroid, sc, taus, method="exact_matroid_enumeration")
-        assert (exact.value == 1.0) == certified
+        assert (exact.value == 1.0) == stops
         assert total == reference_auxiliary_curvature(obj, obj.matroid, sc, taus)
     assert total_reads == [3, 15]
 
