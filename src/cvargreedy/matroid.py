@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,7 +24,11 @@ class EnumerationCapError(ValueError):
 def _integer(value, name: str) -> int:
     """An integral number as an int; otherwise a ValueError naming ``name``.
 
-    ``int()`` would truncate 0.5 to 0 and 2.7 to 2, and accepts ``True``."""
+    ``int()`` would truncate 0.5 to 0 and 2.7 to 2, and accepts ``True``.
+    A plain int is returned before the other tests: partition blocks send
+    every entry through here."""
+    if type(value) is int:
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -142,7 +146,8 @@ class Matroid:
 
     def enumerate_feasible(self) -> list[frozenset[int]]:
         """``feasible_masks`` as frozensets, empty set first."""
-        return _mask_sets(self.feasible_masks(), self.ground.size)
+        return [s for size in _mask_sets(self.feasible_masks(), self.ground.size)
+                for s in size]
 
     def fragment(self) -> dict:
         """JSON-serializable description of the independence rule."""
@@ -181,11 +186,8 @@ class PartitionMatroid(Matroid):
     _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # plain-int blocks pass without a per-entry check, as in check_subset;
-        # a block is read once into a tuple, so any iterable will do
-        blocks = tuple(frozenset(b) if {*map(type, b)} <= {int} else
-                       frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
-                       for i, b in enumerate(map(tuple, self.blocks)))
+        blocks = tuple(frozenset(_integer(e, f"matroid blocks[{i}] entry") for e in b)
+                       for i, b in enumerate(self.blocks))
         capacities = tuple(_integer(c, f"matroid capacities[{i}]")
                            for i, c in enumerate(self.capacities))
         object.__setattr__(self, "blocks", blocks)
@@ -219,17 +221,17 @@ class PartitionMatroid(Matroid):
         }
 
 
-def _mask_sets(masks: np.ndarray, n: int) -> list[frozenset[int]]:
-    """Int64 bitmasks over n elements, sorted by size, as frozensets, read per size."""
+def _mask_sets(masks: np.ndarray, n: int) -> Iterator[list[frozenset[int]]]:
+    """Int64 bitmasks over n elements, sorted by size, as frozensets: one list per size.
+
+    Lazy, so a reader that stops early never builds the larger sets."""
     bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=n,
                          bitorder="little")
-    sets: list[frozenset[int]] = []
     start = 0
     for r, rows in enumerate(np.bincount(bits.sum(axis=1)).tolist()):
         ids = np.nonzero(bits[start:start + rows])[1].reshape(rows, r)
-        sets += map(frozenset, map(np.ndarray.tolist, ids))
+        yield list(map(frozenset, map(np.ndarray.tolist, ids)))
         start += rows
-    return sets
 
 
 def matroid_to_json(matroid: Matroid) -> dict:

@@ -487,7 +487,9 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     G(X - e) element by element. Exact mode reads the feasible family once,
     in its (size, lexicographic) order, one size at a time in blocks: it
     fills each block's rows of the (sets x taus) G matrix and takes their
-    ratios at once, as S - e and {e} come earlier in that order. Rows past
+    ratios at once, as S - e and {e} come earlier in that order. A block
+    never spans two sizes, so a stop at size r calls the objective on no
+    larger set, even when the whole family would fit one block. Rows past
     the stop are never filled, and a DEBUG record of the ``cvargreedy``
     logger says how many were read. No other buffer exceeds _BLOCK_FLOATS
     floats (512 KiB). Bit-identical to one set at a time.
@@ -516,21 +518,18 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
                 if not _worthless(e, single):
                     yield e, (g_full - g_of([full - {e}])[0]) / single
     else:
-        # row i of g is family[i], with bitmask masks[i]; pos maps a bitmask to its row
+        # row i of g is the set with bitmask masks[i]; pos maps a bitmask to its row
         masks = matroid.feasible_masks()
-        family = _mask_sets(masks, len(elements))
         pos = np.full(1 << len(elements), -1)
-        pos[masks] = np.arange(len(family))
-        ends = np.cumsum(np.bincount(list(map(len, family)))).tolist()  # per size
-        g = np.empty((len(family), positive.size))  # rows are filled as they are read
+        pos[masks] = np.arange(len(masks))
+        g = np.empty((len(masks), positive.size))  # rows are filled as they are read
         read = 0
 
         def ratios():  # block by block, the ratios of its sets for each element
             nonlocal read
-            for lo, hi in zip([0] + ends, ends):
-                for start, block in _utility_blocks(objective, scenarios, family[lo:hi],
-                                                    positive.size):
-                    rows = np.arange(lo + start, lo + start + len(block))
+            for size in _mask_sets(masks, len(elements)):
+                for _, block in _utility_blocks(objective, scenarios, size, positive.size):
+                    rows = np.arange(read, read + len(block))
                     g[rows] = _sample_sums(block, positive, np.minimum)
                     read += len(block)
                     for e in elements:
@@ -549,7 +548,7 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
         if worst <= 0.0:
             break
     if method == "exact_matroid_enumeration":
-        log.debug("exact curvature: read %d of %d feasible sets", read, len(family))
+        log.debug("exact curvature: read %d of %d feasible sets", read, len(masks))
     # worst is +inf when every element is empirically worthless (no ratio)
     k = np.clip(1.0 - worst, 0.0, 1.0)
     return Curvature(float(k), method)
