@@ -19,14 +19,20 @@ GroupScores = Callable[[np.ndarray, frozenset, list], np.ndarray]
 
 @dataclass
 class GreedyTrace:
-    """Pick order with value gains, plus the number of oracle evaluations."""
+    """Pick order with value gains, plus the number of oracle evaluations.
+
+    ``settled`` counts the steps settled from their group's first candidate
+    (see ``greedy_sweep``), and ``skipped`` the evaluations of those steps
+    whose value was never computed."""
 
     picks: list[tuple[int, float]] = field(default_factory=list)
     evaluations: int = 0
+    settled: int = 0
+    skipped: int = 0
 
 
-def greedy_sweep(score: GroupScores, matroid: Matroid,
-                 initial) -> tuple[list[frozenset[int]], np.ndarray, list[GreedyTrace]]:
+def greedy_sweep(score: GroupScores, matroid: Matroid, initial,
+                 bounds=None) -> tuple[list[frozenset[int]], np.ndarray, list[GreedyTrace]]:
     """The one greedy loop, run for ``len(initial)`` set functions at once.
 
     ``initial[i]`` is the value of function i at the empty set.
@@ -34,14 +40,33 @@ def greedy_sweep(score: GroupScores, matroid: Matroid,
     table: entry [r, j] is the value of function ``members[j]`` at
     ``current | {candidates[r]}``. Each step groups the unfinished functions
     by their current set S, asks the matroid for the extensions of S once
-    per group and scores them all with one ``score`` call, candidates in
-    ascending id order. Per function this makes the same picks as a greedy
-    of its own (ties go to the smallest element id); its trace counts the
-    empty set and every candidate. A step whose candidates all score NaN
-    (or -inf) for some function raises ``ValueError``. Returns the sets,
-    values and traces.
+    per group and scores them, candidates in ascending id order. Per
+    function this makes the same picks as a greedy of its own (ties go to
+    the smallest element id); its trace counts the empty set and every
+    candidate. A step whose candidates all score NaN (or -inf) for some
+    function raises ``ValueError``. Returns the sets, values and traces.
+
+    Without ``bounds`` a group's candidates are scored with one ``score``
+    call. ``bounds[i]``, if given, is an upper bound on every value of
+    function i. A group of several candidates whose functions all sit at
+    their bounds is settled from its first candidate: that one is scored
+    alone, and if it reaches every member's bound it is a column maximum
+    with the smallest id, so it is every member's pick, with gain 0. The
+    other candidates are never scored; they still count in
+    ``evaluations``, and ``skipped`` counts them. Otherwise one more call
+    scores them, and the step picks from the two tables stacked. That is
+    the pick of one call as long as each table holds the exact value
+    wherever that can be its column's maximum and less than that maximum
+    elsewhere, as exact values and ``sga._group_scores`` do.
+
+    For H(S, tau) = tau - q, tau is such a bound: q, a sum of hinge terms
+    max(tau - u, 0) >= 0 divided by alpha*n > 0, rounds to a float >= 0 or
+    NaN, and tau - q <= tau rounds to a float <= tau, as rounding is
+    monotone and tau is a float. A NaN never equals its bound.
     """
     values = np.array(initial, dtype=float)
+    if bounds is not None:
+        bounds = np.asarray(bounds, dtype=float)
     count = values.size
     selected: list[frozenset[int]] = [frozenset()] * count
     traces = [GreedyTrace(evaluations=1) for _ in range(count)]
@@ -55,7 +80,13 @@ def greedy_sweep(score: GroupScores, matroid: Matroid,
             candidates = sorted(matroid.extension_candidates(current))
             if not candidates:
                 continue
-            table = np.asarray(score(np.array(members), current, candidates), dtype=float)
+            at = np.array(members)
+            settle = (bounds is not None and len(candidates) > 1
+                      and all(values[i] == bounds[i] for i in members))
+            table = np.asarray(score(at, current, candidates[:1] if settle else candidates),
+                               dtype=float)
+            if settle and not (table[0] == bounds[at]).all():
+                table = np.vstack([table, score(at, current, candidates[1:])])
             # NaN never wins, and argmax keeps the first (smallest id) maximum
             ranked = np.where(np.isnan(table), -np.inf, table)
             best = ranked.argmax(axis=0)
@@ -69,6 +100,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid,
                 e = candidates[best[j]]
                 traces[i].picks.append((e, float(value - values[i])))
                 traces[i].evaluations += len(candidates)
+                traces[i].settled += len(table) < len(candidates)
+                traces[i].skipped += len(candidates) - len(table)
                 selected[i] = current | {e}
                 values[i] = value
             active.extend(members)

@@ -154,12 +154,16 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     greedy the picks and values of the exact H table. The empty set is
     scored as a group of one row: its ranked values at k = 0 are exact, and
     every other pair is rescored. A point's evaluations add the final
-    recomputation of H(selected). The pairs seen, the pairs scored exactly
-    and the groups below the size rule go to the ``cvargreedy`` logger at
-    DEBUG."""
+    recomputation of H(selected). H(S, tau) <= tau, so ``greedy_sweep``
+    settles a group whose points all sit at their tau from its first
+    candidate, computing one row. One DEBUG record of the ``cvargreedy``
+    logger gives the pairs scored, those scored exactly and those skipped
+    (every candidate of every step at every point is one of the two), the
+    groups below the size rule, the candidate rows computed and the picks
+    settled from their group's first candidate, one per point and step."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
-    counts = {"pairs": 0, "exact": 0, "small": 0}
+    counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0}
 
     def score(members: np.ndarray, current: frozenset, candidates: list) -> np.ndarray:
         rows = objective.extension_utilities(current, candidates, scenarios)
@@ -167,14 +171,17 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
         counts["pairs"] += table.size
         counts["exact"] += int(np.count_nonzero(exact))
         counts["small"] += members.size * rows.shape[1] < _SCREEN_MIN_FLOATS
+        counts["rows"] += len(rows)
         return table
 
     empty = objective.utilities(frozenset(), scenarios)[None]
     initial = _group_scores(empty, taus, alphas)[0][0]
-    selected, values, traces = greedy_sweep(score, matroid, initial)
-    log.debug("scored %d (candidate, tau) pairs, %d of them exactly; "
-              "%d groups below the size rule",
-              counts["pairs"], counts["exact"], counts["small"])
+    selected, values, traces = greedy_sweep(score, matroid, initial, taus)
+    log.debug("scored %d (candidate, tau) pairs, %d of them exactly, and "
+              "skipped %d; %d groups below the size rule; computed %d candidate "
+              "rows; settled %d (point, step) picks on their group's first candidate",
+              counts["pairs"], counts["exact"], sum(t.skipped for t in traces),
+              counts["small"], counts["rows"], sum(t.settled for t in traces))
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
                        evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cvargreedy import (Curvature, EnumerationCapError, GroundSet,
                         PartitionMatroid, UniformMatroid, greedy_maximize)
+from cvargreedy.greedy import greedy_sweep
 from cvargreedy.synthetic import random_instance, random_matroid
 from conftest import (UndefinedCurvatureError, brute_force_max,
                       matroid_curvature, plain_greedy, total_curvature)
@@ -175,6 +176,61 @@ def test_all_nan_scores_rejected():
     with pytest.raises(ValueError, match=r"greedy step from \[2\]: .*\[nan, nan\]"):
         greedy_maximize(lambda s: 1.0 if len(s) < 2 and s <= {2} else float("nan"),
                         matroid)
+
+
+# ------------------------------------------------ settling at the bounds
+
+def one_step_sweep(table, bounds):
+    """greedy_sweep of len(bounds) functions over one pick among len(table)
+    elements, each function at its bound on the empty set; entry [e, i] is
+    function i at {e}. Returns the sweep and the candidate lists scored."""
+    table = np.array(table, dtype=float)
+    scored = []
+
+    def score(members, current, candidates):
+        scored.append(list(candidates))
+        return table[np.ix_(candidates, members)]
+
+    matroid = UniformMatroid(GroundSet(len(table)), 1)
+    return greedy_sweep(score, matroid, bounds, bounds), scored
+
+
+def assert_same_as_without_bounds(sweep, table, bounds):
+    table = np.array(table, dtype=float)
+    plain = greedy_sweep(lambda members, _, candidates: table[np.ix_(candidates, members)],
+                         UniformMatroid(GroundSet(len(table)), 1), bounds)
+    assert sweep[0] == plain[0]
+    assert np.array_equal(sweep[1], plain[1])
+    for ours, theirs in zip(sweep[2], plain[2]):
+        assert (ours.picks, ours.evaluations) == (theirs.picks, theirs.evaluations)
+
+
+def test_settled_group_scores_its_first_candidate_alone():
+    # a NaN among the skipped candidates is never scored, so it changes nothing
+    nan = float("nan")
+    table = [[1.0, 2.0], [nan, nan], [1.0, 2.0]]
+    sweep, scored = one_step_sweep(table, [1.0, 2.0])
+    assert scored == [[0]]
+    assert [t.picks for t in sweep[2]] == [[(0, 0.0)], [(0, 0.0)]]
+    assert [(t.evaluations, t.settled, t.skipped) for t in sweep[2]] == [(4, 1, 2)] * 2
+    assert_same_as_without_bounds(sweep, table, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("first", [0.5, float("nan"), -float("inf")])
+def test_settle_falls_back_when_the_first_candidate_falls_short(first):
+    # function 1's bound is reached first by element 2, function 0's by 0
+    table = [[1.0, first], [0.9, 1.5], [1.0, 2.0]]
+    sweep, scored = one_step_sweep(table, [1.0, 2.0])
+    assert scored == [[0], [1, 2]]
+    assert [t.picks for t in sweep[2]] == [[(0, 0.0)], [(2, 0.0)]]
+    assert [(t.settled, t.skipped) for t in sweep[2]] == [(0, 0)] * 2
+    assert_same_as_without_bounds(sweep, table, [1.0, 2.0])
+
+
+def test_settle_raises_when_every_candidate_is_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"greedy step from \[\]: .*\[0, 1\] .*\[nan, nan\]"):
+        one_step_sweep([[nan], [nan]], [1.0])
 
 
 # -------------------------------------------------------------- curvature

@@ -233,8 +233,9 @@ def test_sensor_solve_scores_candidates_in_one_call(monkeypatch):
     monkeypatch.setattr(SensorCoverage, "extension_utilities", count_extensions)
     result = run_sga(obj, obj.matroid, cfg)
     # utilities sees only the empty set at the start of the sweep; every
-    # candidate goes through the hook, all of a group's in one call (the
-    # first step is one group of every point with all 12 sites)
+    # candidate computed goes through the hook, all of a group's in one call
+    # (the first step is one group of every point with all 12 sites), and a
+    # saturated group computes its first candidate alone
     assert evaluated == [frozenset()]
     assert batched[0] == 12
     assert sum(batched) <= sum(p.evaluations - 2 for p in result.sweep)
@@ -421,9 +422,9 @@ def test_empty_set_is_scored_as_a_group(samples, grid):
               for tau in np.linspace(0.0, obj.gamma_hint, grid).tolist()]
     seen, sweep = [], sga.greedy_sweep
 
-    def record(score, matroid, initial):
+    def record(score, matroid, initial, bounds):
         seen.append(initial)
-        return sweep(score, matroid, initial)
+        return sweep(score, matroid, initial, bounds)
 
     with mock.patch.object(sga, "greedy_sweep", record):
         ours = sga._solve(obj, obj.matroid, sc, points)
@@ -450,25 +451,112 @@ def test_screen_leaves_non_finite_rows_to_the_exact_kernel():
                     == reference_solve(obj, matroid, sc, points))
 
 
-def test_solve_logs_screened_and_rescored_pairs(caplog, capsys):
+def test_solve_logs_screened_and_rescored_pairs(caplog, capsys, monkeypatch):
     obj = VehicleAssignment.generate(5, 3, seed=2)
     cfg = SgaConfig(alpha=0.2, gamma=obj.gamma_hint, delta=obj.gamma_hint / 30,
                     samples=500, seed=1)
+    rows = []
+    extension_utilities = VehicleAssignment.extension_utilities
+
+    def count_rows(self, subset, candidates, scenarios):
+        rows.append(len(candidates))
+        return extension_utilities(self, subset, candidates, scenarios)
+
+    monkeypatch.setattr(VehicleAssignment, "extension_utilities", count_rows)
     with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
         result = run_sga(obj, obj.matroid, cfg)
+    monkeypatch.undo()
     assert result == reference_run_sga(obj, obj.matroid, cfg)
     [record] = caplog.records
     assert (record.name, record.levelname) == ("cvargreedy", "DEBUG")
-    pairs, exact, small = map(int, re.findall(r"\d+", record.getMessage()))
-    # every candidate of every step at every point is one pair; the first
-    # group holds all 31 points (31 x 500 floats, above the size rule) and
-    # screens most of its pairs out; groups of fewer than 20 points stay
-    # below the rule and are scored exactly
-    assert pairs == sum(p.evaluations - 2 for p in result.sweep)
+    pairs, exact, skipped, small, computed, settled = map(
+        int, re.findall(r"\d+", record.getMessage()))
+    # every candidate of every step at every point is a pair scored or
+    # skipped; the first group holds all 31 points (31 x 500 floats, above
+    # the size rule) and screens most of its pairs out; groups of fewer than
+    # 20 points stay below the rule and are scored exactly
+    assert pairs + skipped == sum(p.evaluations - 2 for p in result.sweep)
     assert pairs >= 31 * obj.ground.size
     assert 0 < exact < pairs
     assert small > 0
+    # the low taus saturate: their groups compute one row, and each settled
+    # pick skips at least one candidate
+    assert computed == sum(rows)
+    assert 0 < settled <= skipped
     assert capsys.readouterr().out == ""
+
+
+def test_saturated_group_computes_only_its_first_candidate(monkeypatch):
+    # at tau = 0 every set of nonnegative utilities has H = 0 = tau, so each
+    # step of the sweep is one saturated group, settled from one row
+    obj = VehicleAssignment.generate(4, 3, seed=5)
+    sc = obj.sample_scenarios(200, 3)
+    points = [(0.1, 0.0), (0.5, 0.0)]
+    calls = []
+    extension_utilities = VehicleAssignment.extension_utilities
+
+    def record(self, subset, candidates, scenarios):
+        calls.append((subset, list(candidates)))
+        return extension_utilities(self, subset, candidates, scenarios)
+
+    monkeypatch.setattr(VehicleAssignment, "extension_utilities", record)
+    ours = sga._solve(obj, obj.matroid, sc, points)
+    monkeypatch.undo()
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+    assert len(calls) == len(ours[0].selected) > 1
+    for subset, candidates in calls:
+        assert candidates == [min(obj.matroid.extension_candidates(subset))]
+
+
+def test_saturated_group_falls_back_when_its_first_candidate_falls_short(monkeypatch):
+    # a negative weight makes the objective non-monotone: at tau = 0 the
+    # empty set sits at H = 0, element 0 drops below it and element 1 reaches it
+    obj = ModularDeterministic([-1.0, 2.0, 0.0, 3.0], UniformMatroid(GroundSet(4), 2))
+    sc = obj.sample_scenarios(5, 0)
+    points = [(0.5, 0.0)]
+    calls = []
+    extension_utilities = ModularDeterministic.extension_utilities
+
+    def record(self, subset, candidates, scenarios):
+        calls.append((subset, list(candidates)))
+        return extension_utilities(self, subset, candidates, scenarios)
+
+    monkeypatch.setattr(ModularDeterministic, "extension_utilities", record)
+    ours = sga._solve(obj, obj.matroid, sc, points)
+    monkeypatch.undo()
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+    assert ours[0].selected == {0, 1}
+    assert calls == [(frozenset(), [0]), (frozenset(), [1, 2, 3]), (frozenset({1}), [0])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["vehicle", "sensor", "coverage"]),
+       alphas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0]), min_size=1,
+                       max_size=4, unique=True),
+       steps=st.integers(20, 120), samples=st.sampled_from([1, 7, 60, 200]))
+def test_fine_grid_sweep_matches_the_references(seed, family, alphas, steps, samples):
+    # a fine grid holds many low taus, which saturate and settle early
+    rng = np.random.default_rng(seed)
+    if family == "vehicle":
+        obj = VehicleAssignment.generate(int(rng.integers(1, 5)),
+                                         int(rng.integers(1, 4)), seed=seed)
+    elif family == "sensor":
+        sites = int(rng.integers(2, 9))
+        obj = random_sensor(seed, sites, int(rng.integers(1, 30)),
+                            select=int(rng.integers(1, sites + 1)))
+    else:
+        obj = random_instance(seed, size=int(rng.integers(2, 8)), matroid_kind="mixed")
+    cfg = SgaConfig(alpha=alphas[0], gamma=obj.gamma_hint,
+                    delta=obj.gamma_hint / steps, samples=samples, seed=seed)
+    sc = obj.sample_scenarios(samples, seed)
+    points = [(alpha, tau) for alpha in alphas for tau in cfg.tau_grid()]
+    assert sga._solve(obj, obj.matroid, sc, points) == reference_solve(
+        obj, obj.matroid, sc, points)
+    for alpha in alphas:
+        at_alpha = dataclasses.replace(cfg, alpha=alpha)
+        assert run_sga(obj, obj.matroid, at_alpha) == reference_run_sga(
+            obj, obj.matroid, at_alpha)
 
 
 def test_explicit_scenarios_size_checked():
