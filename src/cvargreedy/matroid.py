@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -67,27 +66,34 @@ class GroundSet:
             return str(element)
         return self.labels[element]
 
-    @cached_property
-    def _ids(self) -> frozenset[int]:
-        # built on first use, so a ground set that is never checked costs nothing
-        return frozenset(range(self.size))
-
     def check_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        """Validate ids and return the subset as a frozenset.
+        """Validate ids and return the subset as a frozenset of ints.
 
-        Plain ints of the ground set pass without a Python loop; anything
-        else (bools, numpy ints, int subclasses, bad ids) takes the loop that
-        accepts int subclasses and names the first bad id."""
+        Bools, ``np.bool_``, floats and ids outside the ground set raise a
+        ``ValueError`` naming the first bad id; numpy integer ids pass."""
         s = frozenset(subset)
-        if s <= self._ids and {*map(type, s)} <= {int}:
-            return s
         for e in s:
-            if not isinstance(e, (int,)) or isinstance(e, bool):
+            if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
                 raise ValueError(f"element ids must be integers, got {e!r}")
             if not 0 <= e < self.size:
                 raise ValueError(
                     f"element {e} outside ground set of size {self.size}")
-        return s
+        return s if all(type(e) is int for e in s) else frozenset(map(int, s))
+
+    def check_rows(self, ids) -> np.ndarray:
+        """Validate a batch of sets of one size and return it: a (sets x size)
+        integer array whose rows are the sets' ids, strictly ascending."""
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or ids.dtype.kind not in "iu":
+            raise ValueError("id rows must be a 2-d integer array, got a "
+                             f"{ids.ndim}-d array of {ids.dtype}")
+        outside = (ids < 0) | (ids >= self.size)
+        if outside.any():
+            raise ValueError(f"element {ids[outside][0]} outside ground set "
+                             f"of size {self.size}")
+        if (ids[:, 1:] <= ids[:, :-1]).any():
+            raise ValueError("the ids of each row must be strictly ascending")
+        return ids
 
 
 class Matroid:
@@ -146,8 +152,8 @@ class Matroid:
 
     def enumerate_feasible(self) -> list[frozenset[int]]:
         """``feasible_masks`` as frozensets, empty set first."""
-        return [s for size in _mask_sets(self.feasible_masks(), self.ground.size)
-                for s in size]
+        return [frozenset(row) for ids in _mask_ids(self.feasible_masks(), self.ground.size)
+                for row in ids.tolist()]
 
     def fragment(self) -> dict:
         """JSON-serializable description of the independence rule."""
@@ -221,16 +227,15 @@ class PartitionMatroid(Matroid):
         }
 
 
-def _mask_sets(masks: np.ndarray, n: int) -> Iterator[list[frozenset[int]]]:
-    """Int64 bitmasks over n elements, sorted by size, as frozensets: one list per size.
-
-    Lazy, so a reader that stops early never builds the larger sets."""
+def _mask_ids(masks: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Int64 bitmasks over n elements, sorted by size, as ascending id rows:
+    one (sets x size) array per size. Lazy, so a reader that stops early
+    never builds the larger sizes."""
     bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=n,
                          bitorder="little")
     start = 0
     for r, rows in enumerate(np.bincount(bits.sum(axis=1)).tolist()):
-        ids = np.nonzero(bits[start:start + rows])[1].reshape(rows, r)
-        yield list(map(frozenset, map(np.ndarray.tolist, ids)))
+        yield np.nonzero(bits[start:start + rows])[1].reshape(rows, r)
         start += rows
 
 

@@ -3,7 +3,9 @@
 An objective assigns a nonnegative utility f(S, y) to a set S of elements
 under a sampled realization y. Per scenario the utility must be normalized
 (f(empty, y) = 0), monotone nondecreasing and submodular in S. Scenario
-batches are fully reproducible from an integer seed.
+batches are fully reproducible from an integer seed. The batched
+``set_utilities`` scores sets of one size given as one (sets x size) integer
+array of ascending id rows, checked once per call (``GroundSet.check_rows``).
 """
 from __future__ import annotations
 
@@ -89,17 +91,17 @@ class StochasticObjective:
         """Per-scenario utilities of ``subset`` as a float array."""
         raise NotImplementedError
 
-    def set_utilities(self, sets, scenarios: ScenarioSet) -> np.ndarray:
-        """Per-scenario utilities of many sets at once.
+    def set_utilities(self, ids: np.ndarray, scenarios: ScenarioSet) -> np.ndarray:
+        """Per-scenario utilities of the sets of one size given as id rows.
 
-        Returns a (len(sets) x samples) array whose row i is
-        ``utilities(sets[i], scenarios)`` bit for bit. An override must
-        validate every set and raise the ``ValueError`` that ``utilities``
-        raises on a bad id.
+        Row i of the (sets x samples) result is ``utilities(frozenset(
+        ids[i].tolist()), scenarios)`` bit for bit. Validates ``ids`` once
+        with ``ground.check_rows``; an override must do the same.
         """
-        out = np.empty((len(sets), len(scenarios)))
-        for i, subset in enumerate(sets):
-            out[i] = self.utilities(subset, scenarios)
+        ids = self.ground.check_rows(ids)
+        out = np.empty((len(ids), len(scenarios)))
+        for i, row in enumerate(ids.tolist()):
+            out[i] = self.utilities(frozenset(row), scenarios)
         return out
 
     def extension_utilities(self, subset, candidates,
@@ -110,7 +112,11 @@ class StochasticObjective:
         ``utilities(subset | {candidates[i]}, scenarios)``. Validates
         ``subset`` once. The candidates are element ids outside ``subset``
         (as the matroid's ``extension_candidates`` gives them); an override
-        need not re-check them.
+        need not re-check them. The default scores the sorted id rows of S + e,
+        so an objective whose bits depend on frozenset order must override it.
         """
-        subset = self.ground.check_subset(subset)
-        return self.set_utilities([subset | {e} for e in candidates], scenarios)
+        subset = sorted(self.ground.check_subset(subset))
+        rows = np.empty((len(candidates), len(subset) + 1), dtype=np.intp)
+        rows[:, :-1], rows[:, -1] = subset, candidates
+        rows.sort(axis=1)
+        return self.set_utilities(rows, scenarios)

@@ -111,11 +111,6 @@ def auxiliary_from_values(values, tau: float, alpha: float) -> float:
     return float(auxiliary_scores(values, np.array([tau]), np.array([alpha]))[0])
 
 
-def auxiliary_value(objective, subset, tau: float, scenarios, alpha: float) -> float:
-    """Scalarized objective of one (set, tau) pair on a scenario batch."""
-    return auxiliary_from_values(objective.utilities(subset, scenarios), tau, alpha)
-
-
 def cvar_of_set(objective, subset, scenarios, alpha: float) -> tuple[float, float]:
     """(empirical cvar, maximizing tau) for one set; the tau is the empirical var."""
     return _cvar_var(objective.utilities(subset, scenarios), alpha)

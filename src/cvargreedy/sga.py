@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .greedy import greedy_sweep
-from .matroid import Matroid, _integer, _mask_sets
+from .matroid import Matroid, _integer, _mask_ids
 from .objective import ScenarioSet, StochasticObjective, child_seed
 from .risk import (_tail_index, auxiliary_scores, check_risk_level,
                    sorted_rows_cvar_var)
@@ -293,16 +293,19 @@ def _tau_array(taus) -> np.ndarray:
 
 
 def _utility_blocks(objective: StochasticObjective, scenarios: ScenarioSet,
-                    sets: list[frozenset[int]], width: int):
-    """Yield (start, block) where block holds the utilities of sets[start:start + rows].
+                    family, width: int):
+    """Yield (ids, block) where block holds the utilities of the id rows ``ids``.
 
-    One ``set_utilities`` call per block, no cache. A block has as many rows
-    as keep both the (rows x samples) block and the caller's (rows x width)
-    result within _BLOCK_FLOATS floats, and at least one.
+    ``family`` yields (sets x size) id arrays and is read lazily; no chunk
+    spans two of them. One ``set_utilities`` call per chunk, no cache. A
+    chunk has as many rows as keep both the (rows x samples) block and the
+    caller's (rows x width) result within _BLOCK_FLOATS floats, and at least one.
     """
     rows = max(1, _BLOCK_FLOATS // max(len(scenarios), width))
-    for start in range(0, len(sets), rows):
-        yield start, objective.set_utilities(sets[start:start + rows], scenarios)
+    for ids in family:
+        for start in range(0, len(ids), rows):
+            chunk = ids[start:start + rows]
+            yield chunk, objective.set_utilities(chunk, scenarios)
 
 
 def _shortfall(u: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -363,9 +366,9 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
     ``ValueError`` naming the earliest such set. Every result is
     bit-identical to scoring every set at every tau, one set at a time.
 
-    Two passes read the family in blocks, one ``set_utilities`` call each,
-    with every buffer within _BLOCK_FLOATS floats (512 KiB) unless one
-    set's samples or taus exceed it (see ``_utility_blocks`` and
+    Two passes read the family by size in blocks, one ``set_utilities``
+    call each, with every buffer within _BLOCK_FLOATS floats (512 KiB)
+    unless one set's samples or taus exceed it (see ``_utility_blocks`` and
     ``_sample_sums``); at the 16-element cap the (sets,) vector of upper
     ends is 2**16 floats. Pass 1 sorts each row and takes its cvar with
     ``sorted_rows_cvar_var`` and an upper end U = cvar + M' of its grid H
@@ -411,7 +414,7 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
     taus = _tau_array(taus)
     if taus.size == 0:
         raise ValueError("at least one tau grid point is required")
-    feasible = matroid.enumerate_feasible()
+    family = list(_mask_ids(matroid.feasible_masks(), matroid.ground.size))
     n = len(scenarios)
     d, k = alpha * n, _tail_index(alpha, n)
     scale, excess = 14 * _gamma(n + 2) * n / d, 4 * max(0.0, d - k) / d
@@ -421,36 +424,36 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
         return taus - _sample_sums(block, taus, _shortfall) / d
 
     cvar_best_set, cvar_tau, cvar_star, cvar_row = frozenset(), 0.0, -np.inf, None
-    upper = np.empty(len(feasible))
-    for start, block in _utility_blocks(objective, scenarios, feasible, 1):
+    upper = []  # U of every set, one array per block
+    for ids, block in _utility_blocks(objective, scenarios, family, 1):
         ordered = np.sort(block, axis=1)
         nan = np.isnan(ordered[:, -1])  # NaN sorts last
         if nan.any():
-            raise ValueError(f"H of the set {sorted(feasible[start + int(nan.argmax())])} "
+            raise ValueError(f"H of the set {ids[int(nan.argmax())].tolist()} "
                              "is NaN: the objective returned NaN utilities")
         cvar, var = sorted_rows_cvar_var(ordered, alpha)
         r = int(np.where(np.isnan(cvar), -np.inf, cvar).argmax())  # earliest set
         if cvar[r] > cvar_star:
             cvar_star, cvar_tau = float(cvar[r]), float(var[r])
-            cvar_best_set, cvar_row = feasible[start + r], block[r].copy()
+            cvar_best_set, cvar_row = frozenset(ids[r].tolist()), block[r].copy()
         reach = np.maximum(np.abs(ordered[:, 0]), np.abs(ordered[:, -1]))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite U survive
-            upper[start:start + len(block)] = cvar + (
-                scale * (top + reach) + excess * reach + 4 * _TINY)
+            upper.append(cvar + (scale * (top + reach) + excess * reach + 4 * _TINY))
     low = -np.inf if cvar_row is None else grid_h(cvar_row[None]).max()
-    keep = (upper >= low) | ~np.isfinite(upper)
-    survivors = [s for s, kept in zip(feasible, keep.tolist()) if kept]
+    keep = np.concatenate([(u >= low) | ~np.isfinite(u) for u in upper])
+    sizes = np.cumsum([len(ids) for ids in family])[:-1]
+    survivors = [ids[kept] for ids, kept in zip(family, np.split(keep, sizes))]
     best_set, best_tau, best_h = frozenset(), 0.0, -np.inf
-    for start, block in _utility_blocks(objective, scenarios, survivors, taus.size):
+    for ids, block in _utility_blocks(objective, scenarios, survivors, taus.size):
         h = grid_h(block)
         cols = h.argmax(axis=1)  # first occurrence: smallest tau
         row_max = h[np.arange(len(block)), cols]
         r = int(row_max.argmax())  # first occurrence: earliest set
         if row_max[r] > best_h:
             best_h = float(row_max[r])
-            best_set, best_tau = survivors[start + r], float(taus[cols[r]])
+            best_set, best_tau = frozenset(ids[r].tolist()), float(taus[cols[r]])
     log.debug("brute force: %d feasible sets, %d of them scored on the tau grid",
-              len(feasible), len(survivors))
+              len(keep), np.count_nonzero(keep))
     return BruteForceResult(best_set=best_set, best_tau=best_tau, h_star=best_h,
                             cvar_best_set=cvar_best_set, cvar_tau=cvar_tau,
                             cvar_star=cvar_star)
@@ -509,21 +512,19 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
         return Curvature(0.0, method)
     elements = matroid.ground.elements
 
-    def g_of(sets: list[frozenset[int]]) -> np.ndarray:  # one G row per set
-        g = np.empty((len(sets), positive.size))
-        for start, block in _utility_blocks(objective, scenarios, sets, positive.size):
-            g[start:start + len(block)] = _sample_sums(block, positive, np.minimum)
-        return g
-
     if method == "total_over_ground_set":
+        def g_of(subset: frozenset[int]) -> np.ndarray:  # the G row of one set
+            u = objective.utilities(subset, scenarios)
+            return _sample_sums(u[None], positive, np.minimum)[0]
+
         full = frozenset(elements)
-        g_full = g_of([full])[0]
+        g_full = g_of(full)
 
         def ratios():  # element by element, the ratio of X at every tau
             for e in elements:
-                single = g_of([frozenset((e,))])[0]
+                single = g_of(frozenset((e,)))
                 if not _worthless(e, single):
-                    yield e, (g_full - g_of([full - {e}])[0]) / single
+                    yield e, (g_full - g_of(full - {e})) / single
     else:
         # row i of g is the set with bitmask masks[i]; pos maps a bitmask to its row
         masks = matroid.feasible_masks()
@@ -534,16 +535,16 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
 
         def ratios():  # block by block, the ratios of its sets for each element
             nonlocal read
-            for size in _mask_sets(masks, len(elements)):
-                for _, block in _utility_blocks(objective, scenarios, size, positive.size):
-                    rows = np.arange(read, read + len(block))
-                    g[rows] = _sample_sums(block, positive, np.minimum)
-                    read += len(block)
-                    for e in elements:
-                        top = rows[masks[rows] & (1 << e) != 0]
-                        single = g[pos[1 << e]]
-                        if top.size and not _worthless(e, single):
-                            yield e, (g[top] - g[pos[masks[top] ^ (1 << e)]]) / single
+            family = _mask_ids(masks, len(elements))
+            for _, block in _utility_blocks(objective, scenarios, family, positive.size):
+                rows = np.arange(read, read + len(block))
+                g[rows] = _sample_sums(block, positive, np.minimum)
+                read += len(block)
+                for e in elements:
+                    top = rows[masks[rows] & (1 << e) != 0]
+                    single = g[pos[1 << e]]
+                    if top.size and not _worthless(e, single):
+                        yield e, (g[top] - g[pos[masks[top] ^ (1 << e)]]) / single
 
     worst = np.inf
     for e, ratio in ratios():

@@ -8,8 +8,6 @@ ratios stay well defined).
 """
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from . import sga
@@ -58,40 +56,35 @@ class RandomCoverageObjective(StochasticObjective):
         return ScenarioSet((bits, factors), count, int(seed))
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
-        return self.set_utilities([subset], scenarios)[0]
+        ids = sorted(self.ground.check_subset(subset))
+        return self.set_utilities(np.array(ids, dtype=np.intp)[None], scenarios)[0]
 
-    def set_utilities(self, sets, scenarios: ScenarioSet) -> np.ndarray:
-        """The utilities of every set, batched over the sets of each size.
+    def set_utilities(self, ids: np.ndarray, scenarios: ScenarioSet) -> np.ndarray:
+        """The utilities of every id row, batched.
 
         ``utilities`` is the batch of one set. Row i does not depend on the
-        other sets: it is bit-equal to scoring sets[i] with one plain
+        other rows: it is bit-equal to scoring that set with one plain
         matrix-vector product per term. The cover counts are exact small
         integers in float32, and numpy runs each stacked float matmul as one
         matrix-vector product per set when the operands have the same
         layout. ``factors[:, ids]`` is column-major, so the modular operand
         is built column-major per set too; a C-order batch changes the last
-        bits of the sum for sets of three or more elements. The sets of one
-        size go in chunks whose (sets x samples x max(size, cells))
-        temporaries stay within sga._BLOCK_FLOATS floats.
+        bits of the sum for sets of three or more elements. The rows go in
+        chunks whose (sets x samples x max(size, cells)) temporaries stay
+        within sga._BLOCK_FLOATS floats.
         """
-        sets = [self.ground.check_subset(s) for s in sets]
-        by_size = defaultdict(list)
-        for i, s in enumerate(sets):
-            if s:
-                by_size[len(s)].append(i)
+        ids = np.ascontiguousarray(self.ground.check_rows(ids))  # gathers take its layout
         bits, factors = scenarios.data
-        out = np.zeros((len(sets), len(scenarios)))
-        for size, rows in by_size.items():
-            width = len(scenarios) * max(size, self.cell_weights.size)
-            step = max(1, sga._BLOCK_FLOATS // width)
-            for start in range(0, len(rows), step):
-                chunk = rows[start:start + step]
-                idx = np.array([sorted(sets[i]) for i in chunk])  # (sets x size)
-                fired = bits[:, idx].transpose(1, 0, 2).astype(np.float32)
-                covered = (fired @ self._cover_f[idx]) > 0.5
-                modular = np.ascontiguousarray(factors.T[idx]).transpose(0, 2, 1)
-                modular = modular @ self.modular_base[idx][:, :, None]
-                out[chunk] = covered @ self.cell_weights + modular[:, :, 0]
+        out = np.empty((len(ids), len(scenarios)))
+        width = len(scenarios) * max(ids.shape[1], self.cell_weights.size)
+        step = max(1, sga._BLOCK_FLOATS // width)
+        for start in range(0, len(ids), step):
+            idx = ids[start:start + step]  # (sets x size)
+            fired = bits[:, idx].transpose(1, 0, 2).astype(np.float32)
+            covered = (fired @ self._cover_f[idx]) > 0.5
+            modular = np.ascontiguousarray(factors.T[idx]).transpose(0, 2, 1)
+            modular = modular @ self.modular_base[idx][:, :, None]
+            out[start:start + step] = covered @ self.cell_weights + modular[:, :, 0]
         return out
 
 

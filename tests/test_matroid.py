@@ -52,14 +52,13 @@ def test_ground_set_rejects_foreign_elements():
 
 @pytest.mark.parametrize("bad, message", [
     (True, "element ids must be integers, got True"),
-    (np.int64(1), f"element ids must be integers, got {np.int64(1)!r}"),
+    (np.True_, f"element ids must be integers, got {np.True_!r}"),
     (1.0, "element ids must be integers, got 1.0"),
     (-1, "element -1 outside ground set of size 3"),
     (3, "element 3 outside ground set of size 3"),
 ])
 def test_check_subset_messages(bad, message):
-    # bools, numpy ints and floats hash like the ids they equal, so they pass
-    # the subset test of the fast path and must still fail its type test
+    # bools and floats hash like the ids they equal, and must still fail
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GroundSet(3).check_subset({0, bad})
 
@@ -72,6 +71,42 @@ def test_check_subset_accepts_int_subclasses():
     assert g.check_subset([Id(2), 0]) == {0, 2}
     assert g.check_subset(iter([2, 0, 2])) == {0, 2}
     assert g.check_subset(()) == frozenset()
+
+
+def test_numpy_integer_ids_count_as_ints():
+    g = GroundSet(3)
+    for ids in ({np.int64(1)}, [np.uint8(2), 0], np.array([0, 2])):
+        s = g.check_subset(ids)
+        assert s == {int(e) for e in ids} and {type(e) for e in s} == {int}
+    assert uniform(3, 2).is_independent({np.int64(1)})
+    assert not uniform(3, 2).is_independent(np.arange(3))
+    assert PartitionMatroid(g, ({0, 1}, {2}), (1, 1)).extension_candidates(
+        {np.int32(2)}) == {0, 1}
+    with pytest.raises(ValueError, match="outside ground set"):
+        g.check_subset({np.int64(3)})
+
+
+@pytest.mark.parametrize("ids, message", [
+    (np.array([[0, 1], [1, 3]]), "element 3 outside ground set of size 3"),
+    (np.array([[-1, 0]]), "element -1 outside ground set of size 3"),
+    (np.array([[True]]), "id rows must be a 2-d integer array, got a 2-d array of bool"),
+    (np.array([[0.0, 1.0]]),
+     "id rows must be a 2-d integer array, got a 2-d array of float64"),
+    (np.array([0, 1]), "id rows must be a 2-d integer array, got a 1-d array of int64"),
+    (np.array([[0, 1], [1, 1]]), "the ids of each row must be strictly ascending"),
+    (np.array([[0, 1], [2, 1]]), "the ids of each row must be strictly ascending"),
+    (np.array([[2, 1]], np.uint8), "the ids of each row must be strictly ascending"),
+])
+def test_check_rows_rejects(ids, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroundSet(3).check_rows(ids)
+
+
+def test_check_rows_accepts_any_integer_dtype():
+    g = GroundSet(3)
+    for ids in (np.array([[0, 1], [1, 2]], np.uint8), np.array([[0, 2]], np.int32),
+                np.empty((0, 2), np.intp), np.empty((4, 0), np.int64)):
+        assert g.check_rows(ids) is ids
 
 
 # ------------------------------------------------------------- independence

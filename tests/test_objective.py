@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cvargreedy import (GroundSet, ScenarioSet, StochasticObjective,
                         UniformMatroid, check_sample_count, child_seed, sga)
+from cvargreedy.matroid import _mask_ids
 from cvargreedy.problems import OccupancyGrid, SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import random_instance
 from conftest import (ModularDeterministic, random_sensor,
@@ -243,15 +244,20 @@ def test_sensor_rejects_counts_float32_cannot_hold():
 
 # ---------------------------------------------------- batched set scoring
 
-def check_set_rows(objective, sets, scenarios, single=None):
-    """Rows of set_utilities equal single(S) bit for bit, one per set;
-    single is ``utilities`` unless given."""
+def feasible_ids(objective):
+    """The feasible family as id rows, one array per size."""
+    return list(_mask_ids(objective.matroid.feasible_masks(), objective.ground.size))
+
+
+def check_set_rows(objective, ids, scenarios, single=None):
+    """Rows of set_utilities equal single(frozenset(row)) bit for bit, one
+    per id row; single is ``utilities`` unless given."""
     single = single or objective.utilities
-    rows = objective.set_utilities(sets, scenarios)
-    assert rows.shape == (len(sets), len(scenarios))
+    rows = objective.set_utilities(ids, scenarios)
+    assert rows.shape == (len(ids), len(scenarios))
     assert rows.dtype == np.float64
-    for row, subset in zip(rows, sets):
-        assert np.array_equal(row, single(subset, scenarios))
+    for row, set_ids in zip(rows, ids.tolist()):
+        assert np.array_equal(row, single(frozenset(set_ids), scenarios))
 
 
 @settings(max_examples=80, deadline=None)
@@ -262,43 +268,47 @@ def test_random_coverage_set_rows_equal_utilities(seed, size, cells, count, samp
     inst = random_instance(seed, size=size, cells=cells)
     sc = inst.sample_scenarios(samples, seed)
     rng = np.random.default_rng(seed)
-    sets = [frozenset(rng.choice(size, int(rng.integers(0, size + 1)),
-                                 replace=False).tolist()) for _ in range(count)]
-    # the empty set, the full ground set and a duplicate, all sizes mixed in
-    # random order; every other set as a list in descending order
-    sets += [frozenset(), frozenset(range(size)), frozenset(range(size))]
-    sets = [sets[i] for i in rng.permutation(len(sets))]
-    sets = [sorted(s, reverse=True) if i % 2 else s for i, s in enumerate(sets)]
     single = partial(reference_coverage_utilities, inst)
-    check_set_rows(inst, sets, sc, single)
-    check_set_rows(inst, sets, sc)  # utilities is the batch of one set
-    assert inst.set_utilities([], sc).shape == (0, samples)
+    # every size from the empty set to the full ground set: random sets in
+    # random order and a duplicate row, also as a column-major array
+    for r in range(size + 1):
+        ids = np.sort([rng.choice(size, r, replace=False) for _ in range(count + 1)],
+                      axis=1).reshape(count + 1, r)
+        ids = ids[np.append(np.arange(count + 1), 0)]
+        check_set_rows(inst, ids, sc, single)
+        check_set_rows(inst, np.asfortranarray(ids), sc, single)
+        check_set_rows(inst, ids, sc)  # utilities is the batch of one set
+    assert inst.set_utilities(np.empty((0, 1), np.intp), sc).shape == (0, samples)
 
 
 @pytest.mark.parametrize("budget", [sga._BLOCK_FLOATS, 1, 1500, 7 * 60 * 10 + 1])
 def test_random_coverage_set_rows_on_feasible_families(monkeypatch, budget):
-    # the blocks brute force and exact curvature score: every independent
-    # set; a small budget splits each size group into chunks of 1, 2 or 7
-    # sets (60 samples x 10 cells per set)
+    # the id arrays brute force and exact curvature score: every independent
+    # set, one array per size; a small budget splits each array into chunks
+    # of 1, 2 or 7 sets (60 samples x 10 cells per set)
     monkeypatch.setattr(sga, "_BLOCK_FLOATS", budget)
     for seed in range(6):
         inst = random_instance(seed, size=6 + seed)
-        check_set_rows(inst, inst.matroid.enumerate_feasible(),
-                       inst.sample_scenarios(60, 1000 + seed),
-                       partial(reference_coverage_utilities, inst))
+        sc = inst.sample_scenarios(60, 1000 + seed)
+        for ids in feasible_ids(inst):
+            check_set_rows(inst, ids, sc, partial(reference_coverage_utilities, inst))
 
 
 @pytest.mark.parametrize("objective", [
-    VehicleAssignment.generate(3, 2, seed=6),
+    # 12 pairs, so ids 8 apart can share a set and a hash slot: the
+    # frozenset order, which orders the vehicle's float sum, then depends on
+    # how the set was built, and each row must be built as frozenset(row)
+    VehicleAssignment.generate(3, 4, seed=6),
     ModularDeterministic([0.5, 2.0, 1.25], UniformMatroid(GroundSet(3), 2)),
     random_sensor(4, 6, 30, select=3),
 ], ids=["vehicle", "modular", "sensor"])
 def test_default_set_hook(objective):
     assert type(objective).set_utilities is StochasticObjective.set_utilities
     sc = objective.sample_scenarios(40, seed=9)
-    family = objective.matroid.enumerate_feasible()
-    check_set_rows(objective, family + [family[-1], sorted(family[-1], reverse=True)], sc)
-    assert objective.set_utilities([], sc).shape == (0, 40)
+    family = feasible_ids(objective)
+    for ids in family + [family[-1][[-1, 0, -1]]]:  # the last size again, a row twice
+        check_set_rows(objective, ids, sc)
+    assert objective.set_utilities(np.empty((0, 1), np.intp), sc).shape == (0, 40)
 
 
 @pytest.mark.parametrize("name, objective", make_objectives() + [
@@ -308,10 +318,21 @@ def test_set_utilities_rejects_bad_ids_anywhere(name, objective):
     n = objective.ground.size
     sc = objective.sample_scenarios(5, seed=1)
     for bad, message in ((n, "outside ground set"), (-1, "outside ground set"),
-                         (True, "must be integers"), (1.0, "must be integers")):
+                         (True, "must be integers"), (np.True_, "must be integers"),
+                         (1.0, "must be integers")):
         with pytest.raises(ValueError, match=message):
             objective.utilities({bad}, sc)
-        # also next to a valid id equal to the bad one
-        for block in ([{bad}], [set(), {0}, {0, bad}], [{1}, {bad}], [{bad}, {1}]):
+        # also next to valid ids, in every row and column, in an array of
+        # the bad id's dtype
+        message = message.replace("must be integers", "must be a 2-d integer array")
+        for block in ([[bad]], [[0], [bad]], [[bad], [1]],
+                      [[0, 1], sorted([1, bad])], [sorted([0, bad]), [0, 1]]):
             with pytest.raises(ValueError, match=message):
-                objective.set_utilities(block, sc)
+                objective.set_utilities(np.array(block, np.asarray(bad).dtype), sc)
+    # numpy integer ids count as their int value
+    assert np.array_equal(objective.utilities({np.int64(1)}, sc),
+                          objective.utilities({1}, sc))
+    assert np.array_equal(objective.utilities(np.array([0, 1]), sc),
+                          objective.utilities({0, 1}, sc))
+    assert np.array_equal(objective.set_utilities(np.array([[1]], np.int32), sc)[0],
+                          objective.utilities({1}, sc))

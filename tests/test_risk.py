@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvargreedy import (auxiliary_from_values, auxiliary_value,
-                        check_risk_level, cvar_of_set, empirical_cvar,
-                        empirical_var, required_sample_count)
+from cvargreedy import (auxiliary_from_values, check_risk_level, cvar_of_set,
+                        empirical_cvar, empirical_var, required_sample_count)
 from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import random_instance
 from conftest import plain_cvar_var, plain_h
@@ -74,7 +73,7 @@ def test_auxiliary_rejects_non_finite_tau():
         with pytest.raises(ValueError, match="finite"):
             auxiliary_from_values([1.0, 2.0], tau, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            auxiliary_value(obj, {0}, tau, sc, 0.5)
+            auxiliary_from_values(obj.utilities({0}, sc), tau, 0.5)
 
 
 def test_cvar_of_set_and_auxiliary_on_objective():
@@ -85,12 +84,8 @@ def test_cvar_of_set_and_auxiliary_on_objective():
     cvar, tau_star = cvar_of_set(obj, s, sc, 0.4)
     assert cvar == empirical_cvar(u, 0.4)
     assert tau_star == empirical_var(u, 0.4)
-    assert auxiliary_value(obj, s, 1.0, sc, 0.4) == pytest.approx(
-        auxiliary_from_values(u, 1.0, 0.4))
     # the subset is validated once, by the objective's utilities
     for bad in ({0, 9}, {-1}, {True}):
-        with pytest.raises(ValueError, match="element"):
-            auxiliary_value(obj, bad, 1.0, sc, 0.4)
         with pytest.raises(ValueError, match="element"):
             cvar_of_set(obj, bad, sc, 0.4)
 
@@ -218,7 +213,7 @@ def test_monotone_submodular_in_set_argument():
     tau, alpha = 3.0, 0.5
 
     def h(s):
-        return auxiliary_value(obj, s, tau, sc, alpha)
+        return auxiliary_from_values(obj.utilities(s, sc), tau, alpha)
 
     for _ in range(60):
         small = frozenset(int(e) for e in rng.choice(6, 2, replace=False))

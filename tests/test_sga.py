@@ -707,8 +707,7 @@ def test_pruned_brute_force_matches_on_near_ties(seed, family, samples, alpha, g
     rng = np.random.default_rng(seed)
     obj = differential_objective(family, rng, seed)
     sc = obj.sample_scenarios(samples, seed)
-    family_sets = obj.matroid.enumerate_feasible()
-    rows = obj.set_utilities(family_sets, sc)
+    rows = np.array([obj.utilities(s, sc) for s in obj.matroid.enumerate_feasible()])
     taus = set(np.linspace(0.0, 1.05 * rows.max(), grid).tolist())
     for _ in range(hits):
         value = float(rows[rng.integers(len(rows)), rng.integers(samples)])
@@ -823,7 +822,8 @@ def test_exact_curvature_matches_reference_on_negative_utilities(caplog):
     assert _exact_curvature(obj, sc, taus, caplog)[0] == Curvature(
         1.0, "exact_matroid_enumeration")
     shifted = Offset(obj, -0.05)
-    assert shifted.set_utilities(obj.matroid.enumerate_feasible(), sc).min() < 0
+    family = obj.matroid.enumerate_feasible()
+    assert min(shifted.utilities(s, sc).min() for s in family) < 0
     ours, _ = _exact_curvature(shifted, sc, taus, caplog)
     assert ours == reference_auxiliary_curvature(shifted, obj.matroid, sc, taus,
                                                  method=ours.method)
@@ -969,14 +969,15 @@ def test_blocked_scoring_matches_per_set_reference(seed, size, kind, copies, alp
 
 
 def test_family_scored_with_one_objective_call_per_block():
-    # brute force reads the family in blocks of budget // samples sets for
-    # its cvar pass and then only the survivors in blocks of
-    # budget // max(samples, taus) for the grid; exact curvature reads the
-    # family one size at a time, in blocks of budget // max(samples,
-    # positive taus), up to the block of its first ratio <= 0 (at 6 samples;
-    # at 30 the curvature is below 1 and every block is read). Total
-    # curvature reads G(X), G({e}) and G(X - e) one set each (it stops
-    # after element 0 at 6 samples and visits all 7 at 30).
+    # brute force and exact curvature read the family one size at a time:
+    # brute force in blocks of budget // samples sets for its cvar pass and
+    # then only the survivors in blocks of budget // max(samples, taus) for
+    # the grid; exact curvature in blocks of budget // max(samples, positive
+    # taus), up to the block of its first ratio <= 0 (at 6 samples; at 30
+    # the curvature is below 1 and every block is read). Neither calls
+    # ``utilities``. Total curvature calls ``utilities`` for G(X), G({e})
+    # and G(X - e), one set each (it stops after element 0 at 6 samples and
+    # visits all 7 at 30).
     obj = random_instance(18, size=7, matroid_kind="uniform")
     family = obj.matroid.enumerate_feasible()
     full = frozenset(range(7))
@@ -988,15 +989,12 @@ def test_family_scored_with_one_objective_call_per_block():
         evaluated.append(subset)
         return utilities(self, subset, scenarios)
 
-    def count_sets(self, sets, scenarios):
-        blocks.append(list(sets))
-        return set_utilities(self, sets, scenarios)
+    def count_sets(self, ids, scenarios):
+        blocks.append([frozenset(row) for row in ids.tolist()])
+        return set_utilities(self, ids, scenarios)
 
-    def layout(rows):
-        return [family[i:i + rows] for i in range(0, len(family), rows)]
-
-    def by_size(rows):
-        sizes = [[s for s in family if len(s) == r] for r in range(8)]
+    def by_size(sets, rows):
+        sizes = [[s for s in sets if len(s) == r] for r in range(8)]
         return [b[i:i + rows] for b in sizes for i in range(0, len(b), rows)]
 
     for samples, budget, scan_rows, grid_rows, stops in (
@@ -1014,22 +1012,23 @@ def test_family_scored_with_one_objective_call_per_block():
             exact = auxiliary_curvature(obj, obj.matroid, sc, taus,
                                         method="exact_matroid_enumeration")
             found["exact"], blocks[:] = blocks[:], []
+            assert evaluated == []
             total = auxiliary_curvature(obj, obj.matroid, sc, taus)
-        assert evaluated == []
-        scan = layout(scan_rows)
+        scan = by_size(family, scan_rows)
         assert found["brute"][:len(scan)] == scan
-        scored = found["brute"][len(scan):]
-        assert all(len(b) <= grid_rows for b in scored)
-        scored = [s for b in scored for s in b]
+        scored = [s for b in found["brute"][len(scan):] for s in b]
         assert scored == [s for s in family if s in scored]
         assert 0 < len(scored) < len(family)
-        read = by_size(scan_rows)  # budget // max(samples, 6)
+        assert found["brute"][len(scan):] == by_size(scored, grid_rows)
+        read = by_size(family, scan_rows)  # budget // max(samples, 6)
         assert found["exact"] == read[:len(found["exact"])]
         assert (len(found["exact"]) < len(read)) == stops
-        assert blocks[0] == [full] and len(blocks) % 2 == 1
-        assert blocks[1:] == [b for e in range(len(blocks) // 2)
-                              for b in ([frozenset({e})], [full - {e}])]
-        total_reads.append(len(blocks))
+        assert evaluated[0] == full and len(evaluated) % 2 == 1
+        assert evaluated[1:] == [s for e in range(len(evaluated) // 2)
+                                 for s in (frozenset({e}), full - {e})]
+        assert blocks == [[s] for s in evaluated]  # utilities is a batch of one set
+        total_reads.append(len(evaluated))
+        evaluated.clear()
         blocks.clear()
         assert ours == reference_brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
         assert exact == reference_auxiliary_curvature(
@@ -1037,6 +1036,32 @@ def test_family_scored_with_one_objective_call_per_block():
         assert (exact.value == 1.0) == stops
         assert total == reference_auxiliary_curvature(obj, obj.matroid, sc, taus)
     assert total_reads == [3, 15]
+
+
+def test_verification_checks_each_id_array_once():
+    # brute force and exact curvature validate each call's id rows with one
+    # check_rows and never check a set on its own
+    check_subset, check_rows = GroundSet.check_subset, GroundSet.check_rows
+    calls = {"subset": 0, "rows": 0}
+
+    def count(name, check):
+        def counted(self, ids):
+            calls[name] += 1
+            return check(self, ids)
+        return counted
+
+    for seed in range(4):
+        obj = random_instance(seed, size=6 + seed)
+        sc = obj.sample_scenarios(40, seed)
+        taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 8,
+                         samples=40).tau_grid()
+        calls.update(subset=0, rows=0)
+        with mock.patch.object(GroundSet, "check_subset", count("subset", check_subset)), \
+                mock.patch.object(GroundSet, "check_rows", count("rows", check_rows)):
+            brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+            auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                method="exact_matroid_enumeration")
+        assert calls["subset"] == 0 and calls["rows"] > 0
 
 
 @pytest.mark.parametrize("grid, widths, rows", [
