@@ -40,7 +40,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial,
     table: entry [r, j] is the value of function ``members[j]`` at
     ``current | {candidates[r]}``. Each step groups the unfinished functions
     by their current set S, asks the matroid for the extensions of S once
-    per group and scores them, candidates in ascending id order. Per
+    per group (unchecked: the loop built S from the matroid's own
+    candidates) and scores them, candidates in ascending id order. Per
     function this makes the same picks as a greedy of its own (ties go to
     the smallest element id); its trace counts the empty set and every
     candidate. A step whose candidates all score NaN (or -inf) for some
@@ -77,7 +78,7 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial,
             groups.setdefault(selected[i], []).append(i)
         active = []
         for current, members in groups.items():
-            candidates = sorted(matroid.extension_candidates(current))
+            candidates = sorted(matroid._extension_candidates(current))
             if not candidates:
                 continue
             at = np.array(members)

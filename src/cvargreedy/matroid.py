@@ -126,11 +126,14 @@ class Matroid:
     def extension_candidates(self, subset: Iterable[int]) -> frozenset[int]:
         """The elements outside the (independent) subset whose block is below capacity."""
         s = self.ground.check_subset(subset)
-        used = self._used(s)
-        if any(u > c for u, c in zip(used, self.capacities)):
+        if not self._independent(s):
             raise ValueError("extension candidates are defined for independent sets only")
-        return frozenset().union(*(b for b, u, c in zip(self.blocks, used, self.capacities)
-                                   if u < c)) - s
+        return self._extension_candidates(s)
+
+    def _extension_candidates(self, s: frozenset[int]) -> frozenset[int]:
+        """The extension rule on an independent frozenset of valid ids (not re-checked)."""
+        return frozenset().union(*(b for b, u, c in zip(self.blocks, self._used(s),
+                                                         self.capacities) if u < c)) - s
 
     def feasible_masks(self) -> np.ndarray:
         """Every independent subset as an int64 bitmask (bit e = element e).

@@ -303,6 +303,19 @@ def visible_cells(grid: OccupancyGrid, origin: int) -> list[int]:
 # sensor coverage
 # --------------------------------------------------------------------------
 
+def _sensor_cells(cells, grid: OccupancyGrid | None) -> list[int]:
+    """Sensor sites as ints: free cells of the grid, or without one any
+    nonnegative cell ids. A ValueError names the first bad entry."""
+    cells = [_integer(c, f"sensor_cells[{i}]") for i, c in enumerate(cells)]
+    for i, c in enumerate(cells):
+        if grid is None and c < 0:
+            raise ValueError(f"sensor_cells[{i}] cell {c} is negative")
+        if grid is not None and not grid.is_free(c):
+            raise ValueError(f"sensor_cells[{i}] cell {c} is not a free cell "
+                             f"of the {grid.rows}x{grid.cols} grid")
+    return cells
+
+
 class SensorCoverage(StochasticObjective):
     """Failure-prone sensor placement utility.
 
@@ -343,12 +356,15 @@ class SensorCoverage(StochasticObjective):
             raise ValueError(
                 f"the coverage sets span {len(universe)} cells, more than the "
                 f"{free_cell_count} free cells")
+        if sensor_cells is not None and len(sensor_cells) != n:
+            raise ValueError(f"sensor_cells holds {len(sensor_cells)} entries; "
+                             f"one per coverage set ({n}) is required")
         self.coverage_sets = sets
         self.free_cell_count = free_cell_count
         self.select = select
         self.grid = grid
-        self.sensor_cells = (None if sensor_cells is None else
-                             [_integer(c, "sensor_cells entry") for c in sensor_cells])
+        self.sensor_cells = (None if sensor_cells is None
+                             else _sensor_cells(sensor_cells, grid))
         self.seed = int(seed)
 
         col = {cell: idx for idx, cell in enumerate(universe)}
@@ -386,29 +402,53 @@ class SensorCoverage(StochasticObjective):
         bits = (rng.random((count, len(self.coverage_sets))) < self.success_prob)
         return ScenarioSet(bits.astype(np.uint8), count, int(seed))
 
-    def _covered(self, subset: frozenset, scenarios: ScenarioSet) -> np.ndarray:
-        """(samples x cells) float32: 1 where a working sensor of subset sees the cell."""
-        ids = sorted(subset)
-        covered = scenarios.data[:, ids].astype(np.float32) @ self._cover_f[ids]
-        return np.minimum(covered, 1.0, out=covered)
+    def _patterns(self, subset, scenarios: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
+        """(pattern, covered): each sample's failure pattern of the subset's
+        sensors, and per pattern the float32 0/1 cells its working sensors see.
+
+        f(S, y) depends on y only through which sensors of S work. Each
+        sample's bits over the sorted ids fold into an int64 code, a chunk of
+        ids at a time; ``np.unique`` numbers the distinct codes, and the
+        number from the last chunk is the sample's pattern. A number is below
+        the sample count, so ``(pattern << width) | code`` stays below 2**62.
+        One sample per pattern stands for it in the coverage matmul.
+        """
+        ids = sorted(self.ground.check_subset(subset))
+        bits = scenarios.data
+        pattern = np.zeros(len(scenarios), dtype=np.int64)
+        first = np.zeros(1, dtype=np.intp)
+        width = 62 - len(scenarios).bit_length()
+        for lo in range(0, len(ids), width):
+            chunk = ids[lo:lo + width]
+            weights = np.int64(1) << np.arange(len(chunk), dtype=np.int64)
+            code = bits[:, chunk].astype(np.int64) @ weights
+            code |= pattern << len(chunk)
+            _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
+        covered = bits[first[:, None], ids].astype(np.float32) @ self._cover_f[ids]
+        return pattern, np.minimum(covered, 1.0, out=covered)
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
-        covered = self._covered(self.ground.check_subset(subset), scenarios)
-        return covered.sum(axis=1).astype(float)
+        pattern, covered = self._patterns(subset, scenarios)
+        return covered.sum(axis=1)[pattern].astype(float)
 
     def extension_utilities(self, subset, candidates,
                             scenarios: ScenarioSet) -> np.ndarray:
-        """u(S + e) = u(S) + active_e * (|cover_e| - covered(S) . cover_e), one matmul.
+        """u(S + e) = u(S) + active_e * (|cover_e| - covered(S) . cover_e).
 
+        One matmul scores every candidate against each failure pattern of S
+        (see ``_patterns``): a (patterns x candidates) table whose rows are
+        gathered back to the samples before ``active_e`` and u(S) enter.
         Every term is an integer count below 2**24, so float32 holds it
-        exactly and each row is bit-equal to ``utilities(S | {e})``.
+        exactly in any order and each row is bit-equal to
+        ``utilities(S | {e})``.
         """
-        covered = self._covered(self.ground.check_subset(subset), scenarios)
-        fresh = self._cover_f[candidates] @ covered.T
-        np.subtract(self._sizes_f[candidates, None], fresh, out=fresh)
-        fresh *= scenarios.data[:, candidates].T
-        fresh += covered.sum(axis=1)
-        return fresh.astype(float)
+        pattern, covered = self._patterns(subset, scenarios)
+        fresh = covered @ self._cover_f[candidates].T
+        np.subtract(self._sizes_f[candidates], fresh, out=fresh)
+        fresh = fresh.take(pattern, axis=0)
+        fresh *= scenarios.data[:, candidates]
+        fresh += covered.sum(axis=1)[pattern, None]
+        return np.ascontiguousarray(fresh.T, dtype=float)
 
     def to_json(self) -> dict:
         data = {
@@ -434,6 +474,9 @@ class SensorCoverage(StochasticObjective):
         select = data["select"]
         seed = _integer(data.get("seed", 0), "seed")
         sensor_cells = data.get("sensor_cells")
+        if sensor_cells is not None and not isinstance(sensor_cells, list):
+            raise ValueError("sensor_cells must be a list of cell ids, got "
+                             f"{type(sensor_cells).__name__}")
         if "coverage_sets" in data:
             if "free_cell_count" in data:
                 free_count = data["free_cell_count"]
@@ -447,8 +490,7 @@ class SensorCoverage(StochasticObjective):
         if grid is None or sensor_cells is None:
             raise ValueError(
                 "a sensor instance needs either coverage_sets or grid + sensor_cells")
-        coverage = [visible_cells(grid, _integer(c, "sensor_cells entry"))
-                    for c in sensor_cells]
+        coverage = [visible_cells(grid, c) for c in _sensor_cells(sensor_cells, grid)]
         return cls(coverage, len(grid.free_cells()), select,
                    grid=grid, sensor_cells=sensor_cells, seed=seed)
 

@@ -1,8 +1,9 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
-per-segment visibility, per-scenario utilities, the plain greedy and
-estimators, generic curvature, the per-tau solver sweep, the exactly scored
-batched sweep, the per-set brute-force optimum and scalarized curvature)."""
+per-segment visibility, per-scenario utilities, per-sample sensor coverage,
+the plain greedy and estimators, generic curvature, the per-tau solver
+sweep, the exactly scored batched sweep, the per-set brute-force optimum and
+scalarized curvature)."""
 from __future__ import annotations
 
 import math
@@ -110,6 +111,18 @@ def scalar_utility(objective, subset, row) -> float:
 def scalar_utilities(objective, subset, scenarios: ScenarioSet) -> np.ndarray:
     return np.array([scalar_utility(objective, subset, scenario_row(scenarios, i))
                      for i in range(len(scenarios))])
+
+
+def reference_sensor_utilities(objective: SensorCoverage, subset,
+                               scenarios: ScenarioSet) -> np.ndarray:
+    """Sensor utilities of one set from a (samples x cells) coverage matrix.
+
+    One matmul over every sample, not over the distinct failure patterns:
+    the kernel that ``utilities`` and ``extension_utilities`` must match bit
+    for bit."""
+    ids = sorted(objective.ground.check_subset(subset))
+    covered = scenarios.data[:, ids].astype(np.float32) @ objective._cover_f[ids]
+    return np.minimum(covered, 1.0).sum(axis=1).astype(float)
 
 
 def reference_coverage_utilities(objective: RandomCoverageObjective, subset,

@@ -447,10 +447,16 @@ def _list_grid_rows(doc):
     ("vehicle", _put([], "matroid", "blocks", 0), "empty blocks are not allowed"),
     ("vehicle", _put([0, 1], "matroid", "blocks", 0),
      "element 1 appears in more than one block"),
+    # the file also carries coverage_sets, so the sensor cells are not traced
+    ("sensor", _put([0], "sensor_cells"),
+     "sensor_cells holds 1 entries; one per coverage set (5) is required"),
+    ("sensor", _put([-5] * 5, "sensor_cells"),
+     "sensor_cells[0] cell -5 is not a free cell of the 6x6 grid"),
 ], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position",
         "missing-select", "fractional-ground-size", "fractional-k", "fractional-block-id",
         "fractional-capacity", "boolean-capacity", "fractional-grid-cell",
-        "matroid-not-an-object", "empty-block", "duplicate-block-element"])
+        "matroid-not-an-object", "empty-block", "duplicate-block-element",
+        "short-sensor-cells", "negative-sensor-cells"])
 def test_malformed_instance_file(tmp_path, capsys, problem, corrupt, message):
     good = gen_vehicle(tmp_path) if problem == "vehicle" else gen_sensor(tmp_path)
     bad = tmp_path / "bad.json"

@@ -233,6 +233,28 @@ def test_settle_raises_when_every_candidate_is_nan():
         one_step_sweep([[nan], [nan]], [1.0])
 
 
+@pytest.mark.parametrize("kind", ["uniform", "partition"])
+def test_sweep_checks_no_set_it_built(monkeypatch, kind):
+    # the loop grows every set from the matroid's own candidates, so it asks
+    # for extensions unchecked: the solve validates no subset at all
+    rng = np.random.default_rng(5)
+    matroid = random_matroid(rng, GroundSet(9), kind)
+    weights = rng.random((9, 3))
+
+    def score(members, current, candidates):
+        return np.array([[sum(weights[e, j] for e in current | {c}) for j in members]
+                         for c in candidates])
+
+    checked = []
+    check_subset = GroundSet.check_subset
+    monkeypatch.setattr(GroundSet, "check_subset",
+                        lambda self, subset: checked.append(subset) or check_subset(self, subset))
+    selected, _, _ = greedy_sweep(score, matroid, np.zeros(3))
+    assert checked == []
+    for j in range(3):
+        assert selected[j] == plain_greedy(modular(weights[:, j]), matroid)[0]
+
+
 # -------------------------------------------------------------- curvature
 
 def test_total_curvature_examples():

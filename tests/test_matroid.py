@@ -272,6 +272,7 @@ def test_extension_rule_matches_the_generic_rule(seed, n, kind, fill):
     assert type(got) is frozenset
     assert got == frozenset(e for e in range(n)
                             if e not in s and m.is_independent(s | {e}))
+    assert m._extension_candidates(s) == got  # the unchecked rule the greedy calls
     dependent = next((s | {e} for e in range(n) if e not in s
                       and not m.is_independent(s | {e})), None)
     if dependent is not None:

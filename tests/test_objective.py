@@ -17,7 +17,8 @@ from cvargreedy.matroid import _mask_ids
 from cvargreedy.problems import OccupancyGrid, SensorCoverage, VehicleAssignment
 from cvargreedy.synthetic import random_instance
 from conftest import (ModularDeterministic, random_sensor,
-                      reference_coverage_utilities, scalar_utilities, with_failed_rows)
+                      reference_coverage_utilities, reference_sensor_utilities,
+                      scalar_utilities, with_failed_rows)
 
 
 def make_objectives():
@@ -199,6 +200,93 @@ def test_sensor_extension_rows_equal_utilities(seed, sites, cells, shape,
     for row, e in zip(rows, candidates):
         assert np.array_equal(row, inst.utilities(subset | {e}, sc))
         assert np.array_equal(row, scalar_utilities(inst, subset | {e}, sc))
+
+
+def check_sensor_rows(inst, subset, sc):
+    """``utilities`` and every extension row of the subset bit-equal to the
+    per-sample reference, with the rows C-contiguous as the solver reads them."""
+    assert np.array_equal(inst.utilities(subset, sc),
+                          reference_sensor_utilities(inst, subset, sc))
+    candidates = [e for e in inst.ground.elements if e not in subset]
+    rows = inst.extension_utilities(subset, candidates, sc)
+    assert rows.shape == (len(candidates), len(sc))
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    for row, e in zip(rows, candidates):
+        assert np.array_equal(row, reference_sensor_utilities(inst, subset | {e}, sc))
+
+
+def count_coverage_rows(monkeypatch) -> list[int]:
+    """A list that gets the number of coverage rows each sensor kernel call builds."""
+    built = []
+    patterns = SensorCoverage._patterns
+
+    def counted(self, subset, scenarios):
+        pattern, covered = patterns(self, subset, scenarios)
+        built.append(covered.shape[0])
+        return pattern, covered
+
+    monkeypatch.setattr(SensorCoverage, "_patterns", counted)
+    return built
+
+
+def distinct_rows(bits: np.ndarray) -> int:
+    return len({row.tobytes() for row in bits})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 12),
+       cells=st.integers(1, 60), samples=st.sampled_from([1, 2, 33, 500]),
+       failures=st.booleans())
+def test_sensor_rows_equal_the_per_sample_reference(seed, sites, cells, samples,
+                                                    failures):
+    inst = random_sensor(seed, sites, cells)
+    sc = inst.sample_scenarios(samples, seed)
+    rng = np.random.default_rng(seed)
+    if failures:
+        sc = with_failed_rows(sc, rng.random(samples) < 0.5)
+    ids = sorted(rng.choice(sites, int(rng.integers(0, sites + 1)), replace=False).tolist())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = count_coverage_rows(monkeypatch)
+        check_sensor_rows(inst, frozenset(ids), sc)
+    # one coverage row per distinct failure pattern of the subset's sensors
+    assert built == [distinct_rows(sc.data[:, ids])] * 2
+
+
+@pytest.mark.parametrize("sites, size", [(70, 65), (130, 120)])
+@pytest.mark.parametrize("samples", [1, 500])
+def test_sensor_patterns_span_several_code_chunks(monkeypatch, samples, sites, size):
+    # a code chunk holds 61 ids beside 1 sample and 53 beside 500: 65 ids
+    # take two chunks, 120 ids three, the middle one full
+    inst = random_sensor(7, sites, 90)
+    sc = inst.sample_scenarios(samples, 7)
+    ids = sorted(np.random.default_rng(7).choice(sites, size, replace=False).tolist())
+    built = count_coverage_rows(monkeypatch)
+    check_sensor_rows(inst, frozenset(ids), sc)
+    assert built == [distinct_rows(sc.data[:, ids])] * 2
+    # samples that agree past the first half of the ids: the patterns of the
+    # first chunk alone tell them apart, through every later shift
+    bits = sc.data.copy()
+    bits[:, ids[size // 2:]] = bits[0, ids[size // 2:]]
+    check_sensor_rows(inst, frozenset(ids), ScenarioSet(bits, samples, 7))
+    assert built[-2:] == [distinct_rows(bits[:, ids[:size // 2]])] * 2
+
+
+@pytest.mark.parametrize("layout, patterns", [("shared", 1), ("distinct", 500)])
+def test_sensor_rows_at_one_and_at_every_sample_pattern(monkeypatch, layout, patterns):
+    inst = random_sensor(11, 12, 40)
+    bits = inst.sample_scenarios(500, 11).data.copy()
+    ids = list(range(1, 11))
+    if layout == "shared":
+        bits[:] = bits[0]
+    else:  # sample i's sensors 1..10 work as the binary digits of i
+        bits[:, ids] = (np.arange(500)[:, None] >> np.arange(10)) & 1
+    sc = ScenarioSet(bits, 500, 11)
+    built = count_coverage_rows(monkeypatch)
+    check_sensor_rows(inst, frozenset(ids), sc)
+    check_sensor_rows(inst, frozenset(), sc)
+    # the empty set has one pattern, whatever the batch
+    assert built == [patterns, patterns, 1, 1]
+    assert not inst.utilities(frozenset(), sc).any()
 
 
 @settings(max_examples=80, deadline=None)

@@ -259,11 +259,31 @@ def sensor_doc():
     ("cell", 5, r"coverage_sets\[0\] cell 5 is not a free cell"),
     ("select", 2.7, r"select must be an integer, got 2.7"),
     ("free_cell_count", float("inf"), r"free_cell_count must be an integer, got infinity"),
+    # a file with coverage_sets keeps its sensor cells only as labels, but
+    # they must still be one free cell per coverage set
+    ("sensor_cells", [0], r"sensor_cells holds 1 entries; one per coverage set \(4\)"),
+    ("sensor_cells", [0, 1, 2, 3, 4], r"sensor_cells holds 5 entries"),
+    ("sensor_cells", [-5] * 4, r"sensor_cells\[0\] cell -5 is not a free cell of the 3x4 grid"),
+    ("sensor_cells", [0, 1, 2, 5], r"sensor_cells\[3\] cell 5 is not a free cell"),
+    ("sensor_cells", [0, 1, 2, 12], r"sensor_cells\[3\] cell 12 is not a free cell"),
+    ("sensor_cells", [0, 1.5, 2, 3], r"sensor_cells\[1\] must be an integer, got 1.5"),
+    ("sensor_cells", 3, r"sensor_cells must be a list of cell ids, got int"),
+    ("gridless sensor_cells", [0, 1, 2, -1], r"sensor_cells\[3\] cell -1 is negative"),
+    ("gridless sensor_cells", [0], r"sensor_cells holds 1 entries"),
+    # a grid-only file traces each sensor's view from its cell
+    ("grid-only sensor_cells", [0, 1, 2, 5], r"sensor_cells\[3\] cell 5 is not a free cell"),
+    ("grid-only sensor_cells", [0, -1], r"sensor_cells\[1\] cell -1 is not a free cell"),
 ])
 def test_sensor_file_values_are_checked(field, value, message):
     doc = sensor_doc()
     if field == "cell":
         doc["coverage_sets"][0][0] = value
+    elif field == "gridless sensor_cells":
+        del doc["grid"]
+        doc["sensor_cells"] = value
+    elif field == "grid-only sensor_cells":
+        del doc["coverage_sets"], doc["free_cell_count"]
+        doc["sensor_cells"] = value
     else:
         doc[field] = value
     with pytest.raises(ValueError, match=message):
@@ -305,7 +325,7 @@ def corrupt_instances(draw):
         return doc
     doc = sensor_doc()
     field = draw(st.sampled_from(["cell", "select", "free_cell_count", "sensor_cells",
-                                  "seed", "ground_size", "k", "grid"]))
+                                  "listed_cells", "seed", "ground_size", "k", "grid"]))
     if field == "cell":
         bad = draw(_NOT_INTEGERS | st.integers(max_value=-1)
                    | st.integers(min_value=12) | st.just(5))
@@ -326,6 +346,19 @@ def corrupt_instances(draw):
     elif field == "free_cell_count":
         doc["free_cell_count"] = draw(_NOT_INTEGERS | st.integers(max_value=0)
                                       | st.integers(min_value=2**24))
+    elif field == "listed_cells":  # sensor cells beside the coverage sets
+        if draw(st.booleans()):
+            del doc["grid"]  # then any nonnegative integer will do
+            bad = _NOT_INTEGERS | st.integers(max_value=-1)
+        else:
+            bad = (_NOT_INTEGERS | st.integers(max_value=-1)
+                   | st.integers(min_value=12) | st.just(5))
+        cells = doc["sensor_cells"]
+        if draw(st.booleans()):
+            cells[draw(st.integers(0, 3))] = draw(bad)
+        else:  # one entry per coverage set, no more, no fewer
+            doc["sensor_cells"] = draw(st.lists(st.integers(0, 11), max_size=8)
+                                       .filter(lambda c: len(c) != 4))
     else:  # a grid-only file rebuilds coverage from the sensor cells
         del doc["coverage_sets"], doc["free_cell_count"]
         doc["sensor_cells"][draw(st.integers(0, 3))] = draw(
