@@ -78,11 +78,18 @@ class StochasticObjective:
     group through ``extension_utilities`` (the sets S + e). The defaults
     call ``utilities`` once per set; a subclass may override either hook
     with a batched kernel whose rows are bit-equal to those calls.
+
+    ``utility_rounding`` is None unless a subclass declares a number rho in
+    [0, 1): then each computed utility f~(S, y) lies within rho*f(S, y) of a
+    real utility f that is nonnegative, monotone and submodular in S per
+    scenario, and the greedy skips candidates whose stale gains cannot win
+    (``sga._stale_margins``). Without it every candidate is scored.
     """
 
     ground: GroundSet
     matroid: Matroid
     gamma_hint: float
+    utility_rounding: float | None = None
 
     def sample_scenarios(self, count: int, seed: int) -> ScenarioSet:
         raise NotImplementedError

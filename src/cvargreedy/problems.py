@@ -40,6 +40,10 @@ class VehicleAssignment(StochasticObjective):
 
     Ground element i*R + j stands for the pair (demand i, vehicle j).
     Scenario payload: an (N, R) matrix of drawn efficiencies.
+
+    A utility is a float sum of at most N nonnegative per-demand maxima,
+    each exact, so it errs by at most gamma_{N-1} times the real sum of
+    maxima, which is monotone submodular: ``utility_rounding``.
     """
 
     def __init__(self, demand_xy, vehicle_xy, side: float = 10.0, seed: int = 0):
@@ -75,6 +79,7 @@ class VehicleAssignment(StochasticObjective):
         blocks = tuple(frozenset(i * r + j for i in range(n)) for j in range(r))
         self.matroid = PartitionMatroid(self.ground, blocks, (1,) * r)
         self.gamma_hint = float(n * self.eff_high.max())
+        self.utility_rounding = sga._gamma(n - 1)
 
     @classmethod
     def generate(cls, vehicles: int, demands: int, side: float = 10.0,
@@ -323,7 +328,11 @@ class SensorCoverage(StochasticObjective):
     happens with probability 1 - v_i / v_free where v_i is its coverage size
     and v_free the number of free cells: the wider the view, the likelier the
     failure. Scenario payload: a length-N vector of success bits.
+
+    Utilities are exact integer counts, so ``utility_rounding`` is 0.
     """
+
+    utility_rounding = 0.0
 
     def __init__(self, coverage_sets, free_cell_count: int, select: int,
                  grid: OccupancyGrid | None = None, sensor_cells=None,

@@ -51,6 +51,13 @@ _GROUP_FLOATS = 2**14
 # scored (see _group_scores); smaller groups are scored exactly
 _SCREEN_MIN_FLOATS = 10_000
 
+# (candidates x samples) from which a greedy group of an objective that
+# declares its utility rounding skips candidates by their stale gains (see
+# _solve); 66 candidates at 1000 samples. Below it the second kernel call of
+# a group costs more than the rows it skips: ungated, the benchmark sensor
+# sweep (30 candidates) ran about 30% slower.
+_LAZY_MIN_FLOATS = 2**16
+
 
 @dataclass(frozen=True)
 class SgaConfig:
@@ -156,35 +163,90 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     every other pair is rescored. A point's evaluations add the final
     recomputation of H(selected). H(S, tau) <= tau, so ``greedy_sweep``
     settles a group whose points all sit at their tau from its first
-    candidate, computing one row. One DEBUG record of the ``cvargreedy``
-    logger gives the pairs scored, those scored exactly and those skipped
-    (every candidate of every step at every point is one of the two), the
-    groups below the size rule, the candidate rows computed and the picks
-    settled from their group's first candidate, one per point and step."""
+    candidate, computing one row. If the objective declares its
+    ``utility_rounding``, a group of at least _LAZY_MIN_FLOATS (candidates
+    x samples) floats also skips the candidates whose stale gains rule
+    them out, with the margins of ``_stale_margins``; its calls return the
+    upper ends of ``_group_scores`` too. One DEBUG record of the
+    ``cvargreedy`` logger gives the pairs scored, those scored exactly and
+    those skipped (every candidate of every step at every point is one of
+    the two), the score calls below the screen's size rule, the candidate
+    rows computed and those skipped by stale bounds, and the picks settled
+    by their group's first call, one per point and step."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
-    counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0}
+    n = len(scenarios)
+    rho = objective.utility_rounding
+    margins = None if rho is None else _stale_margins(taus, alphas, n, rho)
+    counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0, "stale": 0}
 
-    def score(members: np.ndarray, current: frozenset, candidates: list) -> np.ndarray:
+    def score(members: np.ndarray, current: frozenset, candidates: list, floor=None):
         rows = objective.extension_utilities(current, candidates, scenarios)
-        table, exact = _group_scores(rows, taus[members], alphas[members])
+        table, exact, upper = _group_scores(rows, taus[members], alphas[members], floor)
         counts["pairs"] += table.size
         counts["exact"] += int(np.count_nonzero(exact))
-        counts["small"] += members.size * rows.shape[1] < _SCREEN_MIN_FLOATS
+        counts["small"] += members.size * n < _SCREEN_MIN_FLOATS
         counts["rows"] += len(rows)
-        return table
+        return table if floor is None else (table, upper)
 
     empty = objective.utilities(frozenset(), scenarios)[None]
     initial = _group_scores(empty, taus, alphas)[0][0]
-    selected, values, traces = greedy_sweep(score, matroid, initial, taus)
+    selected, values, traces = greedy_sweep(score, matroid, initial, taus, margins,
+                                            -(-_LAZY_MIN_FLOATS // n), counts)
     log.debug("scored %d (candidate, tau) pairs, %d of them exactly, and "
-              "skipped %d; %d groups below the size rule; computed %d candidate "
-              "rows; settled %d (point, step) picks on their group's first candidate",
+              "skipped %d; %d score calls below the screen's size rule; computed "
+              "%d candidate rows and skipped %d by stale bounds; settled %d "
+              "(point, step) picks by their group's first call",
               counts["pairs"], counts["exact"], sum(t.skipped for t in traces),
-              counts["small"], counts["rows"], sum(t.settled for t in traces))
+              counts["small"], counts["rows"], counts["stale"],
+              sum(t.settled for t in traces))
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
                        evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]
+
+
+def _stale_margins(taus: np.ndarray, alphas: np.ndarray, n: int,
+                   rho: float) -> np.ndarray:
+    """The margin of ``greedy_sweep``'s stale-bound rule at every point.
+
+    ``rho`` is the objective's ``utility_rounding``: each computed utility
+    f~(X, y) lies within rho*f(X, y) of a real utility f that is
+    nonnegative, monotone and submodular in X (so f~ >= 0 too). Let u =
+    2**-53, gamma_m as in ``_group_scores``, d = alpha*n rounded (the
+    kernel's divisor), T = tau/alpha, eta <= 2**-1075 the absolute error of
+    a divide that underflows, r = rho/(1 - rho), and H*(X) = tau -
+    sum_y (tau - f(X, y))+ / d. As tau - (tau - f)+ = min(f, tau), H* is
+    monotone submodular.
+
+    Error of a computed value H^(X), the exact kernel on the computed row:
+    - Kernel (the Higham bound of ``_group_scores``): with f~ >= 0 each
+      hinge term is at most tau, so their real sum S* <= n*tau and S*/d <=
+      1.01*T. The sum errs by gamma_n*S*, and the divide and the subtract
+      from tau round once each, so H^ lies within (gamma_n + u(1 +
+      gamma_n))*1.01*T + eta + u*1.03*T <= 2*gamma_{n+1}*T + eta of the
+      same H taken on f~ in real arithmetic.
+    - Utilities: the hinge is 1-Lipschitz and flat past tau, so a sample
+      moves its term by at most rho*tau/(1 - rho) (if f < tau, rho*f; if
+      f >= tau > f~, f < tau/(1 - rho)). Divided by d, that is at most
+      1.01*r*T.
+    So E = 2*gamma_{n+1}*T + 1.01*r*T + eta bounds |H^(X) - H*(X)|.
+
+    The rule. A point at S with computed value V = H^(S) keeps for a
+    candidate e the gain g = W - V' (rounded) from an earlier set S' within
+    S, where V' = H^(S') and W >= H^(S' + e): the exact value, or for a
+    screened pair its upper end H~ + M', which ``_group_scores`` proves.
+    Submodularity of H* and the four H values give H^(S + e) <= H*(S) +
+    H*(S' + e) - H*(S') + E <= V + W - V' + 4E. Every H^ and W has
+    magnitude at most 1.04*T, so the three roundings of V + g + m add at
+    most 8.4*u*T + u*m <= 4.2*gamma_{n+1}*T + u*m. The code takes m =
+    (16*gamma_{n+1} + 5*r)*T + 4 times the smallest normal float: its few
+    roundings of nonnegative terms leave it above 12.2*gamma_{n+1}*T +
+    4.04*r*T + 4*eta + u*m, so the computed V + g + m bounds H^(S + e).
+    """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"utility_rounding must lie in [0, 1), got {rho!r}")
+    r = rho / (1.0 - rho)
+    return (16 * _gamma(n + 1) + 5 * r) * (taus / alphas) + 4 * _TINY
 
 
 # smallest normal float64: covers the absolute error of a divide that underflows
@@ -197,17 +259,25 @@ def _gamma(m: int) -> float:
     return m * u / (1 - m * u)
 
 
-def _group_scores(rows: np.ndarray, taus: np.ndarray,
-                  alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
+                  floor: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The (candidates x taus) H table for the greedy, ranked before it is scored.
 
-    Returns (table, exact pairs): the mask marks the pairs scored with
-    ``auxiliary_scores``. Every entry that can equal its column's maximum
-    is such a value, and every other entry lies below that maximum, so the
-    argmax, its smallest-id tie-break and the picked values are those of
-    the exact table. A group of fewer than _SCREEN_MIN_FLOATS (taus x
-    samples) floats, one with a non-finite row and one whose screen
-    overflows are scored exactly at every pair.
+    Returns (table, exact pairs, upper ends): the mask marks the pairs
+    scored with ``auxiliary_scores``. Every entry that can equal its
+    column's maximum is such a value, and every other entry lies below
+    that maximum, so the argmax, its smallest-id tie-break and the picked
+    values are those of the exact table. A group of fewer than
+    _SCREEN_MIN_FLOATS (taus x samples) floats, one with a non-finite row
+    and one whose screen overflows are scored exactly at every pair.
+
+    With a ``floor`` (per tau, a value the caller holds for another
+    candidate, or -inf), a pair is exact only where it can equal the larger
+    of its column's maximum and the floor, and lies below that elsewhere;
+    the upper ends are then returned too, each above its pair's exact
+    value: the value itself where it was computed, the screen's upper end
+    H~ + M' (below) elsewhere. Without a floor they are None.
 
     Rank. With each row sorted (s_0 <= ... <= s_{n-1}), P its cumsum and
     k = #{s < tau} (``np.searchsorted``), sum (tau - u)+ = k*tau - P[k]
@@ -241,20 +311,23 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray,
     which sends every pair of the group to the exact kernel.
 
     Score. A column's exact maximum is at least its largest lower end
-    L = max(H~ - M'). A pair whose upper end H~ + M' is below L can neither
-    reach that maximum nor, keeping H~ < L, pass it. The other pairs with
-    M' > 0 are scored with ``auxiliary_scores`` on their unsorted rows, in
-    chunks of pairs within _GROUP_FLOATS floats; the pairs with k = 0 are
-    exact already.
+    L = max(H~ - M'). A pair whose upper end H~ + M' is below L, or below
+    the floor, can neither reach the larger of that maximum and the floor
+    nor, keeping H~ below it, pass it. The other pairs with M' > 0 are
+    scored with ``auxiliary_scores`` on their unsorted rows, in chunks of
+    pairs within _GROUP_FLOATS floats; the pairs with k = 0 are exact
+    already.
     """
     n = rows.shape[1]
     table = np.empty((len(rows), taus.size))
     exact = np.ones(table.shape, dtype=bool)
+    bound = None
     step = max(1, _GROUP_FLOATS // n)
     if taus.size * n >= _SCREEN_MIN_FLOATS:
         divisor = alphas * n
         margin = 10 * _gamma(n + 1)
         bound = np.empty_like(table)
+        low = np.full(taus.size, -np.inf) if floor is None else floor.copy()
         for lo in range(0, len(rows), step):
             ordered = np.sort(rows[lo:lo + step], axis=1)
             if not np.isfinite(ordered[:, [0, -1]]).all():
@@ -268,14 +341,24 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray,
                 table[lo:lo + step] = taus - (k * taus - at_k) / divisor
                 reach = k * (taus + np.abs(ordered[:, :1])) / divisor
                 bound[lo:lo + step] = np.where(k > 0, margin * (reach + taus) + _TINY, 0.0)
+                ends = table[lo:lo + step] - bound[lo:lo + step]
+                np.maximum(low, ends.max(axis=0), out=low)
         if np.isfinite(bound).all() and np.isfinite(table).all():
-            low = (table - bound).max(axis=0)
-            exact = (bound > 0) & (table + bound >= low)
+            exact = bound > 0
+            np.add(table, bound, out=bound)  # now the upper ends
+            exact &= bound >= low
+        else:
+            bound = None
     r, c = np.nonzero(exact)
     for lo in range(0, r.size, step):
         pairs = r[lo:lo + step], c[lo:lo + step]
         table[pairs] = auxiliary_scores(rows[pairs[0]], taus[pairs[1]], alphas[pairs[1]])
-    return table, exact
+    if floor is None:
+        return table, exact, None
+    if bound is None:
+        return table, exact, table
+    np.copyto(bound, table, where=exact)
+    return table, exact, bound
 
 
 # --------------------------------------------------------------------------

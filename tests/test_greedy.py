@@ -233,6 +233,126 @@ def test_settle_raises_when_every_candidate_is_nan():
         one_step_sweep([[nan], [nan]], [1.0])
 
 
+# ------------------------------------------------ skipping by stale gains
+
+def two_step_sweep(values, margin=0.0, lazy_size=0):
+    """greedy_sweep of one function over two picks; ``values`` maps a set of
+    at most two ids (a tuple) to its value, the empty set is worth 0. The
+    function keeps gains with the given margin. Returns the sweep, the
+    candidate lists scored and the counts."""
+    ground = 1 + max(e for key in values for e in key)
+    scored, counts = [], {}
+
+    def score(members, current, candidates, floor=None):
+        scored.append(list(candidates))
+        table = np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])
+        return table if floor is None else (table, table)
+
+    sweep = greedy_sweep(score, UniformMatroid(GroundSet(ground), 2), [0.0],
+                         [float("inf")], [margin], lazy_size, counts)
+    return sweep, scored, counts
+
+
+def assert_same_as_plain(sweep, values):
+    ground = 1 + max(e for key in values for e in key)
+
+    def fn(s):
+        return values[tuple(sorted(s))] if s else 0.0
+
+    expected, picks, evaluations = plain_greedy(fn, UniformMatroid(GroundSet(ground), 2))
+    assert sweep[0] == [expected]
+    assert sweep[2][0].picks == picks
+    assert sweep[2][0].evaluations == evaluations
+
+
+def test_stale_gain_below_the_best_is_skipped():
+    # after {0}, element 1 may still gain 3 and element 2 only 1; element 1
+    # gains 2.5, so 2's bound 5 + 1 < 7.5 rules it out
+    values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
+    sweep, scored, counts = two_step_sweep(values)
+    assert scored == [[0, 1, 2], [1]]
+    [trace] = sweep[2]
+    assert trace.picks == [(0, 5.0), (1, 2.5)]
+    assert (trace.evaluations, trace.settled, trace.skipped) == (6, 1, 1)
+    assert counts == {"stale": 1}
+    assert_same_as_plain(sweep, values)
+
+
+def test_stale_gain_that_ties_the_best_at_a_smaller_id_is_scored():
+    # after {3}: element 1 has the largest bound (9) and scores 7; element 0
+    # ties it (5 + 2) at a smaller id, so it is scored and, tying, wins;
+    # element 2 ties it too at a larger id and is skipped
+    values = {(3,): 5.0, (0,): 2.0, (1,): 4.0, (2,): 2.0,
+              (0, 3): 7.0, (1, 3): 7.0, (2, 3): 7.0}
+    values.update({key: 0.0 for key in [(0, 1), (0, 2), (1, 2)]})
+    sweep, scored, counts = two_step_sweep(values)
+    assert scored == [[0, 1, 2, 3], [1], [0]]
+    [trace] = sweep[2]
+    assert trace.picks == [(3, 5.0), (0, 2.0)]
+    assert (trace.evaluations, trace.settled, trace.skipped) == (8, 0, 1)
+    assert counts == {"stale": 1}
+    assert_same_as_plain(sweep, values)
+
+
+def test_margin_widens_the_stale_bound():
+    # the same table as the skip test: a margin of 1.5 lifts element 2's
+    # bound to 7.5, a tie at a larger id, and 2 lifts it past the best
+    values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
+    assert two_step_sweep(values, margin=1.5)[1] == [[0, 1, 2], [1]]
+    sweep, scored, _ = two_step_sweep(values, margin=2.0)
+    assert scored == [[0, 1, 2], [1], [2]]
+    assert_same_as_plain(sweep, values)
+
+
+def test_group_below_the_size_rule_keeps_no_gains():
+    values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
+    sweep, scored, counts = two_step_sweep(values, lazy_size=3)
+    # the first group (3 candidates) keeps its gains, the second (2) is
+    # below the rule and is scored in one call
+    assert scored == [[0, 1, 2], [1, 2]]
+    assert counts == {}
+    assert_same_as_plain(sweep, values)
+
+
+@pytest.mark.parametrize("where", ["first", "second"])
+def test_nan_rows_lose_or_raise_with_stale_gains(where):
+    nan = float("nan")
+    values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
+    if where == "first":
+        # a NaN singleton keeps no gain: its bound is the function's, so it
+        # is the first call's candidate; NaN never wins and the rest is scored
+        values[(2,)] = nan
+        sweep, scored, _ = two_step_sweep(values)
+        assert scored == [[0, 1, 2], [2], [1]]
+    else:
+        # element 1, the best bound, scores NaN at the second step: no best
+        # value, so every candidate is scored and element 2 wins
+        values[(0, 1)] = nan
+        sweep, scored, _ = two_step_sweep(values)
+        assert scored == [[0, 1, 2], [1], [2]]
+    assert_same_as_plain(sweep, values)
+    values[(0, 2)] = values[(0, 1)] = nan
+    with pytest.raises(ValueError, match=r"greedy step from \[0\]: .*\[1, 2\] .*\[nan, nan\]"):
+        two_step_sweep(values)
+
+
+def test_no_margins_scores_as_before():
+    # without margins no group keeps gains or asks for upper ends
+    values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
+    scored = []
+
+    def score(members, current, candidates):
+        scored.append(list(candidates))
+        return np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])
+
+    counts = {}
+    sweep = greedy_sweep(score, UniformMatroid(GroundSet(3), 2), [0.0], [float("inf")],
+                         lazy_size=0, counts=counts)
+    assert scored == [[0, 1, 2], [1, 2]]
+    assert counts == {}
+    assert_same_as_plain(sweep, values)
+
+
 @pytest.mark.parametrize("kind", ["uniform", "partition"])
 def test_sweep_checks_no_set_it_built(monkeypatch, kind):
     # the loop grows every set from the matroid's own candidates, so it asks

@@ -345,7 +345,7 @@ def test_screen_keeps_the_exact_winner_of_near_ties(seed, copies, n, m):
         row[i] += rng.integers(-200, 201) * np.spacing(row[i])
     expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
     with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
-        table, exact = sga._group_scores(rows, taus, alphas)
+        table, exact, _ = sga._group_scores(rows, taus, alphas)
     assert np.array_equal(table.argmax(axis=0), expected.argmax(axis=0))
     assert np.array_equal(table.max(axis=0), expected.max(axis=0))
     assert np.array_equal(table[exact], expected[exact])
@@ -368,7 +368,7 @@ def test_small_and_non_finite_groups_are_scored_exactly(bad):
         rows[4, 10:14] = bad  # four samples of -1e308 overflow the prefix sum
     with np.errstate(invalid="ignore", over="ignore"):  # in the exact kernel too
         expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
-        table, exact = sga._group_scores(rows, taus, alphas)
+        table, exact, _ = sga._group_scores(rows, taus, alphas)
     assert exact.all()
     assert np.array_equal(table, expected, equal_nan=True)
 
@@ -390,7 +390,7 @@ def test_one_row_group_matches_the_one_vector_kernel(samples, pairs, bad):
     alphas = np.resize([0.05, 0.3, 1.0], pairs)
     with np.errstate(invalid="ignore"):
         expected = auxiliary_scores(row, taus, alphas)
-        table, exact = sga._group_scores(row[None], taus, alphas)
+        table, exact, _ = sga._group_scores(row[None], taus, alphas)
     assert np.array_equal(table[0], expected, equal_nan=True)
     screened = pairs * samples >= sga._SCREEN_MIN_FLOATS and bad is None
     assert exact.all() != screened
@@ -422,9 +422,9 @@ def test_empty_set_is_scored_as_a_group(samples, grid):
               for tau in np.linspace(0.0, obj.gamma_hint, grid).tolist()]
     seen, sweep = [], sga.greedy_sweep
 
-    def record(score, matroid, initial, bounds):
+    def record(score, matroid, initial, *args):
         seen.append(initial)
-        return sweep(score, matroid, initial, bounds)
+        return sweep(score, matroid, initial, *args)
 
     with mock.patch.object(sga, "greedy_sweep", record):
         ours = sga._solve(obj, obj.matroid, sc, points)
@@ -469,7 +469,7 @@ def test_solve_logs_screened_and_rescored_pairs(caplog, capsys, monkeypatch):
     assert result == reference_run_sga(obj, obj.matroid, cfg)
     [record] = caplog.records
     assert (record.name, record.levelname) == ("cvargreedy", "DEBUG")
-    pairs, exact, skipped, small, computed, settled = map(
+    pairs, exact, skipped, small, computed, stale, settled = map(
         int, re.findall(r"\d+", record.getMessage()))
     # every candidate of every step at every point is a pair scored or
     # skipped; the first group holds all 31 points (31 x 500 floats, above
@@ -483,6 +483,8 @@ def test_solve_logs_screened_and_rescored_pairs(caplog, capsys, monkeypatch):
     # pick skips at least one candidate
     assert computed == sum(rows)
     assert 0 < settled <= skipped
+    # 15 candidates x 500 samples is below the stale-bound size rule
+    assert stale == 0
     assert capsys.readouterr().out == ""
 
 
@@ -527,6 +529,233 @@ def test_saturated_group_falls_back_when_its_first_candidate_falls_short(monkeyp
     assert ours == reference_solve(obj, obj.matroid, sc, points)
     assert ours[0].selected == {0, 1}
     assert calls == [(frozenset(), [0]), (frozenset(), [1, 2, 3]), (frozenset({1}), [0])]
+
+
+# ------------------------------------------------------ stale-gain bounds
+
+class DeclaredShiftedRows(ShiftedRows):
+    """``ShiftedRows`` with its rounding declared: a sum of at most |X|
+    nonnegative terms from zero errs by gamma_{|X|-1} times itself. Its rows
+    tie up to rounding, so stale bounds meet near-ties."""
+
+    def __init__(self, matroid, scale: float = 1.0):
+        super().__init__(matroid, scale)
+        self.utility_rounding = sga._gamma(self.ground.size)
+
+
+class DeclaredOffset(Offset):
+    """``Offset`` of a declared base: the add of the offset rounds once more."""
+
+    def __init__(self, base, offset: float):
+        super().__init__(base, offset)
+        self.utility_rounding = base.utility_rounding + 2.0**-52
+
+
+class NoisyModular(StochasticObjective):
+    """Element e acts as element e mod ``base`` of a modular utility with
+    random weights per sample, computed with a relative error of +-0.999*rho
+    whose sign depends on the set and the sample. The declared rounding rho
+    dwarfs the kernel's, and clones tie in real arithmetic but not as
+    computed."""
+
+    def __init__(self, matroid, base: int, rho: float):
+        self.ground, self.matroid, self.base = matroid.ground, matroid, base
+        self.gamma_hint = float(matroid.ground.size)
+        self.utility_rounding = rho
+
+    def sample_scenarios(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return ScenarioSet(rng.random((count, self.base)), count, int(seed))
+
+    def utilities(self, subset, scenarios):
+        subset = self.ground.check_subset(subset)
+        real = np.zeros(len(scenarios))
+        for e in sorted(subset):
+            real += scenarios.data[:, e % self.base]
+        mask = sum(1 << e for e in subset)
+        sign = np.random.default_rng([mask, scenarios.seed]).choice([-1.0, 1.0], real.size)
+        return real * (1 + 0.999 * self.utility_rounding * sign)
+
+
+def stale_counts(obj, sc, points) -> tuple[list, dict]:
+    """``sga._solve`` with every group lazy, and the counts it gave greedy_sweep."""
+    seen, sweep = {}, sga.greedy_sweep
+
+    def record(*args):
+        out = sweep(*args)
+        seen.update(args[-1])
+        return out
+
+    with mock.patch.object(sga, "_LAZY_MIN_FLOATS", 0), \
+            mock.patch.object(sga, "greedy_sweep", record):
+        ours = sga._solve(obj, obj.matroid, sc, points)
+    return ours, seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["vehicle", "sensor"]),
+       alphas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0]), min_size=1,
+                       max_size=3, unique=True),
+       spacing=st.sampled_from([1.0, 0.3, 1 / 9, 0.04]),
+       samples=st.sampled_from([1, 5, 60, 300]))
+def test_stale_bounds_match_the_per_tau_reference(seed, family, alphas, spacing, samples):
+    # every group skips by stale gains; vehicles serve a demand several times
+    # and sensor counts tie often, which exercises the smallest-id rule
+    rng = np.random.default_rng(seed)
+    if family == "vehicle":
+        obj = VehicleAssignment.generate(int(rng.integers(1, 6)),
+                                         int(rng.integers(1, 4)), seed=seed)
+    else:
+        sites = int(rng.integers(1, 10))
+        obj = random_sensor(seed, sites, int(rng.integers(1, 40)),
+                            select=int(rng.integers(1, sites + 1)))
+    cfg = SgaConfig(alpha=alphas[0], gamma=obj.gamma_hint,
+                    delta=spacing * obj.gamma_hint, samples=samples, seed=seed)
+    with mock.patch.object(sga, "_LAZY_MIN_FLOATS", 0):
+        table = alpha_sweep(obj, obj.matroid, cfg, alphas)
+    for point in table.points:
+        ours = point.result
+        ref = reference_run_sga(obj, obj.matroid, dataclasses.replace(cfg, alpha=point.alpha))
+        assert ours.sweep == ref.sweep
+        assert ours.chosen_set == ref.chosen_set
+        assert ours.chosen_tau == ref.chosen_tau
+        assert ours.h_value == ref.h_value
+        assert ours.oracle_evaluations == ref.oracle_evaluations
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["shifted", "large-vehicle", "large-sensor", "noisy"]),
+       samples=st.integers(1, 400),
+       alphas=st.lists(st.sampled_from([0.001, 0.05, 0.3, 1.0]), min_size=1,
+                       max_size=3, unique=True),
+       grid=st.integers(1, 12), screen=st.booleans())
+def test_stale_bounds_hold_on_near_ties(seed, family, samples, alphas, grid, screen):
+    # rows that are permutations of one another, utilities near 1e8 that
+    # differ far below their magnitude, and clones computed with declared
+    # errors: the stale bounds meet values equal up to rounding, which only
+    # the margin covers. Past the top utility H is affine in the utilities,
+    # so gains repeat exactly in real arithmetic; with the screen on, kept
+    # gains are upper ends.
+    rng = np.random.default_rng(seed)
+    if family == "noisy":
+        base = int(rng.integers(1, 4))
+        obj = NoisyModular(random_matroid(rng, GroundSet(base * int(rng.integers(2, 4))),
+                                          "mixed"), base, 1e-6)
+    elif family == "shifted":
+        obj = DeclaredShiftedRows(random_matroid(rng, GroundSet(int(rng.integers(2, 9))),
+                                                 "mixed"),
+                                  scale=float(rng.choice([1e-3, 1.0, 1e4])))
+    elif family == "large-vehicle":
+        obj = DeclaredOffset(VehicleAssignment.generate(int(rng.integers(2, 5)),
+                                                        int(rng.integers(1, 4)),
+                                                        seed=seed), 1e8)
+    else:
+        obj = DeclaredOffset(random_sensor(seed, int(rng.integers(2, 9)),
+                                           int(rng.integers(1, 30))), 1e8)
+    sc = obj.sample_scenarios(samples, seed)
+    full = obj.utilities(frozenset(obj.ground.elements), sc)
+    taus = set(np.linspace(0.0, 1.05 * full.max(), grid).tolist())
+    taus.update(np.linspace(full.min(), full.max(), grid).tolist())
+    points = [(alpha, tau) for alpha in alphas for tau in sorted(taus)]
+    with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0 if screen else 10**9):
+        ours, _ = stale_counts(obj, sc, points)
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.05])
+def test_declared_rounding_widens_the_margin(rho):
+    # clones of one element tie in real arithmetic, and their computed
+    # values sit up to rho apart: only the margin's utility term keeps the
+    # bound of a clone above its computed value
+    obj = NoisyModular(UniformMatroid(GroundSet(6), 3), 1, rho)
+    points = [(alpha, tau) for alpha in (0.3, 1.0) for tau in (1.0, 2.0, 4.0)]
+    skipped = 0
+    for seed in range(40):
+        sc = obj.sample_scenarios(3, seed)
+        ours, counts = stale_counts(obj, sc, points)
+        assert ours == reference_solve(obj, obj.matroid, sc, points)
+        skipped += counts["stale"] > 0
+    assert skipped > 0
+
+
+def test_stale_bounds_skip_rows_and_keep_every_output():
+    obj = VehicleAssignment.generate(6, 5, seed=3)
+    cfg = SgaConfig(alpha=0.2, gamma=obj.gamma_hint, delta=obj.gamma_hint / 20,
+                    samples=300, seed=4)
+    sc = obj.sample_scenarios(cfg.samples, cfg.seed)
+    points = [(cfg.alpha, tau) for tau in cfg.tau_grid()]
+    ours, counts = stale_counts(obj, sc, points)
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+    assert counts["stale"] > 0
+    assert counts["rows"] < sum(p.evaluations - 2 for p in ours)
+
+
+def test_objective_without_a_declared_bound_computes_todays_rows(monkeypatch):
+    # with the size rule at 0 every group of a declared objective is lazy;
+    # the same objective undeclared computes what the size rule out of
+    # reach computes: one call per group, or the settle rule
+    obj = VehicleAssignment.generate(6, 5, seed=3)
+    bare = VehicleAssignment.generate(6, 5, seed=3)
+    bare.utility_rounding = None
+    sc = obj.sample_scenarios(300, 4)
+    points = [(0.2, tau) for tau in np.linspace(0.0, obj.gamma_hint, 21).tolist()]
+    extension_utilities = VehicleAssignment.extension_utilities
+
+    def calls(objective, size):
+        made = []
+
+        def record(self, subset, candidates, scenarios):
+            made.append((subset, list(candidates)))
+            return extension_utilities(self, subset, candidates, scenarios)
+
+        monkeypatch.setattr(VehicleAssignment, "extension_utilities", record)
+        with mock.patch.object(sga, "_LAZY_MIN_FLOATS", size):
+            result = sga._solve(objective, objective.matroid, sc, points)
+        monkeypatch.undo()
+        return made, result
+
+    today, expected = calls(obj, 10**9)
+    undeclared, result = calls(bare, 0)
+    lazy, lazy_result = calls(obj, 0)
+    assert undeclared == today
+    assert result == lazy_result == expected
+    assert sum(len(c) for _, c in lazy) < sum(len(c) for _, c in today)
+
+
+@pytest.mark.parametrize("rho", [-0.1, 1.0, float("nan")])
+def test_declared_rounding_is_checked(rho):
+    obj = VehicleAssignment.generate(2, 2, seed=1)
+    obj.utility_rounding = rho
+    sc = obj.sample_scenarios(10, 0)
+    with pytest.raises(ValueError, match="utility_rounding must lie in"):
+        sga._solve(obj, obj.matroid, sc, [(0.5, 1.0)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 8),
+       n=st.sampled_from([50, 1000]), m=st.integers(1, 4))
+def test_upper_ends_bound_every_exact_value(seed, copies, n, m):
+    # near-tied rows, as in the screen test above: the screen ranks them in
+    # another order than the exact kernel, so only H~ + M' bounds the
+    # screened pairs
+    rng = np.random.default_rng(seed)
+    base = rng.random(n) * 100
+    taus = np.quantile(base, rng.uniform(0.0, 1.0, m))
+    alphas = rng.choice([0.001, 0.1, 1.0], m)
+    rows = np.array([rng.permutation(base) for _ in range(copies)])
+    for row in rows:
+        i = rng.integers(n)
+        row[i] += rng.integers(-200, 201) * np.spacing(row[i])
+    # and scaled copies that the screen rules out, whose H~ and exact value
+    # differ in the last bits either way
+    rows = np.vstack([rows, rows * rng.uniform(0.2, 0.9, (copies, 1))])
+    expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
+    with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
+        table, exact, upper = sga._group_scores(rows, taus, alphas, np.full(m, -np.inf))
+        assert sga._group_scores(rows, taus, alphas)[2] is None
+    assert (upper >= expected).all()
+    assert np.array_equal(upper[exact], expected[exact])
 
 
 @settings(max_examples=40, deadline=None)
