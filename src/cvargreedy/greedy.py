@@ -6,8 +6,8 @@ set. Negative gains are accepted; for monotone objectives they do not occur.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -15,7 +15,8 @@ import numpy as np
 from .matroid import Matroid
 
 SetFunction = Callable[[frozenset], float]
-GroupScores = Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]
+# (members, current, candidates, floor) groups -> one (table, upper) per group
+GroupScores = Callable[[list[tuple]], list[tuple[np.ndarray, np.ndarray | None]]]
 
 
 @dataclass
@@ -38,21 +39,26 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
                                                       list[GreedyTrace]]:
     """The one greedy loop, run for ``len(initial)`` set functions at once.
 
-    ``initial[i]`` is the value of function i at the empty set.
-    ``score(members, current, candidates)`` returns a (candidates x members)
-    table: entry [r, j] is the value of function ``members[j]`` at
-    ``current | {candidates[r]}``. Each step groups the unfinished functions
-    by their current set S, asks the matroid for the extensions of S once
-    per group (unchecked: the loop built S from the matroid's own
-    candidates) and scores them, candidates in ascending id order. Per
-    function this makes the same picks as a greedy of its own (ties go to
-    the smallest element id); its trace counts the empty set and every
-    candidate. A step whose candidates all score NaN (or -inf) for some
-    function raises ``ValueError``. Returns the sets, values and traces.
+    ``initial[i]`` is the value of function i at the empty set. Each step
+    groups the unfinished functions by their current set S and asks the
+    matroid for the extensions of S once per group (unchecked: the loop
+    built S from the matroid's own candidates), candidates in ascending id
+    order. ``score(groups)`` scores the groups of one call, a list of
+    (members, current, candidates, floor) tuples, and returns one (table,
+    upper) pair per group: entry [r, j] of the (candidates x members) table
+    is the value of function ``members[j]`` at ``current | {candidates[r]}``;
+    floor and upper are None unless the group keeps gains (below). A step
+    makes one call for all its groups, and at most one more for the groups
+    whose rules leave candidates unscored, and takes each function's pick
+    from one column maximum over the step. Per function this makes the same
+    picks as a greedy of its own (ties go to the smallest element id); its
+    trace counts the empty set and every candidate. A step whose candidates
+    all score NaN (or -inf) for some function raises ``ValueError``.
+    Returns the sets, values and traces.
 
-    By default a group's candidates are scored with one ``score`` call.
-    Two rules skip candidates that cannot be a pick. Their steps score some
-    candidates first and maybe more in a second call, and take the largest
+    By default every candidate of a group is scored in the first call. Two
+    rules skip candidates that cannot be a pick. Their groups score some
+    candidates first and maybe more in the second call, and take the largest
     value of the two tables at the smallest id. That is the pick of one
     call as long as each table holds the exact value wherever that can be
     the maximum of both, and less than that maximum elsewhere, as exact
@@ -65,7 +71,7 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     their bounds scores its first candidate alone. If that reaches every
     member's bound it is a column maximum with the smallest id, so it is
     every member's pick, with gain 0, and no other candidate is scored.
-    Otherwise one more call scores the rest. For H(S, tau) = tau - q, tau
+    Otherwise the second call scores the rest. For H(S, tau) = tau - q, tau
     is such a bound: q, a sum of hinge terms max(tau - u, 0) >= 0 divided
     by alpha*n > 0, rounds to a float >= 0 or NaN, and tau - q <= tau
     rounds to a float <= tau, as rounding is monotone and tau is a float.
@@ -76,15 +82,15 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     and e outside S, its value at S + e is at most its value at S plus
     value(S' + e) - value(S') plus ``margins[i]``, with value(S' + e) read
     as any upper bound on it. A group of at least ``lazy_size`` candidates
-    then calls ``score(members, current, candidates, floor)``, which
-    returns (table, upper), arrays the loop may overwrite: upper[r, j]
-    bounds the exact value of table[r, j] from above, and the table need
-    not be exact where that value lies below ``floor[j]``, a value the
-    group already holds. The loop keeps each function's last gain
-    upper[r, j] - value(S') per candidate. An unsaturated group with a finite kept gain bounds every
-    candidate by UB = min(bound, value(S) + gain + margin), or by its bound
-    where no gain is kept. The first call scores, per member, the
-    candidate with the largest UB (the smallest id among equals); the
+    then keeps gains: its floor is an array of one value per member, and
+    its upper is an array the loop may overwrite, where upper[r, j] bounds
+    the exact value of table[r, j] from above, and the table need not be
+    exact where that value lies below ``floor[j]``, a value the group
+    already holds. The loop keeps each function's last gain upper[r, j] -
+    value(S') per candidate. An unsaturated group with a finite kept gain
+    bounds every candidate by UB = min(bound, value(S) + gain + margin), or
+    by its bound where no gain is kept. The first call scores, per member,
+    the candidate with the largest UB (the smallest id among equals); the
     second scores only the candidates whose UB exceeds some member's best
     value of the first call, or equals it at a smaller id than that best's.
     Every other candidate's value is below the member's best, or equal to
@@ -101,113 +107,194 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
         margins = np.asarray(margins, dtype=float)
     count = values.size
     selected: list[frozenset[int]] = [frozenset()] * count
-    traces = [GreedyTrace(evaluations=1) for _ in range(count)]
+    traces = [GreedyTrace() for _ in range(count)]
+    evaluations = np.ones(count, dtype=np.int64)  # the empty set
+    settled = np.zeros(count, dtype=np.int64)
+    skipped = np.zeros(count, dtype=np.int64)
     gains = None  # (ground x functions) last kept gain; NaN where there is none
-    active = list(range(count))
-    while active:
-        groups: dict[frozenset, list[int]] = {}
-        for i in active:
-            groups.setdefault(selected[i], []).append(i)
-        active = []
-        for current, members in groups.items():
+    groups = {frozenset(): [np.arange(count)]} if count else {}
+    while groups:
+        step = []
+        for current, parts in groups.items():
+            at = parts[0] if len(parts) == 1 else np.concatenate(parts)
             candidates = sorted(matroid._extension_candidates(current))
-            if not candidates:
-                continue
-            at = np.array(members)
-            keep = margins is not None and len(candidates) >= lazy_size
-            saturated = (bounds is not None and len(candidates) > 1
-                         and all(values[i] == bounds[i] for i in members))
-            ub = None
-            if keep and gains is None:
-                gains = np.full((matroid.ground.size, count), np.nan)
-            elif keep and not saturated:
-                ub = gains[np.ix_(candidates, at)]
-                if np.isnan(ub).all():
-                    ub = None
-            lazy = ub is not None
-            if saturated:
-                rows = np.arange(1)
-            elif lazy:
-                ub += values[at]
-                ub += margins[at]
-                np.fmin(np.inf if bounds is None else bounds[at], ub, out=ub)
-                top = np.zeros(len(candidates), dtype=bool)
-                top[ub.argmax(axis=0)] = True
-                rows = np.flatnonzero(top)  # not np.unique, which imports numpy.ma
+            if candidates:
+                step.append(_Group(current, at, candidates))
             else:
-                rows = np.arange(len(candidates))
-            parts = [(rows, *_call(score, at, current, candidates, rows, keep))]
-            pick, best = _first_max(parts[0][1])
-            if lazy:  # else rows are 0, 1, ..., as pick is
-                pick = rows[pick]
-            rest = ()
-            if saturated and not (best == bounds[at]).all():
-                rest = np.arange(1, len(candidates))
-            elif lazy:
-                rest = _needed(ub, best, pick, rows)
-                del ub
-            settled = not len(rest) and len(rows) < len(candidates)
-            if len(rest):
-                parts.append((rest, *_call(score, at, current, candidates, rest, keep, best)))
-                more, more_best = _first_max(parts[1][1])
-                more = rest[more]
-                take = (more_best > best) | ((more_best == best) & (more < pick))
-                pick, best = np.where(take, more, pick), np.where(take, more_best, best)
-            skipped = len(candidates) - len(rows) - len(rest)
-            if lazy and counts is not None:
-                counts["stale"] = counts.get("stale", 0) + skipped
-            before = values[at] if keep else None
-            pick, picked = pick.tolist(), best.tolist()
-            for j, i in enumerate(members):
-                if not picked[j] > -np.inf:  # NaN never wins
-                    scored = sorted((r, table[k, j]) for rows, table, _ in parts
-                                    for k, r in enumerate(rows))
-                    raise ValueError(
-                        f"greedy step from {sorted(current)}: no candidate has a "
-                        f"comparable score; the scores of "
-                        f"{[candidates[r] for r, _ in scored]} are "
-                        f"{[float(v) for _, v in scored]} (NaN or -inf)")
-                e = candidates[pick[j]]
-                traces[i].picks.append((e, float(picked[j] - values[i])))
-                traces[i].evaluations += len(candidates)
-                traces[i].settled += settled
-                traces[i].skipped += skipped
-                selected[i] = current | {e}
-                values[i] = picked[j]
-            for rows, _, upper in parts if keep else ():
-                # the gains, in the upper ends, which the loop owns
-                upper -= before
-                upper[~np.isfinite(upper)] = np.nan
-                gains[np.ix_([candidates[r] for r in rows.tolist()], at)] = upper
-            del parts  # free the group's arrays before the next group's calls
-            active.extend(members)
+                for i in at.tolist():
+                    selected[i] = current
+        if not step:
+            break
+        # the step's columns: the points of its groups side by side
+        widths = np.array([g.at.size for g in step])
+        starts = np.cumsum(widths) - widths
+        spans = list(zip(starts.tolist(), (starts + widths).tolist()))
+        total = np.array([len(g.candidates) for g in step])
+        at = np.concatenate([g.at for g in step])
+        saturated = np.zeros(len(step), dtype=bool)
+        if bounds is not None:
+            saturated = (total > 1) & np.logical_and.reduceat(values[at] == bounds[at], starts)
+        for g, full in zip(step, saturated.tolist()):
+            g.keep = margins is not None and len(g.candidates) >= lazy_size
+            if full:
+                g.rows = np.arange(1)
+            if g.keep and gains is None:
+                gains = np.full((matroid.ground.size, count), np.nan)
+            elif g.keep and not full:
+                g.ub = gains[np.ix_(g.candidates, g.at)]  # no local: the step frees it
+                if np.isnan(g.ub).all():
+                    g.ub = None
+                    continue
+                g.ub += values[g.at]
+                g.ub += margins[g.at]
+                np.fmin(np.inf if bounds is None else bounds[g.at], g.ub, out=g.ub)
+                top = np.zeros(len(g.candidates), dtype=bool)
+                top[g.ub.argmax(axis=0)] = True
+                g.rows = np.flatnonzero(top)  # not np.unique, which imports numpy.ma
+        pick, best = _score(score, step, [g.rows for g in step], gains, values)
+        short = [False] * len(step)
+        if saturated.any():
+            short = (saturated & ~np.logical_and.reduceat(best == bounds[at], starts)).tolist()
+        again, rest, cols = [], [], []
+        for k, (g, (a, b)) in enumerate(zip(step, spans)):
+            if short[k]:
+                more = np.arange(1, len(g.candidates))
+            elif g.ub is not None:
+                more = _needed(g.ub, best[a:b], pick[a:b], g.rows)
+                g.ub, g.lazy = None, True
+            else:
+                continue
+            if len(more):
+                again.append(k)
+                rest.append(more)
+                cols.append(np.arange(a, b))
+        if again:
+            more, more_best = _score(score, [step[k] for k in again], rest, gains, values,
+                                     [best[c] for c in cols])
+            cols = np.concatenate(cols)
+            take = (more_best > best[cols]) | ((more_best == best[cols]) & (more < pick[cols]))
+            pick[cols] = np.where(take, more, pick[cols])
+            best[cols] = np.where(take, more_best, best[cols])
+        comparable = best > -np.inf  # NaN never wins
+        if not comparable.all():
+            c = int(comparable.argmin())
+            k = int(np.searchsorted(starts, c, side="right")) - 1
+            raise _incomparable(step[k], c - spans[k][0])
+        scored = np.array([n if g.rows is None else len(g.rows)
+                           for g, n in zip(step, total.tolist())])
+        first = scored < total  # settled by the first call
+        if again:
+            scored[again] += [len(more) for more in rest]
+            first[again] = False
+        evaluations[at] += np.repeat(total, widths)
+        settled[at] += np.repeat(first, widths)
+        skipped[at] += np.repeat(total - scored, widths)
+        if counts is not None:
+            for g, n in zip(step, (total - scored).tolist()):
+                if g.lazy:
+                    counts["stale"] = counts.get("stale", 0) + n
+        ids = np.fromiter(chain.from_iterable(g.candidates for g in step), dtype=np.intp,
+                          count=int(total.sum()))
+        elements = ids[np.repeat(np.cumsum(total) - total, widths) + pick]
+        for i, e, gain in zip(at.tolist(), elements.tolist(), (best - values[at]).tolist()):
+            traces[i].picks.append((e, gain))
+        values[at] = best
+        groups = {}
+        heads = elements[starts]
+        alike = np.logical_and.reduceat(elements == np.repeat(heads, widths), starts)
+        for g, e, same, (a, b) in zip(step, heads.tolist(), alike.tolist(), spans):
+            if same:
+                groups.setdefault(g.current | {e}, []).append(g.at)
+            else:
+                picked = elements[a:b]
+                for e in dict.fromkeys(picked.tolist()):
+                    groups.setdefault(g.current | {e}, []).append(g.at[picked == e])
+    for trace, n, s, k in zip(traces, evaluations.tolist(), settled.tolist(),
+                              skipped.tolist()):
+        trace.evaluations, trace.settled, trace.skipped = n, s, k
     return selected, values, traces
 
 
-def _call(score: GroupScores, members: np.ndarray, current: frozenset, candidates: list,
-          rows, keep: bool, floor=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The table of ``candidates[rows]``, and with ``keep`` its upper ends
-    (the floor defaults to -inf), else None."""
-    picked = (candidates if len(rows) == len(candidates)
-              else [candidates[r] for r in rows.tolist()])
-    if not keep:
-        return np.asarray(score(members, current, picked), dtype=float), None
-    if floor is None:
-        floor = np.full(members.size, -np.inf)
-    table, upper = score(members, current, picked, floor)
-    return np.asarray(table, dtype=float), np.asarray(upper, dtype=float)
+@dataclass(eq=False)
+class _Group:
+    """The points of one step at one set, and how the step scores them."""
+
+    current: frozenset
+    at: np.ndarray  # the points
+    candidates: list
+    rows: np.ndarray | None = None  # the candidates of the first call; None: all
+    keep: bool = False  # keeps its gains
+    lazy: bool = False  # skipped candidates by stale bounds
+    ub: np.ndarray | None = None  # the stale bounds, until the second call
+    parts: list = field(default_factory=list)  # (rows, table) of each call, for errors
+
+
+def _chosen(candidates: list, rows: np.ndarray | None) -> list:
+    """The candidates of ``rows``; None stands for all of them."""
+    return candidates if rows is None else [candidates[r] for r in rows.tolist()]
+
+
+def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: np.ndarray,
+           floors=None) -> tuple[np.ndarray, np.ndarray]:
+    """Score ``rows[k]`` of each group's candidates in one ``score`` call,
+    with ``floors[k]`` (default -inf) for each group that keeps gains, and
+    keep those groups' gains (upper end minus the value before the step).
+    Returns ``_first_max`` over the groups' columns side by side, its rows
+    read as candidate indices. A group keeps a table in its parts only while
+    some column of it has no comparable value, for the error message."""
+    calls = [(g.at, g.current, _chosen(g.candidates, r),
+              None if not g.keep else np.full(g.at.size, -np.inf) if floors is None
+              else floors[k])
+             for k, (g, r) in enumerate(zip(groups, rows))]
+    tables = []
+    for g, r, (table, upper) in zip(groups, rows, score(calls)):
+        table = np.asarray(table, dtype=float)
+        if g.keep:  # in place where the loop owns the upper ends
+            upper = np.asarray(upper, dtype=float)
+            upper = np.subtract(upper, values[g.at], out=None if upper is table else upper)
+            upper[~np.isfinite(upper)] = np.nan
+            gains[np.ix_(_chosen(g.candidates, r), g.at)] = upper
+        tables.append(table)
+    del upper  # the loop's gains are kept; free the last upper ends
+    table = tables[0]
+    if len(tables) > 1:  # one column maximum: the tables padded with -inf to one height
+        table = np.full((max(map(len, tables)), sum(t.shape[1] for t in tables)), -np.inf)
+        c = 0
+        for t in tables:
+            table[:len(t), c:c + t.shape[1]] = t
+            c += t.shape[1]
+    first, best = _first_max(table)
+    lost = (best == -np.inf).tolist()
+    c = 0
+    for g, r, t in zip(groups, rows, tables):
+        if r is not None:
+            first[c:c + t.shape[1]] = r[first[c:c + t.shape[1]]]
+        if any(lost[c:c + t.shape[1]]):
+            g.parts.append((r, t))
+        c += t.shape[1]
+    return first, best
+
+
+def _incomparable(g: _Group, j: int) -> ValueError:
+    """The error of a step in which member j of group g has no comparable score."""
+    scored = sorted((r, table[k, j]) for rows, table in g.parts
+                    for k, r in enumerate(range(len(g.candidates)) if rows is None
+                                          else rows.tolist()))
+    return ValueError(
+        f"greedy step from {sorted(g.current)}: no candidate has a "
+        f"comparable score; the scores of "
+        f"{[g.candidates[r] for r, _ in scored]} are "
+        f"{[float(v) for _, v in scored]} (NaN or -inf)")
 
 
 def _first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the first row whose entry is the largest, and that entry;
-    NaN never wins, and a column without a comparable value gets -inf."""
-    cols = np.arange(table.shape[1])
-    first = table.argmax(axis=0)
-    value = table[first, cols]
-    if math.isnan(np.add.reduce(value)):  # argmax takes NaN for the largest
-        table = np.where(np.isnan(table), -np.inf, table)
-        first = table.argmax(axis=0)
-        value = table[first, cols]
+    NaN never wins, and a column without a comparable value gets -inf. The
+    only temporary as large as the table is a boolean one."""
+    top = np.fmax.reduce(table, axis=0)  # NaN only where every entry is NaN
+    first = (table == top).argmax(axis=0)
+    value = table[first, np.arange(table.shape[1])]
+    value[np.isnan(value)] = -np.inf
     return first, value
 
 
@@ -228,8 +315,9 @@ def greedy_maximize(objective_fn: SetFunction, matroid: Matroid) -> tuple[frozen
     Ties are broken toward the smallest element id. Every call to
     ``objective_fn`` is counted in the trace.
     """
-    def score(_members, current: frozenset, candidates: list) -> np.ndarray:
-        return np.array([[objective_fn(current | {e})] for e in candidates], dtype=float)
+    def score(groups: list[tuple]) -> list[tuple[np.ndarray, None]]:
+        return [(np.array([[objective_fn(current | {e})] for e in candidates], dtype=float),
+                 None) for _, current, candidates, _ in groups]
 
     selected, _, traces = greedy_sweep(score, matroid, [objective_fn(frozenset())])
     return selected[0], traces[0]

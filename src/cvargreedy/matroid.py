@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -139,7 +140,13 @@ class Matroid:
         """Every independent subset as an int64 bitmask (bit e = element e).
 
         In (size, lexicographic) order, from the block counts of a uint8 bit
-        table of the powerset; a set holding the smaller element sorts first."""
+        table of the powerset; a set holding the smaller element sorts first.
+        A matroid is immutable, so the array is built on the first call and
+        kept on the instance, read-only, for every later one."""
+        return self._feasible_masks
+
+    @cached_property
+    def _feasible_masks(self) -> np.ndarray:
         n = self.ground.size
         if n > ENUMERATION_CAP:
             raise EnumerationCapError(f"the ground set has {n} elements, more than "
@@ -151,7 +158,9 @@ class Matroid:
         membership[np.arange(n), self._block_of] = 1
         keep = (bits @ membership <= np.array(self.capacities)).all(axis=1)
         masks, bits = masks[keep], bits[keep]
-        return masks[np.lexsort((*(1 - bits.T[::-1]), bits.sum(axis=1)))]
+        masks = masks[np.lexsort((*(1 - bits.T[::-1]), bits.sum(axis=1)))]
+        masks.flags.writeable = False
+        return masks
 
     def enumerate_feasible(self) -> list[frozenset[int]]:
         """``feasible_masks`` as frozensets, empty set first."""

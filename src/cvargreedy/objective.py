@@ -74,10 +74,11 @@ class StochasticObjective:
     and defines the objective.
 
     Every batched caller reads through ``set_utilities``: brute force and
-    exact curvature once per block of feasible sets, the greedy once per
-    group through ``extension_utilities`` (the sets S + e). The defaults
-    call ``utilities`` once per set; a subclass may override either hook
-    with a batched kernel whose rows are bit-equal to those calls.
+    exact curvature once per block of feasible sets, the greedy through
+    ``extension_utilities`` (the sets S + e), once per step for all its
+    groups whose rows fit one block. The defaults call ``utilities`` once
+    per set; a subclass may override either hook with a batched kernel
+    whose rows are bit-equal to those calls.
 
     ``utility_rounding`` is None unless a subclass declares a number rho in
     [0, 1): then each computed utility f~(S, y) lies within rho*f(S, y) of a
@@ -111,19 +112,38 @@ class StochasticObjective:
             out[i] = self.utilities(frozenset(row), scenarios)
         return out
 
-    def extension_utilities(self, subset, candidates,
-                            scenarios: ScenarioSet) -> np.ndarray:
-        """Utilities of every one-element extension of ``subset``.
+    def extension_utilities(self, groups, scenarios: ScenarioSet) -> np.ndarray:
+        """Utilities of the one-element extensions of several subsets.
 
-        Returns a (len(candidates) x samples) array whose row i is
-        ``utilities(subset | {candidates[i]}, scenarios)``. Validates
-        ``subset`` once. The candidates are element ids outside ``subset``
-        (as the matroid's ``extension_candidates`` gives them); an override
-        need not re-check them. The default scores the sorted id rows of S + e,
-        so an objective whose bits depend on frozenset order must override it.
+        ``groups`` is a list of (subset, candidates) pairs whose subsets have
+        one size, as the sets of one greedy step do; the candidates are
+        element ids outside their subset (as the matroid's
+        ``extension_candidates`` gives them). Returns an (extensions x
+        samples) array with the rows of each group after those of the group
+        before: row i of a group is ``utilities(subset | {candidates[i]},
+        scenarios)``. Validates all the ids once per call. The default
+        scores the sorted id rows of every S + e with one ``set_utilities``
+        call, whose ``check_rows`` is that validation; so an objective whose
+        bits depend on frozenset order must override it.
         """
-        subset = sorted(self.ground.check_subset(subset))
-        rows = np.empty((len(candidates), len(subset) + 1), dtype=np.intp)
-        rows[:, :-1], rows[:, -1] = subset, candidates
-        rows.sort(axis=1)
-        return self.set_utilities(rows, scenarios)
+        return self.set_utilities(_extension_ids(groups), scenarios)
+
+
+def _extension_ids(groups) -> np.ndarray:
+    """The ascending id rows of every S + e of ``extension_utilities``'
+    groups, for ``GroundSet.check_rows``: ids keep their dtype, so a float
+    id fails the check instead of being truncated. A bool id, which numpy
+    would read as 0 or 1 beside integers, is refused here."""
+    held = [sorted(subset) for subset, _ in groups]
+    size = len(held[0]) if held else 0
+    if any(len(ids) != size for ids in held):
+        raise ValueError("the subsets of one extension_utilities call must have one size")
+    for e in (e for ids in held for e in ids if isinstance(e, (bool, np.bool_))):
+        raise ValueError(f"element ids must be integers, got {e!r}")
+    added = [e for _, candidates in groups for e in candidates]
+    held, added = (a if a.size else a.astype(np.intp)
+                   for a in (np.array(held), np.array(added)))
+    rows = np.repeat(held.reshape(len(groups), size), [len(c) for _, c in groups], axis=0)
+    rows = np.concatenate([rows, added[:, None]], axis=1)
+    rows.sort(axis=1)
+    return rows

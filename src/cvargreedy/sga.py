@@ -129,6 +129,7 @@ def run_sga(objective: StochasticObjective, matroid: Matroid, config: SgaConfig,
     passed in via ``scenarios``, or else one drawn from ``config.seed``.
     Ties in the final argmax go to the smallest tau.
     """
+    _check_ground(objective, matroid)
     if scenarios is None:
         scenarios = objective.sample_scenarios(config.samples, config.seed)
     elif len(scenarios) != config.samples:
@@ -137,6 +138,13 @@ def run_sga(objective: StochasticObjective, matroid: Matroid, config: SgaConfig,
             f"config.samples={config.samples}")
     points = [(config.alpha, tau) for tau in config.tau_grid()]
     return _result(config, _solve(objective, matroid, scenarios, points))
+
+
+def _check_ground(objective: StochasticObjective, matroid: Matroid) -> None:
+    """The solver scores the matroid's sets: their ids must be the objective's."""
+    if matroid.ground.size != objective.ground.size:
+        raise ValueError(f"the matroid's ground set has {matroid.ground.size} elements, "
+                         f"the objective's {objective.ground.size}")
 
 
 def _result(config: SgaConfig, sweep: list[SweepPoint]) -> SgaResult:
@@ -156,53 +164,124 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
            scenarios: ScenarioSet, points: list[tuple[float, float]]) -> list[SweepPoint]:
     """One ``greedy_sweep`` of H(., tau) over every (alpha, tau) point.
 
-    Each group step makes one ``extension_utilities`` call for all its
-    candidates and scores them with ``_group_scores``, which gives the
-    greedy the picks and values of the exact H table. The empty set is
-    scored as a group of one row: its ranked values at k = 0 are exact, and
-    every other pair is rescored. A point's evaluations add the final
-    recomputation of H(selected). H(S, tau) <= tau, so ``greedy_sweep``
-    settles a group whose points all sit at their tau from its first
-    candidate, computing one row. If the objective declares its
-    ``utility_rounding``, a group of at least _LAZY_MIN_FLOATS (candidates
-    x samples) floats also skips the candidates whose stale gains rule
-    them out, with the margins of ``_stale_margins``; its calls return the
-    upper ends of ``_group_scores`` too. One DEBUG record of the
-    ``cvargreedy`` logger gives the pairs scored, those scored exactly and
-    those skipped (every candidate of every step at every point is one of
-    the two), the score calls below the screen's size rule, the candidate
-    rows computed and those skipped by stale bounds, and the picks settled
-    by their group's first call, one per point and step."""
+    Each score call of the sweep (one per step, and one more for the groups
+    its rules leave unscored) takes the groups' utilities from
+    ``extension_utilities``: one call per run of whole groups whose rows fit
+    _BLOCK_FLOATS floats, so a larger group is a call of its own. The rows
+    are scored with ``_batch_scores``, which gives the greedy the picks and
+    values of the exact H table. The empty set is scored as a group of one
+    row: its ranked values at k = 0 are exact, and every other pair is
+    rescored. A point's evaluations add the final recomputation of
+    H(selected). H(S, tau) <= tau, so ``greedy_sweep`` settles a group whose
+    points all sit at their tau from its first candidate, computing one
+    row. If the objective declares its ``utility_rounding``, a group of at
+    least _LAZY_MIN_FLOATS (candidates x samples) floats also skips the
+    candidates whose stale gains rule them out, with the margins of
+    ``_stale_margins``; its scores return the upper ends of
+    ``_group_scores`` too. One DEBUG record of the ``cvargreedy`` logger
+    gives the pairs scored, those scored exactly and those skipped (every
+    candidate of every step at every point is one of the two), the group
+    scores below the screen's size rule, the candidate rows computed, the
+    ``extension_utilities`` calls that computed them and the rows skipped
+    by stale bounds, and the picks settled by their group's first call, one
+    per point and step. The ids are not checked here: the sets come from
+    the matroid, and each hook call validates its rows once."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
     n = len(scenarios)
     rho = objective.utility_rounding
     margins = None if rho is None else _stale_margins(taus, alphas, n, rho)
-    counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0, "stale": 0}
+    counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0, "calls": 0, "stale": 0}
 
-    def score(members: np.ndarray, current: frozenset, candidates: list, floor=None):
-        rows = objective.extension_utilities(current, candidates, scenarios)
-        table, exact, upper = _group_scores(rows, taus[members], alphas[members], floor)
-        counts["pairs"] += table.size
-        counts["exact"] += int(np.count_nonzero(exact))
-        counts["small"] += members.size * n < _SCREEN_MIN_FLOATS
-        counts["rows"] += len(rows)
-        return table if floor is None else (table, upper)
+    def score(groups: list[tuple]) -> list[tuple]:
+        out = []
+        for batch in _batches(groups, max(1, _BLOCK_FLOATS // n)):
+            rows = objective.extension_utilities(
+                [(current, candidates) for _, current, candidates, _ in batch], scenarios)
+            counts["calls"] += 1
+            counts["rows"] += len(rows)
+            out += _batch_scores(rows, batch, taus, alphas, counts)
+        return out
 
     empty = objective.utilities(frozenset(), scenarios)[None]
     initial = _group_scores(empty, taus, alphas)[0][0]
     selected, values, traces = greedy_sweep(score, matroid, initial, taus, margins,
                                             -(-_LAZY_MIN_FLOATS // n), counts)
     log.debug("scored %d (candidate, tau) pairs, %d of them exactly, and "
-              "skipped %d; %d score calls below the screen's size rule; computed "
-              "%d candidate rows and skipped %d by stale bounds; settled %d "
-              "(point, step) picks by their group's first call",
+              "skipped %d; %d group scores below the screen's size rule; computed "
+              "%d candidate rows in %d extension_utilities calls and skipped %d by "
+              "stale bounds; settled %d (point, step) picks by their group's first call",
               counts["pairs"], counts["exact"], sum(t.skipped for t in traces),
-              counts["small"], counts["rows"], counts["stale"],
+              counts["small"], counts["rows"], counts["calls"], counts["stale"],
               sum(t.settled for t in traces))
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
                        evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]
+
+
+def _batches(groups: list[tuple], budget: int):
+    """The groups in runs of whole groups whose candidates fit ``budget``
+    rows together; a larger group is a run of its own."""
+    run, size = [], 0
+    for group in groups:
+        if run and size + len(group[2]) > budget:
+            yield run
+            run, size = [], 0
+        run.append(group)
+        size += len(group[2])
+    if run:
+        yield run
+
+
+def _batch_scores(rows: np.ndarray, batch: list[tuple], taus: np.ndarray,
+                  alphas: np.ndarray, counts: dict) -> list[tuple]:
+    """The (table, upper) of every (members, current, candidates, floor)
+    group of ``rows``, the groups' candidate rows one after the other.
+
+    A group of at least _SCREEN_MIN_FLOATS (member taus x samples) floats
+    gets its own ``_group_scores`` call, so its screen compares the pairs of
+    one group. Every pair of the smaller groups is scored exactly, row by
+    row and member by member, in one pass of ``auxiliary_scores`` over
+    chunks of pairs within _GROUP_FLOATS floats; each such table is its own
+    upper end.
+    """
+    n = rows.shape[1]
+    heights = [len(candidates) for _, _, candidates, _ in batch]
+    widths = [members.size for members, _, _, _ in batch]
+    counts["pairs"] += sum(h * w for h, w in zip(heights, widths))
+    out, small, start = [], [], 0
+    for k, (members, _, _, floor) in enumerate(batch):
+        if widths[k] * n >= _SCREEN_MIN_FLOATS:
+            block = rows[start:start + heights[k]]
+            table, exact, upper = _group_scores(block, taus[members], alphas[members], floor)
+            counts["exact"] += int(np.count_nonzero(exact))
+            out.append((table, upper))
+        else:
+            small.append((k, start))
+            out.append(None)
+        start += heights[k]
+    if small:
+        # pair p of a group is its row p // width and its member p % width
+        sizes = np.array([heights[k] * widths[k] for k, _ in small])
+        width = np.array([widths[k] for k, _ in small])
+        ends = np.cumsum(sizes)
+        row, member = np.divmod(np.arange(ends[-1]) - np.repeat(ends - sizes, sizes),
+                                np.repeat(width, sizes))
+        row += np.repeat([a for _, a in small], sizes)
+        member += np.repeat(np.cumsum(width) - width, sizes)
+        cols = np.concatenate([batch[k][0] for k, _ in small])[member]
+        values = np.empty(row.size)
+        step = max(1, _GROUP_FLOATS // n)
+        for lo in range(0, row.size, step):
+            at = cols[lo:lo + step]
+            values[lo:lo + step] = auxiliary_scores(rows[row[lo:lo + step]], taus[at],
+                                                    alphas[at])
+        counts["small"] += len(small)
+        counts["exact"] += values.size
+        for (k, _), b, size in zip(small, ends.tolist(), sizes.tolist()):
+            table = values[b - size:b].reshape(heights[k], widths[k])
+            out[k] = (table, None if batch[k][3] is None else table)
+    return out
 
 
 def _stale_margins(taus: np.ndarray, alphas: np.ndarray, n: int,
@@ -743,6 +822,7 @@ def alpha_sweep(objective: StochasticObjective, matroid: Matroid,
     alphas = [check_risk_level(a) for a in alphas]
     if not alphas:
         raise ValueError("at least one risk level is required")
+    _check_ground(objective, matroid)
     scenarios = objective.sample_scenarios(config.samples, config.seed)
     taus = config.tau_grid()
     curvature = auxiliary_curvature(objective, matroid, scenarios, taus)

@@ -327,16 +327,19 @@ def reference_run_sga(objective, matroid, config, scenarios=None) -> SgaResult:
 def reference_solve(objective, matroid, scenarios, points) -> list[SweepPoint]:
     """``sga._solve`` with every candidate row scored by ``auxiliary_scores``.
 
-    The batched sweep as it was before groups were screened: one
-    ``greedy_sweep`` over all (alpha, tau) points, one ``extension_utilities``
-    call per group, H of each row at every member tau."""
+    The batched sweep as it was before groups were screened or scored a step
+    at a time: one ``greedy_sweep`` over all (alpha, tau) points, one
+    ``extension_utilities`` call per group, H of each row at every member tau."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
 
-    def score(members, current, candidates):
-        rows = objective.extension_utilities(current, candidates, scenarios)
-        return np.array([auxiliary_scores(u, taus[members], alphas[members])
-                         for u in rows])
+    def score(groups):
+        out = []
+        for members, current, candidates, _ in groups:
+            rows = objective.extension_utilities([(current, candidates)], scenarios)
+            out.append((np.array([auxiliary_scores(u, taus[members], alphas[members])
+                                  for u in rows]), None))
+        return out
 
     initial = auxiliary_scores(objective.utilities(frozenset(), scenarios), taus, alphas)
     selected, values, traces = greedy_sweep(score, matroid, initial)

@@ -187,9 +187,12 @@ def one_step_sweep(table, bounds):
     table = np.array(table, dtype=float)
     scored = []
 
-    def score(members, current, candidates):
-        scored.append(list(candidates))
-        return table[np.ix_(candidates, members)]
+    def score(groups):
+        out = []
+        for members, _, candidates, _ in groups:
+            scored.append(list(candidates))
+            out.append((table[np.ix_(candidates, members)], None))
+        return out
 
     matroid = UniformMatroid(GroundSet(len(table)), 1)
     return greedy_sweep(score, matroid, bounds, bounds), scored
@@ -197,7 +200,7 @@ def one_step_sweep(table, bounds):
 
 def assert_same_as_without_bounds(sweep, table, bounds):
     table = np.array(table, dtype=float)
-    plain = greedy_sweep(lambda members, _, candidates: table[np.ix_(candidates, members)],
+    plain = greedy_sweep(lambda groups: [(table[np.ix_(c, m)], None) for m, _, c, _ in groups],
                          UniformMatroid(GroundSet(len(table)), 1), bounds)
     assert sweep[0] == plain[0]
     assert np.array_equal(sweep[1], plain[1])
@@ -243,10 +246,13 @@ def two_step_sweep(values, margin=0.0, lazy_size=0):
     ground = 1 + max(e for key in values for e in key)
     scored, counts = [], {}
 
-    def score(members, current, candidates, floor=None):
-        scored.append(list(candidates))
-        table = np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])
-        return table if floor is None else (table, table)
+    def score(groups):
+        out = []
+        for _, current, candidates, floor in groups:
+            scored.append(list(candidates))
+            table = np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])
+            out.append((table, None if floor is None else table))
+        return out
 
     sweep = greedy_sweep(score, UniformMatroid(GroundSet(ground), 2), [0.0],
                          [float("inf")], [margin], lazy_size, counts)
@@ -341,9 +347,11 @@ def test_no_margins_scores_as_before():
     values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
     scored = []
 
-    def score(members, current, candidates):
+    def score(groups):
+        [(_, current, candidates, floor)] = groups
+        assert floor is None
         scored.append(list(candidates))
-        return np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])
+        return [(np.array([[values[tuple(sorted(current | {e}))]] for e in candidates]), None)]
 
     counts = {}
     sweep = greedy_sweep(score, UniformMatroid(GroundSet(3), 2), [0.0], [float("inf")],
@@ -361,9 +369,10 @@ def test_sweep_checks_no_set_it_built(monkeypatch, kind):
     matroid = random_matroid(rng, GroundSet(9), kind)
     weights = rng.random((9, 3))
 
-    def score(members, current, candidates):
-        return np.array([[sum(weights[e, j] for e in current | {c}) for j in members]
-                         for c in candidates])
+    def score(groups):
+        return [(np.array([[sum(weights[e, j] for e in current | {c}) for j in members]
+                           for c in candidates]), None)
+                for members, current, candidates, _ in groups]
 
     checked = []
     check_subset = GroundSet.check_subset

@@ -314,6 +314,27 @@ def test_feasible_masks_at_the_enumeration_cap(m):
     _assert_family_matches_powerset_filter(m)
 
 
+def test_feasible_masks_are_built_once_per_matroid(monkeypatch):
+    # a matroid is immutable: its family is built on the first call and
+    # every later call returns the same read-only array; an equal matroid
+    # builds its own, and the cap still refuses every call
+    built = []
+    unpack = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits", lambda *a, **k: built.append(1) or unpack(*a, **k))
+    m = partition(6, [{0, 3}, {1, 2, 4}, {5}], [1, 2, 1])
+    masks = m.feasible_masks()
+    assert m.feasible_masks() is masks and len(built) == 1
+    assert not masks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        masks[0] = 1
+    twin = partition(6, [{0, 3}, {1, 2, 4}, {5}], [1, 2, 1])
+    assert twin == m and twin.feasible_masks() is not masks
+    assert np.array_equal(twin.feasible_masks(), masks) and len(built) == 2
+    for _ in range(2):
+        with pytest.raises(EnumerationCapError):
+            uniform(17, 2).feasible_masks()
+
+
 # ------------------------------------------------------------ serialization
 
 def test_json_round_trip_uniform():

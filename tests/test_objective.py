@@ -141,20 +141,38 @@ def test_matroid_ground_consistency(objective):
 # ------------------------------------------------ batched extension scoring
 
 def check_extension_rows(objective):
-    """Rows of extension_utilities equal utilities(S | {e}) bit for bit."""
+    """Rows of extension_utilities equal utilities(S | {e}) bit for bit, for
+    one group and for several groups of one size in one call; and every
+    call validates its ids."""
     sc = objective.sample_scenarios(40, seed=9)
     rng = np.random.default_rng(5)
     n = objective.ground.size
     for _ in range(6):
-        subset = frozenset(int(e) for e in
-                           rng.choice(n, int(rng.integers(0, n)), replace=False))
-        candidates = [e for e in range(n) if e not in subset]
-        rows = objective.extension_utilities(subset, candidates, sc)
-        assert rows.shape == (len(candidates), 40)
-        for row, e in zip(rows, candidates):
-            assert np.array_equal(row, objective.utilities(subset | {e}, sc))
-    with pytest.raises(ValueError, match="outside ground set"):
-        objective.extension_utilities({n}, [0], sc)
+        size = int(rng.integers(0, n))
+        groups = []
+        for _ in range(int(rng.integers(1, 4))):
+            subset = frozenset(int(e) for e in rng.choice(n, size, replace=False))
+            candidates = [e for e in range(n) if e not in subset and rng.random() < 0.8]
+            groups.append((subset, candidates))
+        rows = objective.extension_utilities(groups, sc)
+        assert rows.shape == (sum(len(c) for _, c in groups), 40)
+        expected = [objective.utilities(subset | {e}, sc)
+                    for subset, candidates in groups for e in candidates]
+        for row, single in zip(rows, expected):
+            assert np.array_equal(row, single)
+        assert np.array_equal(rows[:len(groups[0][1])],
+                              objective.extension_utilities(groups[:1], sc))
+    assert objective.extension_utilities([], sc).shape == (0, 40)
+    for groups, message in (([({n}, [0])], "outside ground set"),
+                            ([({0}, [n])], "outside ground set"),
+                            ([({0}, [1]), ({1}, [n])], "outside ground set"),
+                            ([({0}, [0])], "strictly ascending"),
+                            ([({0.0}, [1])], "integer array"),
+                            ([({True, 2}, [0])], "must be integers, got True"),
+                            ([({0}, [1.0])], "integer array"),
+                            ([({0}, [1]), (set(), [1])], "one size")):
+        with pytest.raises(ValueError, match=message):
+            objective.extension_utilities(groups, sc)
 
 
 def test_extension_rows_equal_utilities(objective):
@@ -194,7 +212,7 @@ def test_sensor_extension_rows_equal_utilities(seed, sites, cells, shape,
         subset = frozenset(int(e) for e in
                            rng.choice(sites, int(rng.integers(0, sites)), replace=False))
     candidates = [e for e in range(sites) if e not in subset]
-    rows = inst.extension_utilities(subset, candidates, sc)
+    rows = inst.extension_utilities([(subset, candidates)], sc)
     assert rows.shape == (len(candidates), samples)
     assert rows.dtype == np.float64
     for row, e in zip(rows, candidates):
@@ -208,7 +226,7 @@ def check_sensor_rows(inst, subset, sc):
     assert np.array_equal(inst.utilities(subset, sc),
                           reference_sensor_utilities(inst, subset, sc))
     candidates = [e for e in inst.ground.elements if e not in subset]
-    rows = inst.extension_utilities(subset, candidates, sc)
+    rows = inst.extension_utilities([(subset, candidates)], sc)
     assert rows.shape == (len(candidates), len(sc))
     assert rows.dtype == np.float64 and rows.flags.c_contiguous
     for row, e in zip(rows, candidates):
@@ -220,8 +238,8 @@ def count_coverage_rows(monkeypatch) -> list[int]:
     built = []
     patterns = SensorCoverage._patterns
 
-    def counted(self, subset, scenarios):
-        pattern, covered = patterns(self, subset, scenarios)
+    def counted(self, ids, scenarios):
+        pattern, covered = patterns(self, ids, scenarios)
         built.append(covered.shape[0])
         return pattern, covered
 
@@ -271,6 +289,32 @@ def test_sensor_patterns_span_several_code_chunks(monkeypatch, samples, sites, s
     assert built[-2:] == [distinct_rows(bits[:, ids[:size // 2]])] * 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 130),
+       samples=st.sampled_from([1, 2, 33, 500]), failures=st.booleans())
+def test_sensor_patterns_number_codes_as_np_unique(seed, sites, samples, failures):
+    # the stable-argsort numbering of the failure codes against np.unique's,
+    # chunk by chunk: the same pattern numbers, and the first sample of each
+    # pattern stands for it in the coverage rows
+    inst = random_sensor(seed, sites, 20)
+    sc = inst.sample_scenarios(samples, seed)
+    rng = np.random.default_rng(seed)
+    if failures:
+        sc = with_failed_rows(sc, rng.random(samples) < 0.5)
+    ids = sorted(rng.choice(sites, int(rng.integers(0, sites + 1)), replace=False).tolist())
+    pattern, first = np.zeros(samples, dtype=np.int64), np.zeros(1, dtype=np.intp)
+    width = 62 - samples.bit_length()
+    for lo in range(0, len(ids), width):
+        chunk = ids[lo:lo + width]
+        code = sc.data[:, chunk].astype(np.int64) @ (1 << np.arange(len(chunk)))
+        code |= pattern << len(chunk)
+        _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
+    ours, covered = inst._patterns(ids, sc)
+    assert np.array_equal(ours, pattern)
+    expected = sc.data[first[:, None], ids].astype(np.float32) @ inst._cover_f[ids]
+    assert np.array_equal(covered, np.minimum(expected, 1.0))
+
+
 @pytest.mark.parametrize("layout, patterns", [("shared", 1), ("distinct", 500)])
 def test_sensor_rows_at_one_and_at_every_sample_pattern(monkeypatch, layout, patterns):
     inst = random_sensor(11, 12, 40)
@@ -314,11 +358,11 @@ def test_vehicle_extension_rows_equal_utilities(seed, vehicles, demands, size, b
             subset = subset | {e}
     candidates = [int(e) for e in rng.permutation(n) if e not in subset]
     with mock.patch.object(sga, "_GROUP_FLOATS", budget or sga._GROUP_FLOATS):
-        rows = inst.extension_utilities(subset, candidates, sc)
+        rows = inst.extension_utilities([(subset, candidates)], sc)
     assert rows.shape == (len(candidates), samples)
     for row, e in zip(rows, candidates):
         assert np.array_equal(row, inst.utilities(subset | {e}, sc))
-    assert inst.extension_utilities(subset, [], sc).shape == (0, samples)
+    assert inst.extension_utilities([(subset, [])], sc).shape == (0, samples)
 
 
 def test_sensor_rejects_counts_float32_cannot_hold():

@@ -225,9 +225,9 @@ def test_sensor_solve_scores_candidates_in_one_call(monkeypatch):
         evaluated.append(frozenset(subset))
         return utilities(self, subset, scenarios)
 
-    def count_extensions(self, subset, candidates, scenarios):
-        batched.append(len(candidates))
-        return extension_utilities(self, subset, candidates, scenarios)
+    def count_extensions(self, groups, scenarios):
+        batched.extend(len(candidates) for _, candidates in groups)
+        return extension_utilities(self, groups, scenarios)
 
     monkeypatch.setattr(SensorCoverage, "utilities", count_utilities)
     monkeypatch.setattr(SensorCoverage, "extension_utilities", count_extensions)
@@ -458,9 +458,9 @@ def test_solve_logs_screened_and_rescored_pairs(caplog, capsys, monkeypatch):
     rows = []
     extension_utilities = VehicleAssignment.extension_utilities
 
-    def count_rows(self, subset, candidates, scenarios):
-        rows.append(len(candidates))
-        return extension_utilities(self, subset, candidates, scenarios)
+    def count_rows(self, groups, scenarios):
+        rows.append(sum(len(candidates) for _, candidates in groups))
+        return extension_utilities(self, groups, scenarios)
 
     monkeypatch.setattr(VehicleAssignment, "extension_utilities", count_rows)
     with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
@@ -469,7 +469,7 @@ def test_solve_logs_screened_and_rescored_pairs(caplog, capsys, monkeypatch):
     assert result == reference_run_sga(obj, obj.matroid, cfg)
     [record] = caplog.records
     assert (record.name, record.levelname) == ("cvargreedy", "DEBUG")
-    pairs, exact, skipped, small, computed, stale, settled = map(
+    pairs, exact, skipped, small, computed, calls, stale, settled = map(
         int, re.findall(r"\d+", record.getMessage()))
     # every candidate of every step at every point is a pair scored or
     # skipped; the first group holds all 31 points (31 x 500 floats, above
@@ -482,6 +482,7 @@ def test_solve_logs_screened_and_rescored_pairs(caplog, capsys, monkeypatch):
     # the low taus saturate: their groups compute one row, and each settled
     # pick skips at least one candidate
     assert computed == sum(rows)
+    assert calls == len(rows)
     assert 0 < settled <= skipped
     # 15 candidates x 500 samples is below the stale-bound size rule
     assert stale == 0
@@ -497,9 +498,9 @@ def test_saturated_group_computes_only_its_first_candidate(monkeypatch):
     calls = []
     extension_utilities = VehicleAssignment.extension_utilities
 
-    def record(self, subset, candidates, scenarios):
-        calls.append((subset, list(candidates)))
-        return extension_utilities(self, subset, candidates, scenarios)
+    def record(self, groups, scenarios):
+        calls.extend((subset, list(candidates)) for subset, candidates in groups)
+        return extension_utilities(self, groups, scenarios)
 
     monkeypatch.setattr(VehicleAssignment, "extension_utilities", record)
     ours = sga._solve(obj, obj.matroid, sc, points)
@@ -508,6 +509,17 @@ def test_saturated_group_computes_only_its_first_candidate(monkeypatch):
     assert len(calls) == len(ours[0].selected) > 1
     for subset, candidates in calls:
         assert candidates == [min(obj.matroid.extension_candidates(subset))]
+
+
+def test_saturated_first_step_of_a_lazy_sweep():
+    # at tau = 0 the first group is saturated, and with the size rule at 0
+    # it keeps gains too: its first row is its one score, and the gains
+    # it keeps feed the later steps
+    obj = VehicleAssignment.generate(4, 3, seed=5)
+    sc = obj.sample_scenarios(200, 3)
+    for points in ([(0.1, 0.0), (0.5, 0.0)], [(0.1, 0.0), (0.5, 0.0), (0.5, 5.0)]):
+        ours, counts = stale_counts(obj, sc, points)
+        assert ours == reference_solve(obj, obj.matroid, sc, points)
 
 
 def test_saturated_group_falls_back_when_its_first_candidate_falls_short(monkeypatch):
@@ -519,9 +531,9 @@ def test_saturated_group_falls_back_when_its_first_candidate_falls_short(monkeyp
     calls = []
     extension_utilities = ModularDeterministic.extension_utilities
 
-    def record(self, subset, candidates, scenarios):
-        calls.append((subset, list(candidates)))
-        return extension_utilities(self, subset, candidates, scenarios)
+    def record(self, groups, scenarios):
+        calls.extend((subset, list(candidates)) for subset, candidates in groups)
+        return extension_utilities(self, groups, scenarios)
 
     monkeypatch.setattr(ModularDeterministic, "extension_utilities", record)
     ours = sga._solve(obj, obj.matroid, sc, points)
@@ -705,9 +717,9 @@ def test_objective_without_a_declared_bound_computes_todays_rows(monkeypatch):
     def calls(objective, size):
         made = []
 
-        def record(self, subset, candidates, scenarios):
-            made.append((subset, list(candidates)))
-            return extension_utilities(self, subset, candidates, scenarios)
+        def record(self, groups, scenarios):
+            made.extend((subset, list(candidates)) for subset, candidates in groups)
+            return extension_utilities(self, groups, scenarios)
 
         monkeypatch.setattr(VehicleAssignment, "extension_utilities", record)
         with mock.patch.object(sga, "_LAZY_MIN_FLOATS", size):
@@ -786,6 +798,124 @@ def test_fine_grid_sweep_matches_the_references(seed, family, alphas, steps, sam
         at_alpha = dataclasses.replace(cfg, alpha=alpha)
         assert run_sga(obj, obj.matroid, at_alpha) == reference_run_sga(
             obj, obj.matroid, at_alpha)
+
+
+# ------------------------------------------------------ step-level scoring
+
+def count_hook_calls(monkeypatch, cls) -> list[list[tuple]]:
+    """A list that gets the (subset, candidates) groups of every
+    ``extension_utilities`` call of ``cls``."""
+    calls, hook = [], cls.extension_utilities
+
+    def record(self, groups, scenarios):
+        calls.append([(subset, list(candidates)) for subset, candidates in groups])
+        return hook(self, groups, scenarios)
+
+    monkeypatch.setattr(cls, "extension_utilities", record)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["coverage", "vehicle", "sensor"]),
+       alphas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0]), min_size=1,
+                       max_size=3, unique=True),
+       spacing=st.sampled_from([1.0, 0.3, 1 / 9, 0.04]),
+       samples=st.sampled_from([1, 5, 60, 300]), rows=st.sampled_from([None, 1, 3]))
+def test_step_scoring_matches_the_per_tau_reference(seed, family, alphas, spacing, samples,
+                                                   rows):
+    # every group of a declared objective keeps gains, so the settle and the
+    # stale-bound rules both run; a budget of 1 or 3 rows splits a step's
+    # groups over several hook calls, and a group larger than it is a call
+    # of its own
+    rng = np.random.default_rng(seed)
+    if family == "coverage":
+        obj = random_instance(seed, size=int(rng.integers(1, 8)), matroid_kind="mixed")
+    elif family == "vehicle":
+        obj = VehicleAssignment.generate(int(rng.integers(1, 6)),
+                                         int(rng.integers(1, 4)), seed=seed)
+    else:
+        sites = int(rng.integers(1, 10))
+        obj = random_sensor(seed, sites, int(rng.integers(1, 40)),
+                            select=int(rng.integers(1, sites + 1)))
+    cfg = SgaConfig(alpha=alphas[0], gamma=obj.gamma_hint,
+                    delta=spacing * obj.gamma_hint, samples=samples, seed=seed)
+    budget = sga._BLOCK_FLOATS if rows is None else rows * samples
+    with mock.patch.object(sga, "_LAZY_MIN_FLOATS", 0), \
+            mock.patch.object(sga, "_BLOCK_FLOATS", budget):
+        table = alpha_sweep(obj, obj.matroid, cfg, alphas)
+    for point in table.points:
+        ours = point.result
+        ref = reference_run_sga(obj, obj.matroid, dataclasses.replace(cfg, alpha=point.alpha))
+        assert ours.sweep == ref.sweep
+        assert ours.chosen_set == ref.chosen_set
+        assert ours.chosen_tau == ref.chosen_tau
+        assert ours.h_value == ref.h_value
+        assert ours.oracle_evaluations == ref.oracle_evaluations
+
+
+def test_a_step_makes_at_most_two_hook_calls(monkeypatch, caplog):
+    # random coverage keeps the default hook; at 60 samples every step of
+    # every point fits one call, the saturated groups' fallback one more.
+    # Only the empty set's utilities checks a set on its own: each hook call
+    # checks its id rows once, in set_utilities
+    obj = random_instance(3, size=9, matroid_kind="uniform")
+    cfg = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 40,
+                    samples=60, seed=2)
+    checks = {"subset": 0, "rows": 0}
+    for name in checks:
+        check = getattr(GroundSet, f"check_{name}")
+
+        def counted(self, ids, check=check, name=name):
+            checks[name] += 1
+            return check(self, ids)
+        monkeypatch.setattr(GroundSet, f"check_{name}", counted)
+    calls = count_hook_calls(monkeypatch, StochasticObjective)
+    with caplog.at_level(logging.DEBUG, logger="cvargreedy"):
+        result = run_sga(obj, obj.matroid, cfg)
+    monkeypatch.undo()
+    assert result == reference_run_sga(obj, obj.matroid, cfg)
+    steps = obj.matroid.k
+    groups = [len(call) for call in calls]
+    assert steps <= len(calls) <= 2 * steps
+    assert sum(groups) > len(calls)  # steps of several groups share a call
+    pairs, _, skipped, small, computed, logged, _, _ = map(
+        int, re.findall(r"\d+", caplog.records[0].getMessage()))
+    assert pairs + skipped == sum(p.evaluations - 2 for p in result.sweep)
+    assert (logged, small) == (len(calls), sum(groups))
+    assert computed == sum(len(c) for call in calls for _, c in call)
+    assert checks == {"subset": 1, "rows": len(calls) + 1}
+
+
+@pytest.mark.parametrize("rows", [1, 4, 13])
+def test_hook_calls_take_whole_groups_within_the_budget(monkeypatch, rows):
+    # a budget of rows x samples floats: a call takes whole groups while
+    # their rows fit, and a larger group is a call of its own
+    obj = VehicleAssignment.generate(4, 3, seed=5)
+    sc = obj.sample_scenarios(50, 3)
+    points = [(alpha, tau) for alpha in (0.1, 0.6)
+              for tau in np.linspace(0.0, obj.gamma_hint, 15).tolist()]
+    calls = count_hook_calls(monkeypatch, VehicleAssignment)
+    with mock.patch.object(sga, "_BLOCK_FLOATS", rows * 50):
+        ours = sga._solve(obj, obj.matroid, sc, points)
+    monkeypatch.undo()
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+    sizes = [[len(c) for _, c in call] for call in calls]
+    assert any(len(call) > 1 for call in sizes) == (rows > 1)
+    for call in sizes:
+        assert sum(call) <= rows or len(call) == 1
+
+
+@pytest.mark.parametrize("run", ["run_sga", "alpha_sweep"])
+def test_solver_rejects_a_matroid_of_another_ground(run):
+    obj = random_instance(2, size=5)
+    cfg = SgaConfig(alpha=0.5, gamma=obj.gamma_hint, delta=obj.gamma_hint / 4,
+                    samples=10)
+    other = UniformMatroid(GroundSet(6), 2)
+    with pytest.raises(ValueError, match="has 6 elements, the objective's 5"):
+        if run == "run_sga":
+            run_sga(obj, other, cfg)
+        else:
+            alpha_sweep(obj, other, cfg, [0.5])
 
 
 def test_explicit_scenarios_size_checked():
@@ -1291,6 +1421,23 @@ def test_verification_checks_each_id_array_once():
             auxiliary_curvature(obj, obj.matroid, sc, taus,
                                 method="exact_matroid_enumeration")
         assert calls["subset"] == 0 and calls["rows"] > 0
+
+
+def test_verification_shares_one_family_build():
+    # brute force and exact curvature read the family of the same matroid:
+    # one build, kept on the instance, serves every call
+    obj = random_instance(6, size=8)
+    sc = obj.sample_scenarios(40, 6)
+    taus = SgaConfig(alpha=0.3, gamma=obj.gamma_hint, delta=obj.gamma_hint / 8,
+                     samples=40).tau_grid()
+    read, masks = [], sga.Matroid.feasible_masks
+    with mock.patch.object(sga.Matroid, "feasible_masks",
+                           lambda self: read.append(masks(self)) or read[-1]):
+        for _ in range(2):
+            brute_force_opt(obj, obj.matroid, sc, 0.3, taus)
+            auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                method="exact_matroid_enumeration")
+    assert len(read) == 4 and all(m is read[0] for m in read)
 
 
 @pytest.mark.parametrize("grid, widths, rows", [
