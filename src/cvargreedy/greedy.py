@@ -257,8 +257,10 @@ def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: 
         tables.append(table)
     del upper  # the loop's gains are kept; free the last upper ends
     table = tables[0]
-    if len(tables) > 1:  # one column maximum: the tables padded with -inf to one height
-        table = np.full((max(map(len, tables)), sum(t.shape[1] for t in tables)), -np.inf)
+    if len(tables) > 1:  # one column maximum: the tables padded to one height with
+        # NaN, which is never a column's first maximum (a -inf pad would be
+        # one in a column whose own rows are all NaN)
+        table = np.full((max(map(len, tables)), sum(t.shape[1] for t in tables)), np.nan)
         c = 0
         for t in tables:
             table[:len(t), c:c + t.shape[1]] = t

@@ -10,6 +10,7 @@ array of ascending id rows, checked once per call (``GroundSet.check_rows``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -121,10 +122,11 @@ class StochasticObjective:
         ``extension_candidates`` gives them). Returns an (extensions x
         samples) array with the rows of each group after those of the group
         before: row i of a group is ``utilities(subset | {candidates[i]},
-        scenarios)``. Validates all the ids once per call. The default
-        scores the sorted id rows of every S + e with one ``set_utilities``
-        call, whose ``check_rows`` is that validation; so an objective whose
-        bits depend on frozenset order must override it.
+        scenarios)``. The default scores the sorted id rows of every S + e
+        with one ``set_utilities`` call, whose ``check_rows`` validates all
+        the ids once; so an objective whose bits depend on frozenset order
+        must override it. An override must validate each subset, and need
+        not re-check the candidates.
         """
         return self.set_utilities(_extension_ids(groups), scenarios)
 
@@ -132,15 +134,16 @@ class StochasticObjective:
 def _extension_ids(groups) -> np.ndarray:
     """The ascending id rows of every S + e of ``extension_utilities``'
     groups, for ``GroundSet.check_rows``: ids keep their dtype, so a float
-    id fails the check instead of being truncated. A bool id, which numpy
-    would read as 0 or 1 beside integers, is refused here."""
+    id fails the check instead of being truncated. A bool id of a subset or
+    a candidate, which numpy would read as 0 or 1 beside integers, is
+    refused here."""
     held = [sorted(subset) for subset, _ in groups]
     size = len(held[0]) if held else 0
     if any(len(ids) != size for ids in held):
         raise ValueError("the subsets of one extension_utilities call must have one size")
-    for e in (e for ids in held for e in ids if isinstance(e, (bool, np.bool_))):
-        raise ValueError(f"element ids must be integers, got {e!r}")
     added = [e for _, candidates in groups for e in candidates]
+    for e in (e for e in chain(*held, added) if isinstance(e, (bool, np.bool_))):
+        raise ValueError(f"element ids must be integers, got {e!r}")
     held, added = (a if a.size else a.astype(np.intp)
                    for a in (np.array(held), np.array(added)))
     rows = np.repeat(held.reshape(len(groups), size), [len(c) for _, c in groups], axis=0)

@@ -22,7 +22,7 @@ import numpy as np
 from . import sga
 from .matroid import (GroundSet, PartitionMatroid, UniformMatroid, _integer,
                       matroid_from_json)
-from .objective import (ScenarioSet, StochasticObjective, _extension_ids, _u64,
+from .objective import (ScenarioSet, StochasticObjective, _u64,
                         check_sample_count)
 
 MEAN_EFFICIENCY_SCALE = 10.0      # mean efficiency = 10 / distance
@@ -145,12 +145,11 @@ class VehicleAssignment(StochasticObjective):
 
     def extension_utilities(self, groups, scenarios: ScenarioSet) -> np.ndarray:
         """The rows of every group, one group at a time (see ``_extend``),
-        after one ``check_rows`` of all the sets S + e."""
-        self.ground.check_rows(_extension_ids(groups))
+        each group's subset validated with ``check_subset``."""
         out = np.zeros((sum(len(c) for _, c in groups), len(scenarios)))
         start = 0
         for subset, candidates in groups:
-            self._extend(frozenset(subset), candidates, scenarios.data,
+            self._extend(self.ground.check_subset(subset), candidates, scenarios.data,
                          out[start:start + len(candidates)])
             start += len(candidates)
         return out
@@ -421,20 +420,18 @@ class SensorCoverage(StochasticObjective):
         bits = (rng.random((count, len(self.coverage_sets))) < self.success_prob)
         return ScenarioSet(bits.astype(np.uint8), count, int(seed))
 
-    def _patterns(self, ids: list, scenarios: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-        """(pattern, covered): each sample's failure pattern of the sensors
-        ``ids`` (ascending, unchecked), and per pattern the float32 0/1 cells
-        its working sensors see.
+    def _patterns(self, subset, scenarios: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
+        """(pattern, covered): each sample's failure pattern of the subset's
+        sensors, and per pattern the float32 0/1 cells its working sensors see.
 
         f(S, y) depends on y only through which sensors of S work. Each
         sample's bits over the sorted ids fold into an int64 code, a chunk of
-        ids at a time. A stable argsort numbers the distinct codes in
-        ascending order, as ``np.unique`` with ``return_index`` and
-        ``return_inverse`` does, and the number from the last chunk is the
-        sample's pattern. A number is below the sample count, so
-        ``(pattern << width) | code`` stays below 2**62. The first sample of
-        each pattern stands for it in the coverage matmul.
+        ids at a time; ``np.unique`` numbers the distinct codes, and the
+        number from the last chunk is the sample's pattern. A number is below
+        the sample count, so ``(pattern << width) | code`` stays below 2**62.
+        One sample per pattern stands for it in the coverage matmul.
         """
+        ids = sorted(self.ground.check_subset(subset))
         bits = scenarios.data
         pattern = np.zeros(len(scenarios), dtype=np.int64)
         first = np.zeros(1, dtype=np.intp)
@@ -444,35 +441,28 @@ class SensorCoverage(StochasticObjective):
             weights = np.int64(1) << np.arange(len(chunk), dtype=np.int64)
             code = bits[:, chunk].astype(np.int64) @ weights
             code |= pattern << len(chunk)
-            order = np.argsort(code, kind="stable")
-            new = np.ones(len(order), dtype=bool)
-            new[1:] = np.diff(code[order]) != 0
-            first = order[new]
-            pattern[order] = np.cumsum(new) - 1
+            _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
         covered = bits[first[:, None], ids].astype(np.float32) @ self._cover_f[ids]
         return pattern, np.minimum(covered, 1.0, out=covered)
 
     def utilities(self, subset, scenarios: ScenarioSet) -> np.ndarray:
-        pattern, covered = self._patterns(sorted(self.ground.check_subset(subset)),
-                                          scenarios)
+        pattern, covered = self._patterns(subset, scenarios)
         return covered.sum(axis=1)[pattern].astype(float)
 
     def extension_utilities(self, groups, scenarios: ScenarioSet) -> np.ndarray:
         """u(S + e) = u(S) + active_e * (|cover_e| - covered(S) . cover_e).
 
-        One ``check_rows`` of all the sets S + e validates the call; then,
-        group by group, one matmul scores every candidate against each
-        failure pattern of S (see ``_patterns``): a (patterns x candidates)
-        table whose rows are gathered back to the samples before
-        ``active_e`` and u(S) enter. Every term is an integer count below
-        2**24, so float32 holds it exactly in any order and each row is
-        bit-equal to ``utilities(S | {e})``.
+        Group by group, one matmul scores every candidate against each
+        failure pattern of S (see ``_patterns``, which validates S): a
+        (patterns x candidates) table whose rows are gathered back to the
+        samples before ``active_e`` and u(S) enter. Every term is an integer
+        count below 2**24, so float32 holds it exactly in any order and each
+        row is bit-equal to ``utilities(S | {e})``.
         """
-        self.ground.check_rows(_extension_ids(groups))
         out = np.empty((sum(len(c) for _, c in groups), len(scenarios)))
         start = 0
         for subset, candidates in groups:
-            pattern, covered = self._patterns(sorted(subset), scenarios)
+            pattern, covered = self._patterns(subset, scenarios)
             fresh = covered @ self._cover_f[candidates].T
             np.subtract(self._sizes_f[candidates], fresh, out=fresh)
             fresh = fresh.take(pattern, axis=0)

@@ -185,7 +185,8 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     ``extension_utilities`` calls that computed them and the rows skipped
     by stale bounds, and the picks settled by their group's first call, one
     per point and step. The ids are not checked here: the sets come from
-    the matroid, and each hook call validates its rows once."""
+    the matroid, and each hook call validates its subsets (the default
+    hook all its ids, once)."""
     alphas = np.array([a for a, _ in points], dtype=float)
     taus = np.array([t for _, t in points], dtype=float)
     n = len(scenarios)
@@ -240,45 +241,42 @@ def _batch_scores(rows: np.ndarray, batch: list[tuple], taus: np.ndarray,
 
     A group of at least _SCREEN_MIN_FLOATS (member taus x samples) floats
     gets its own ``_group_scores`` call, so its screen compares the pairs of
-    one group. Every pair of the smaller groups is scored exactly, row by
-    row and member by member, in one pass of ``auxiliary_scores`` over
-    chunks of pairs within _GROUP_FLOATS floats; each such table is its own
-    upper end.
+    one group, and so does a batch's only smaller group, which that call
+    scores exactly. Every pair of two or more smaller groups is scored
+    exactly, row by row and member by member, in one ``_exact_pairs`` pass;
+    each such table is its own upper end.
     """
     n = rows.shape[1]
     heights = [len(candidates) for _, _, candidates, _ in batch]
     widths = [members.size for members, _, _, _ in batch]
+    starts = np.cumsum(heights) - heights
+    below = [w * n < _SCREEN_MIN_FLOATS for w in widths]
+    pooled = sum(below) > 1
     counts["pairs"] += sum(h * w for h, w in zip(heights, widths))
-    out, small, start = [], [], 0
+    counts["small"] += sum(below)
+    out, small = [], []
     for k, (members, _, _, floor) in enumerate(batch):
-        if widths[k] * n >= _SCREEN_MIN_FLOATS:
-            block = rows[start:start + heights[k]]
-            table, exact, upper = _group_scores(block, taus[members], alphas[members], floor)
-            counts["exact"] += int(np.count_nonzero(exact))
-            out.append((table, upper))
-        else:
-            small.append((k, start))
+        if below[k] and pooled:
+            small.append(k)
             out.append(None)
-        start += heights[k]
+            continue
+        block = rows[starts[k]:starts[k] + heights[k]]
+        table, exact, upper = _group_scores(block, taus[members], alphas[members], floor)
+        counts["exact"] += int(np.count_nonzero(exact))
+        out.append((table, upper))
     if small:
         # pair p of a group is its row p // width and its member p % width
-        sizes = np.array([heights[k] * widths[k] for k, _ in small])
-        width = np.array([widths[k] for k, _ in small])
+        sizes = np.array([heights[k] * widths[k] for k in small])
+        width = np.array([widths[k] for k in small])
         ends = np.cumsum(sizes)
         row, member = np.divmod(np.arange(ends[-1]) - np.repeat(ends - sizes, sizes),
                                 np.repeat(width, sizes))
-        row += np.repeat([a for _, a in small], sizes)
+        row += np.repeat(starts[small], sizes)
         member += np.repeat(np.cumsum(width) - width, sizes)
-        cols = np.concatenate([batch[k][0] for k, _ in small])[member]
-        values = np.empty(row.size)
-        step = max(1, _GROUP_FLOATS // n)
-        for lo in range(0, row.size, step):
-            at = cols[lo:lo + step]
-            values[lo:lo + step] = auxiliary_scores(rows[row[lo:lo + step]], taus[at],
-                                                    alphas[at])
-        counts["small"] += len(small)
+        cols = np.concatenate([batch[k][0] for k in small])[member]
+        values = _exact_pairs(rows, row, cols, taus, alphas)
         counts["exact"] += values.size
-        for (k, _), b, size in zip(small, ends.tolist(), sizes.tolist()):
+        for k, b, size in zip(small, ends.tolist(), sizes.tolist()):
             table = values[b - size:b].reshape(heights[k], widths[k])
             out[k] = (table, None if batch[k][3] is None else table)
     return out
@@ -429,15 +427,25 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
         else:
             bound = None
     r, c = np.nonzero(exact)
-    for lo in range(0, r.size, step):
-        pairs = r[lo:lo + step], c[lo:lo + step]
-        table[pairs] = auxiliary_scores(rows[pairs[0]], taus[pairs[1]], alphas[pairs[1]])
+    table[r, c] = _exact_pairs(rows, r, c, taus, alphas)
     if floor is None:
         return table, exact, None
     if bound is None:
         return table, exact, table
     np.copyto(bound, table, where=exact)
     return table, exact, bound
+
+
+def _exact_pairs(rows: np.ndarray, r: np.ndarray, c: np.ndarray, taus: np.ndarray,
+                 alphas: np.ndarray) -> np.ndarray:
+    """``auxiliary_scores`` of row ``r[p]`` at point ``c[p]`` for every pair
+    p, in chunks of pairs within _GROUP_FLOATS floats."""
+    values = np.empty(r.size)
+    step = max(1, _GROUP_FLOATS // rows.shape[1])
+    for lo in range(0, r.size, step):
+        at = c[lo:lo + step]
+        values[lo:lo + step] = auxiliary_scores(rows[r[lo:lo + step]], taus[at], alphas[at])
+    return values
 
 
 # --------------------------------------------------------------------------

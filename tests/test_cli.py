@@ -3,14 +3,9 @@ solver outputs, manifests, reproducibility and exit codes."""
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import cvargreedy
 from cvargreedy import (SgaConfig, __version__, approximation_bound,
                         auxiliary_curvature, brute_force_opt, load_instance)
 from cvargreedy.cli import main
@@ -274,25 +269,6 @@ def test_sweep_reproducible(tmp_path):
     for suffix in ("alpha_table", "tau_curves", "histograms"):
         assert (data_section(tmp_path / f"a_{suffix}.csv")
                 == data_section(tmp_path / f"b_{suffix}.csv"))
-
-
-def test_sensor_sweep_leaves_numpy_ma_unimported(tmp_path):
-    # importing numpy.ma would add to the sweep's peak RSS; the sensor
-    # patterns number their failure codes with an argsort, and nothing else
-    # of a sweep needs it. A fresh interpreter, as this one may have
-    # imported it already
-    instance = gen_sensor(tmp_path)
-    child = ("import sys; from cvargreedy.cli import main; "
-             f"code = main(['sweep', {str(instance)!r}, '--alphas', '0.3,1', "
-             f"'--delta', '3', '--samples', '50', '--out', {str(tmp_path / 'sw')!r}]); "
-             "print(code, 'numpy.ma' in sys.modules)")
-    src = str(Path(cvargreedy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 # ----------------------------------------------------------------- verify

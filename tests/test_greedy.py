@@ -236,6 +236,33 @@ def test_settle_raises_when_every_candidate_is_nan():
         one_step_sweep([[nan], [nan]], [1.0])
 
 
+def test_settle_falls_back_beside_a_taller_group():
+    # the second step has two groups: function 0 at {0} sits at its bound and
+    # its first candidate scores NaN, while function 1 at {1} scores both of
+    # its candidates in the same call, so the step's tables differ in height
+    nan = float("nan")
+    values = [{(0,): 1.0, (1,): 0.5, (2,): 0.5, (0, 1): nan, (0, 2): 1.0, (1, 2): 0.5},
+              {(0,): 1.0, (1,): 2.0, (2,): 0.0, (0, 1): 3.0, (0, 2): 1.0, (1, 2): 2.5}]
+    scored = []
+
+    def score(groups):
+        out = []
+        for members, current, candidates, _ in groups:
+            scored.append((sorted(current), list(candidates)))
+            out.append((np.array([[values[i][tuple(sorted(current | {e}))]
+                                   for i in members.tolist()] for e in candidates]), None))
+        return out
+
+    matroid = UniformMatroid(GroundSet(3), 2)
+    sweep = greedy_sweep(score, matroid, [0.0, 0.0], [1.0, 10.0])
+    assert ([0], [1]) in scored and ([0], [2]) in scored
+    plain = greedy_sweep(score, matroid, [0.0, 0.0])
+    assert sweep[0] == plain[0] == [frozenset({0, 2}), frozenset({0, 1})]
+    assert np.array_equal(sweep[1], plain[1])
+    for ours, theirs in zip(sweep[2], plain[2]):
+        assert (ours.picks, ours.evaluations) == (theirs.picks, theirs.evaluations)
+
+
 # ------------------------------------------------ skipping by stale gains
 
 def two_step_sweep(values, margin=0.0, lazy_size=0):

@@ -143,7 +143,7 @@ def test_matroid_ground_consistency(objective):
 def check_extension_rows(objective):
     """Rows of extension_utilities equal utilities(S | {e}) bit for bit, for
     one group and for several groups of one size in one call; and every
-    call validates its ids."""
+    call validates its subsets, and the default hook its candidates too."""
     sc = objective.sample_scenarios(40, seed=9)
     rng = np.random.default_rng(5)
     n = objective.ground.size
@@ -163,14 +163,18 @@ def check_extension_rows(objective):
         assert np.array_equal(rows[:len(groups[0][1])],
                               objective.extension_utilities(groups[:1], sc))
     assert objective.extension_utilities([], sc).shape == (0, 40)
-    for groups, message in (([({n}, [0])], "outside ground set"),
-                            ([({0}, [n])], "outside ground set"),
-                            ([({0}, [1]), ({1}, [n])], "outside ground set"),
-                            ([({0}, [0])], "strictly ascending"),
-                            ([({0.0}, [1])], "integer array"),
-                            ([({True, 2}, [0])], "must be integers, got True"),
-                            ([({0}, [1.0])], "integer array"),
-                            ([({0}, [1]), (set(), [1])], "one size")):
+    cases = [([({n}, [0])], "outside ground set"),
+             ([({0}, [1]), ({n}, [1])], "outside ground set"),
+             ([({0.0}, [1])], "integer"),
+             ([({True, 2}, [0])], "must be integers, got True")]
+    if type(objective).extension_utilities is StochasticObjective.extension_utilities:
+        cases += [([({0}, [n])], "outside ground set"),
+                  ([({0}, [1]), ({1}, [n])], "outside ground set"),
+                  ([({0}, [0])], "strictly ascending"),
+                  ([({0}, [1.0])], "integer array"),
+                  ([({0}, [True, 2])], "must be integers, got True"),
+                  ([({0}, [1]), (set(), [1])], "one size")]
+    for groups, message in cases:
         with pytest.raises(ValueError, match=message):
             objective.extension_utilities(groups, sc)
 
@@ -238,8 +242,8 @@ def count_coverage_rows(monkeypatch) -> list[int]:
     built = []
     patterns = SensorCoverage._patterns
 
-    def counted(self, ids, scenarios):
-        pattern, covered = patterns(self, ids, scenarios)
+    def counted(self, subset, scenarios):
+        pattern, covered = patterns(self, subset, scenarios)
         built.append(covered.shape[0])
         return pattern, covered
 
@@ -287,32 +291,6 @@ def test_sensor_patterns_span_several_code_chunks(monkeypatch, samples, sites, s
     bits[:, ids[size // 2:]] = bits[0, ids[size // 2:]]
     check_sensor_rows(inst, frozenset(ids), ScenarioSet(bits, samples, 7))
     assert built[-2:] == [distinct_rows(bits[:, ids[:size // 2]])] * 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 130),
-       samples=st.sampled_from([1, 2, 33, 500]), failures=st.booleans())
-def test_sensor_patterns_number_codes_as_np_unique(seed, sites, samples, failures):
-    # the stable-argsort numbering of the failure codes against np.unique's,
-    # chunk by chunk: the same pattern numbers, and the first sample of each
-    # pattern stands for it in the coverage rows
-    inst = random_sensor(seed, sites, 20)
-    sc = inst.sample_scenarios(samples, seed)
-    rng = np.random.default_rng(seed)
-    if failures:
-        sc = with_failed_rows(sc, rng.random(samples) < 0.5)
-    ids = sorted(rng.choice(sites, int(rng.integers(0, sites + 1)), replace=False).tolist())
-    pattern, first = np.zeros(samples, dtype=np.int64), np.zeros(1, dtype=np.intp)
-    width = 62 - samples.bit_length()
-    for lo in range(0, len(ids), width):
-        chunk = ids[lo:lo + width]
-        code = sc.data[:, chunk].astype(np.int64) @ (1 << np.arange(len(chunk)))
-        code |= pattern << len(chunk)
-        _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
-    ours, covered = inst._patterns(ids, sc)
-    assert np.array_equal(ours, pattern)
-    expected = sc.data[first[:, None], ids].astype(np.float32) @ inst._cover_f[ids]
-    assert np.array_equal(covered, np.minimum(expected, 1.0))
 
 
 @pytest.mark.parametrize("layout, patterns", [("shared", 1), ("distinct", 500)])
