@@ -40,10 +40,12 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     """The one greedy loop, run for ``len(initial)`` set functions at once.
 
     ``initial[i]`` is the value of function i at the empty set. Each step
-    groups the unfinished functions by their current set S and asks the
-    matroid for the extensions of S once per group (unchecked: the loop
-    built S from the matroid's own candidates), candidates in ascending id
-    order. ``score(groups)`` scores the groups of one call, a list of
+    groups the unfinished functions by their current set S. The matroid
+    gives the extensions of the empty set once (unchecked), in ascending id
+    order; a group's candidates are then its parent's less the pick and,
+    if the pick fills its block, less the rest of that block
+    (``Matroid._next_candidates``), so they keep that order.
+    ``score(groups)`` scores the groups of one call, a list of
     (members, current, candidates, floor) tuples, and returns one (table,
     upper) pair per group: entry [r, j] of the (candidates x members) table
     is the value of function ``members[j]`` at ``current | {candidates[r]}``;
@@ -112,12 +114,13 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     settled = np.zeros(count, dtype=np.int64)
     skipped = np.zeros(count, dtype=np.int64)
     gains = None  # (ground x functions) last kept gain; NaN where there is none
-    groups = {frozenset(): [np.arange(count)]} if count else {}
+    # each unfinished set: its extension candidates and the parts of its points
+    groups = ({frozenset(): (sorted(matroid._extension_candidates(frozenset())),
+                             [np.arange(count)])} if count else {})
     while groups:
         step = []
-        for current, parts in groups.items():
+        for current, (candidates, parts) in groups.items():
             at = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            candidates = sorted(matroid._extension_candidates(current))
             if candidates:
                 step.append(_Group(current, at, candidates))
             else:
@@ -204,15 +207,24 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
         alike = np.logical_and.reduceat(elements == np.repeat(heads, widths), starts)
         for g, e, same, (a, b) in zip(step, heads.tolist(), alike.tolist(), spans):
             if same:
-                groups.setdefault(g.current | {e}, []).append(g.at)
+                _join(groups, matroid, g, e, g.at)
             else:
                 picked = elements[a:b]
                 for e in dict.fromkeys(picked.tolist()):
-                    groups.setdefault(g.current | {e}, []).append(g.at[picked == e])
+                    _join(groups, matroid, g, e, g.at[picked == e])
     for trace, n, s, k in zip(traces, evaluations.tolist(), settled.tolist(),
                               skipped.tolist()):
         trace.evaluations, trace.settled, trace.skipped = n, s, k
     return selected, values, traces
+
+
+def _join(groups: dict, matroid: Matroid, g: _Group, e: int, at: np.ndarray) -> None:
+    """Add the points ``at`` of group g that picked e to the group of g's
+    set plus e; a new group takes its candidates from g's."""
+    child = g.current | {e}
+    if child not in groups:
+        groups[child] = (matroid._next_candidates(g.candidates, e, child), [])
+    groups[child][1].append(at)
 
 
 @dataclass(eq=False)

@@ -136,6 +136,17 @@ class Matroid:
         return frozenset().union(*(b for b, u, c in zip(self.blocks, self._used(s),
                                                          self.capacities) if u < c)) - s
 
+    def _next_candidates(self, candidates: list[int], e: int,
+                         child: frozenset[int]) -> list[int]:
+        """The extension candidates of ``child`` = S | {e}, from ``candidates``,
+        those of S, in their order: e goes, and the rest of e's block with it
+        if e fills the block."""
+        block = self._block_of
+        b = block[e]
+        if sum(block[x] == b for x in child) < self.capacities[b]:
+            return [x for x in candidates if x != e]
+        return [x for x in candidates if block[x] != b]
+
     def feasible_masks(self) -> np.ndarray:
         """Every independent subset as an int64 bitmask (bit e = element e).
 

@@ -10,6 +10,7 @@ risk-neutral case.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -580,6 +581,7 @@ def brute_force_opt(objective: StochasticObjective, matroid: Matroid,
     or a grid H -inf, and a set with a non-finite U survives. The cvar-best
     set survives too, as its grid H are at most its U.
     """
+    _check_ground(objective, matroid)
     alpha = check_risk_level(alpha)
     taus = _tau_array(taus)
     if taus.size == 0:
@@ -664,72 +666,145 @@ def auxiliary_curvature(objective: StochasticObjective, matroid: Matroid,
     overflow included, clips to 1. With no ratio at all (every element
     worthless) w is +inf and the result 0. A NaN met before the stop raises;
     one past it is never read. Total mode reads G(X), then G({e}) and
-    G(X - e) element by element. Exact mode reads the feasible family once,
-    in its (size, lexicographic) order, one size at a time in blocks: it
-    fills each block's rows of the (sets x taus) G matrix and takes their
-    ratios at once, as S - e and {e} come earlier in that order. A block
-    never spans two sizes, so a stop at size r calls the objective on no
-    larger set, even when the whole family would fit one block. Rows past
-    the stop are never filled, and a DEBUG record of the ``cvargreedy``
-    logger says how many were read. No other buffer exceeds _BLOCK_FLOATS
-    floats (512 KiB). Bit-identical to one set at a time.
+    G(X - e) element by element, at every tau.
+
+    Exact mode reads the feasible family in the order (pass, size,
+    element): in two passes over slices of the taus, each in the family's
+    (size, lexicographic) order, one size at a time in blocks, and within a
+    block element by element. The first pass covers the two lowest positive
+    taus (all of them when there are fewer than four, so no slice holds a
+    lone tau) and fills G({e}) at every tau too, since an element is
+    worthless only if G({e}) <= 0 at all of them. It nearly always stops:
+    at tau <= min_y f(S - e, y), G(S) and G(S - e) are the same sum of tau,
+    bit for bit, so the ratio is exactly 0. Only a call without a stop
+    reads the family again for the other taus, and the least ratio of both
+    passes is the one of every tau. As soon as a block's G rows are filled,
+    the ratios of all its (set, member) pairs are taken at once, as S - e
+    and {e} come earlier in that order. In that order, the first element
+    with a NaN G({e}) or a NaN ratio raises, unless an earlier one has a
+    ratio <= 0: a NaN at a tau of the second pass raises only if the first
+    pass did not stop. A block never spans two sizes, so a stop at size r
+    calls the objective on no larger set. Each size's id rows are built
+    once for both passes. The (sets x taus) G matrix is allocated empty and
+    column-major: a pass writes only its own columns (and the first the
+    rows of {e} whole), so the second pass's pages are touched only when it
+    runs, and rows past the stop are never filled. A DEBUG record of the
+    ``cvargreedy`` logger gives the rows read by each pass. No other buffer
+    exceeds _BLOCK_FLOATS floats (512 KiB). Bit-identical to one set at a time at every tau: no slice
+    of ``_sample_sums`` holds a lone tau, so a G row has the same bits on
+    either slice of the grid.
     """
+    _check_ground(objective, matroid)
     grid = _tau_array(taus)
     if method not in ("total_over_ground_set", "exact_matroid_enumeration"):
         raise ValueError(f"unknown curvature method {method!r}")
     positive = np.array(sorted(set(grid[grid > 0].tolist())))
     if positive.size == 0:
         return Curvature(0.0, method)
-    elements = matroid.ground.elements
-
-    if method == "total_over_ground_set":
+    if method == "exact_matroid_enumeration":
+        worst = _least_family_ratio(objective, matroid, scenarios, positive)
+    else:
         def g_of(subset: frozenset[int]) -> np.ndarray:  # the G row of one set
             u = objective.utilities(subset, scenarios)
             return _sample_sums(u[None], positive, np.minimum)[0]
 
-        full = frozenset(elements)
+        full = frozenset(matroid.ground.elements)
         g_full = g_of(full)
-
-        def ratios():  # element by element, the ratio of X at every tau
-            for e in elements:
-                single = g_of(frozenset((e,)))
-                if not _worthless(e, single):
-                    yield e, (g_full - g_of(full - {e})) / single
-    else:
-        # row i of g is the set with bitmask masks[i]; pos maps a bitmask to its row
-        masks = matroid.feasible_masks()
-        pos = np.full(1 << len(elements), -1)
-        pos[masks] = np.arange(len(masks))
-        g = np.empty((len(masks), positive.size))  # rows are filled as they are read
-        read = 0
-
-        def ratios():  # block by block, the ratios of its sets for each element
-            nonlocal read
-            family = _mask_ids(masks, len(elements))
-            for _, block in _utility_blocks(objective, scenarios, family, positive.size):
-                rows = np.arange(read, read + len(block))
-                g[rows] = _sample_sums(block, positive, np.minimum)
-                read += len(block)
-                for e in elements:
-                    top = rows[masks[rows] & (1 << e) != 0]
-                    single = g[pos[1 << e]]
-                    if top.size and not _worthless(e, single):
-                        yield e, (g[top] - g[pos[masks[top] ^ (1 << e)]]) / single
-
-    worst = np.inf
-    for e, ratio in ratios():
-        low = ratio.min()
-        if np.isnan(low):
-            raise ValueError(f"a curvature ratio of element {e} is NaN: "
-                             "the objective returned NaN utilities")
-        worst = min(worst, low)
-        if worst <= 0.0:
-            break
-    if method == "exact_matroid_enumeration":
-        log.debug("exact curvature: read %d of %d feasible sets", read, len(masks))
+        worst = np.inf
+        for e in matroid.ground.elements:
+            single = g_of(frozenset((e,)))
+            if _worthless(e, single):
+                continue
+            low = ((g_full - g_of(full - {e})) / single).min()
+            if np.isnan(low):
+                raise _nan_ratio(e)
+            worst = min(worst, low)
+            if worst <= 0.0:
+                break
     # worst is +inf when every element is empirically worthless (no ratio)
     k = np.clip(1.0 - worst, 0.0, 1.0)
     return Curvature(float(k), method)
+
+
+def _least_family_ratio(objective: StochasticObjective, matroid: Matroid,
+                        scenarios: ScenarioSet, positive: np.ndarray) -> float:
+    """The least curvature ratio over the feasible family, or one <= 0 where
+    the reading stops: exact mode of ``auxiliary_curvature``."""
+    n = matroid.ground.size
+    # row i of g is the set with bitmask masks[i]; pos maps a bitmask to its row.
+    # Column-major, so a pass fills pages of its own columns only.
+    masks = matroid.feasible_masks()
+    pos = np.full(1 << n, -1)
+    pos[masks] = np.arange(len(masks))
+    g = np.empty((len(masks), positive.size), order="F")
+    single = np.zeros((n, positive.size))  # G({e}) at every tau, from the first pass
+    split = 2 if positive.size >= 4 else positive.size
+    families = itertools.tee(_mask_ids(masks, n))
+    worst, read = np.inf, [0, 0]
+    for p, (family, cols) in enumerate(zip(families, (slice(split), slice(split, None)))):
+        taus = positive[cols]
+        if worst <= 0.0 or taus.size == 0:
+            break
+        for ids, block in _utility_blocks(objective, scenarios, family, positive.size):
+            rows = np.arange(read[p], read[p] + len(block))
+            read[p] += len(block)
+            if p == 0 and ids.shape[1] == 1:
+                single[ids[:, 0]] = g[rows] = _sample_sums(block, positive, np.minimum)
+            else:
+                g[rows, cols] = _sample_sums(block, taus, np.minimum)
+            worst = min(worst, _block_least_ratio(g, rows, ids, masks, pos, single, cols))
+            if worst <= 0.0:
+                break
+    log.debug("exact curvature: read %d of %d feasible sets at %d taus, then %d at %d taus",
+              read[0], len(masks), split, read[1], positive.size - split)
+    return worst
+
+
+def _block_least_ratio(g: np.ndarray, rows: np.ndarray, ids: np.ndarray,
+                       masks: np.ndarray, pos: np.ndarray, single: np.ndarray,
+                       cols: slice) -> float:
+    """The least ratio [G(S) - G(S - e)] / G({e}) over the (set, member)
+    pairs of one block, the sets ``ids`` at the rows ``rows`` of ``g``, and
+    over the taus of the columns ``cols`` of ``g`` and ``single``.
+
+    Worthless members are left out. The first element in ascending order
+    with a NaN G({e}), a NaN ratio or a ratio <= 0 decides: a NaN raises,
+    and otherwise its least ratio is returned. The ratios go in chunks of
+    pairs within _BLOCK_FLOATS floats; every non-finite one is dealt with
+    here, so their float warnings are off."""
+    nan = np.isnan(single).any(axis=1)
+    i, j = np.nonzero((nan | (single > 0.0).any(axis=1))[ids])
+    if i.size == 0:
+        return np.inf
+    members, top = ids[i, j], rows[i]
+    below = pos[masks[top] ^ (1 << members)]
+    low = np.empty(i.size)
+    step = max(1, _BLOCK_FLOATS // len(range(g.shape[1])[cols]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, i.size, step):
+            at = slice(lo, lo + step)
+            ratio = (g[top[at], cols] - g[below[at], cols]) / single[members[at], cols]
+            low[at] = ratio.min(axis=1)  # NaN if any is
+    bad = np.isnan(low) | (low <= 0.0) | nan[members]
+    if not bad.any():
+        return float(low.min())
+    e = int(members[bad].min())
+    if nan[e]:
+        raise _nan_single(e)
+    mine = low[members == e]
+    if np.isnan(mine).any():
+        raise _nan_ratio(e)
+    return float(mine.min())
+
+
+def _nan_ratio(e: int) -> ValueError:
+    return ValueError(f"a curvature ratio of element {e} is NaN: "
+                      "the objective returned NaN utilities")
+
+
+def _nan_single(e: int) -> ValueError:
+    return ValueError(f"G({{{e}}}) is NaN: the objective returned NaN "
+                      f"utilities for element {e}")
 
 
 def _worthless(e: int, single: np.ndarray) -> bool:
@@ -738,8 +813,7 @@ def _worthless(e: int, single: np.ndarray) -> bool:
     A NaN G({e}) is an error: it would pass for worthless and report a
     curvature of 0, the best possible bound."""
     if np.isnan(single).any():
-        raise ValueError(f"G({{{e}}}) is NaN: the objective returned NaN "
-                         f"utilities for element {e}")
+        raise _nan_single(e)
     return not np.any(single > 0.0)
 
 

@@ -280,6 +280,24 @@ def test_extension_rule_matches_the_generic_rule(seed, n, kind, fill):
             m.extension_candidates(dependent)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
+       kind=st.sampled_from(["uniform", "partition"]))
+def test_next_candidates_match_the_extension_rule(seed, n, kind):
+    # the greedy derives a child set's candidates from its parent's; along a
+    # random chain of picks from the empty set to a basis they must be the
+    # rule's own, in ascending order
+    rng = np.random.default_rng(seed)
+    m = random_matroid(rng, GroundSet(n), kind)
+    s, candidates = frozenset(), sorted(m._extension_candidates(frozenset()))
+    while candidates:
+        e = candidates[int(rng.integers(len(candidates)))]
+        s = s | {e}
+        candidates = m._next_candidates(candidates, e, s)
+        assert candidates == sorted(m._extension_candidates(s))
+    assert len(s) == len(max(m.enumerate_feasible(), key=len))  # a basis
+
+
 def _assert_family_matches_powerset_filter(m):
     expected = [frozenset(c) for c in powerset(m.ground.elements)
                 if m.is_independent(frozenset(c))]

@@ -2,6 +2,7 @@
 evaluation accounting, the brute-force reference and the guarantee report."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import logging
 import re
@@ -1131,10 +1132,32 @@ def test_brute_force_names_the_earliest_nan_set_after_the_cvar_optimum(budget):
             brute_force_opt(obj, matroid, sc, 0.3, taus)
 
 
-def _rows_read(records) -> tuple[int, int]:
-    """(family rows read, feasible sets) of exact curvature's DEBUG record."""
-    read, family = map(int, re.findall(r"\d+", _debug_record(records, "exact curvature")))
-    return read, family
+def _rows_read(records) -> tuple[int, int, int]:
+    """(rows read by the first pass, by the second, feasible sets) of exact
+    curvature's DEBUG record; the passes' tau counts add up to the grid's
+    positive taus, the first pass holding two of four or more and all of
+    fewer."""
+    first, family, low, second, high = map(
+        int, re.findall(r"\d+", _debug_record(records, "exact curvature")))
+    assert (low == 2 and high >= 2) or high == 0
+    return first, second, family
+
+
+@contextlib.contextmanager
+def _debug_records():
+    """The ``cvargreedy`` logger's records inside the block, at DEBUG; for
+    hypothesis tests, which cannot take the function-scoped caplog."""
+    records, logger = [], logging.getLogger("cvargreedy")
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _exact_curvature(obj, sc, taus, caplog):
@@ -1155,7 +1178,7 @@ def test_exact_curvature_stops_at_the_first_ratio_at_most_zero(caplog):
         calls.append(self)
         return masks(self)
 
-    stopped = []
+    stopped, reads = [], []
     for seed in range(8):
         obj = random_instance(seed, size=6 + seed % 4)
         sc = obj.sample_scenarios(60, seed)
@@ -1163,14 +1186,19 @@ def test_exact_curvature_stops_at_the_first_ratio_at_most_zero(caplog):
                          samples=60).tau_grid()
         calls.clear()
         with mock.patch.object(sga.Matroid, "feasible_masks", count_masks):
-            ours, (read, family) = _exact_curvature(obj, sc, taus, caplog)
+            ours, (first, second, family) = _exact_curvature(obj, sc, taus, caplog)
         assert calls == [obj.matroid]
         assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
                                                      method=ours.method)
         assert family == len(obj.matroid.enumerate_feasible())
-        stopped.append(read < family)
+        # the first pass (2 of 8 positive taus) stops where one pass over
+        # every tau stopped; a call without a stop reads the family twice
+        stopped.append(first < family and second == 0)
         assert stopped[-1] == (ours.value == 1.0)
+        assert stopped[-1] or first == second == family
+        reads.append(first)
     assert stopped.count(True) == 6
+    assert reads == [32, 64, 93, 227, 42, 58, 93, 130]
 
 
 def test_exact_curvature_matches_reference_on_negative_utilities(caplog):
@@ -1199,7 +1227,7 @@ def test_exact_curvature_raises_on_a_nan_before_the_stop(caplog):
     taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 8,
                      samples=60).tau_grid()
     clean = _exact_curvature(ClonedObjective(base, base.matroid), sc, taus, caplog)
-    assert clean == (Curvature(1.0, "exact_matroid_enumeration"), (64, 99))
+    assert clean == (Curvature(1.0, "exact_matroid_enumeration"), (64, 0, 99))
     with pytest.raises(ValueError, match="ratio of element 0 is NaN"):
         auxiliary_curvature(NanInSet(base, base.matroid, {0, 1}), base.matroid, sc, taus,
                             method="exact_matroid_enumeration")
@@ -1212,17 +1240,17 @@ def test_exact_curvature_below_one_reads_the_whole_family(caplog):
     obj = random_instance(4, size=6, matroid_kind="uniform")
     sc = obj.sample_scenarios(5, 11)
     taus = list(np.linspace(0.7, 1.0, 17) * obj.gamma_hint)
-    ours, (read, family) = _exact_curvature(obj, sc, taus, caplog)
-    assert ours.value < 1.0 and read == family
+    ours, (first, second, family) = _exact_curvature(obj, sc, taus, caplog)
+    assert ours.value < 1.0 and first == second == family
     assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
                                                  method=ours.method)
 
 
 class Table(StochasticObjective):
-    """A utility per set, the same in every scenario."""
+    """A utility per set: one value for every scenario, or one per scenario."""
 
     def __init__(self, values, matroid):
-        self.values = {frozenset(s): float(v) for s, v in values.items()}
+        self.values = {frozenset(s): np.asarray(v, dtype=float) for s, v in values.items()}
         self.ground, self.matroid, self.gamma_hint = matroid.ground, matroid, 2.0
 
     def sample_scenarios(self, count, seed):
@@ -1252,6 +1280,94 @@ def test_curvature_is_one_when_a_ratio_overflows(caplog):
         assert total == total_ref == Curvature(1.0, "total_over_ground_set")
 
 
+def test_exact_curvature_finds_a_stop_above_the_two_lowest_taus(caplog):
+    # two scenarios; G(S) = min(u_1, tau) + min(u_2, tau). Element 0's ratio
+    # at {0, 1} is (2 min(1.5, tau) - tau) / 1: 1 at taus 1 and 2, 0 at 3
+    # and -1 at 4, and every other ratio is positive. The first pass (taus
+    # 1 and 2) reads the family without a stop; the second finds the ratio
+    # <= 0 in its last block.
+    matroid = UniformMatroid(GroundSet(2), 2)
+    obj = Table({(): 0, (0,): 0.5, (1,): [0.0, 10.0], (0, 1): 1.5}, matroid)
+    sc = obj.sample_scenarios(2, 0)
+    taus = [0.0, 1.0, 2.0, 3.0, 4.0]
+    ours, reads = _exact_curvature(obj, sc, taus, caplog)
+    assert ours == reference_auxiliary_curvature(obj, matroid, sc, taus, method=ours.method)
+    assert ours.value == 1.0 and reads == (4, 4, 4)
+    low = _exact_curvature(obj, sc, taus[:3], caplog)
+    assert low == (Curvature(0.0, "exact_matroid_enumeration"), (4, 0, 4))
+
+
+def test_exact_curvature_raises_on_a_nan_of_the_second_pass(caplog):
+    # G({0}) = -3 + min(4, tau) is -2, -1, 0 and 1 at taus 1 to 4, so {0}
+    # is worth something (at tau 4) and its ratio G({0}) / G({0}) is 1 at
+    # every tau but 3, where it is 0 / 0. The first pass (taus 1 and 2) sees
+    # no NaN and no stop; the second pass meets the NaN and raises.
+    matroid = UniformMatroid(GroundSet(1), 1)
+    obj = Table({(): 0, (0,): [-3.0, 4.0]}, matroid)
+    sc = obj.sample_scenarios(2, 0)
+    assert _exact_curvature(obj, sc, [1.0, 2.0], caplog) == (
+        Curvature(0.0, "exact_matroid_enumeration"), (2, 0, 2))
+    with pytest.raises(ValueError, match="ratio of element 0 is NaN"):
+        auxiliary_curvature(obj, matroid, sc, [1.0, 2.0, 3.0, 4.0],
+                            method="exact_matroid_enumeration")
+
+
+def test_exact_curvature_judges_worth_on_every_tau(caplog):
+    # G({0}) = -3 + min(4, tau) is <= 0 at the two lowest taus, 1 and 2,
+    # and positive at 3.5 and 4, so element 0 is worth something and its
+    # ratios count at every tau: (G({0}) - G({})) / G({0}) with G({}) = -10
+    # is -4 at tau 1. A worth judged on the first pass's taus alone would
+    # skip it there and report 0 from the second pass's ratios 21 and 11.
+    matroid = UniformMatroid(GroundSet(1), 1)
+    obj = Table({(): -5.0, (0,): [-3.0, 4.0]}, matroid)
+    sc = obj.sample_scenarios(2, 0)
+    taus = [1.0, 2.0, 3.5, 4.0]
+    ours, reads = _exact_curvature(obj, sc, taus, caplog)
+    assert ours == reference_auxiliary_curvature(obj, matroid, sc, taus, method=ours.method)
+    assert ours.value == 1.0 and reads == (2, 0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8),
+       kind=st.sampled_from(["uniform", "partition"]),
+       samples=st.sampled_from([1, 2, 7, 60]),
+       fractions=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=5, unique=True),
+       zero=st.booleans(), offset=st.sampled_from([0.0, -0.1, -0.4]),
+       budget=st.sampled_from([None, 5, 64]))
+def test_exact_curvature_matches_reference_on_split_grids(seed, size, kind, samples,
+                                                         fractions, zero, offset, budget):
+    # 1 to 5 positive taus: one pass below four of them, two from four up.
+    # A negative offset makes some G({e}) <= 0 at the low taus and > 0 only
+    # at higher ones, so an element's worth is judged on every tau.
+    base = random_instance(seed, size=size, matroid_kind=kind)
+    obj = Offset(base, offset * base.gamma_hint) if offset else base
+    taus = [0.0] * zero + [f * base.gamma_hint for f in fractions]
+    sc = obj.sample_scenarios(samples, seed)
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS), \
+            _debug_records() as records:
+        ours = auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                   method="exact_matroid_enumeration")
+    assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
+                                                 method=ours.method)
+    first, second, family = _rows_read(records)
+    assert second in (0, family) if len(set(taus) - {0.0}) >= 4 else second == 0
+
+
+def test_verification_rejects_a_matroid_of_another_ground_set():
+    # the family of a 6-element matroid would be scored as sets of the
+    # 8-element objective
+    obj = random_instance(0, size=8)
+    matroid = UniformMatroid(GroundSet(6), 2)
+    sc = obj.sample_scenarios(20, 0)
+    taus = [0.0, 0.5 * obj.gamma_hint, obj.gamma_hint]
+    message = "the matroid's ground set has 6 elements, the objective's 8"
+    with pytest.raises(ValueError, match=message):
+        brute_force_opt(obj, matroid, sc, 0.3, taus)
+    for method in ("total_over_ground_set", "exact_matroid_enumeration"):
+        with pytest.raises(ValueError, match=message):
+            auxiliary_curvature(obj, matroid, sc, taus, method=method)
+
+
 def test_auxiliary_curvature_rejects_bad_taus():
     obj = random_instance(1, size=6)
     sc = obj.sample_scenarios(20, 0)
@@ -1279,6 +1395,23 @@ def test_sample_sums_match_per_set_sums(seed, rows, samples, taus, budget):
         assert np.array_equal(
             s, np.maximum(grid[None, :] - u[:, None], 0.0).sum(axis=0))
         assert np.array_equal(c, np.minimum(u[:, None], grid[None, :]).sum(axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4),
+       samples=st.integers(1, 5000), taus=st.integers(4, 40),
+       budget=st.sampled_from([None, 64, 2000]))
+def test_sample_sums_on_a_split_grid_keep_the_whole_grids_bits(seed, rows, samples,
+                                                               taus, budget):
+    # exact curvature sums its two lowest positive taus and the rest apart
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(-1.0, 10.0, (rows, samples))
+    grid = np.sort(rng.uniform(0.0, 10.0, taus))
+    with mock.patch.object(sga, "_BLOCK_FLOATS", budget or sga._BLOCK_FLOATS):
+        whole = sga._sample_sums(block, grid, np.minimum)
+        low = sga._sample_sums(block, grid[:2], np.minimum)
+        high = sga._sample_sums(block, grid[2:], np.minimum)
+    assert np.array_equal(whole, np.hstack([low, high]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1333,7 +1466,8 @@ def test_family_scored_with_one_objective_call_per_block():
     # then only the survivors in blocks of budget // max(samples, taus) for
     # the grid; exact curvature in blocks of budget // max(samples, positive
     # taus), up to the block of its first ratio <= 0 (at 6 samples; at 30
-    # the curvature is below 1 and every block is read). Neither calls
+    # the curvature is below 1 and every block is read twice, once for the
+    # two lowest positive taus and once for the other four). Neither calls
     # ``utilities``. Total curvature calls ``utilities`` for G(X), G({e})
     # and G(X - e), one set each (it stops after element 0 at 6 samples and
     # visits all 7 at 30).
@@ -1380,8 +1514,11 @@ def test_family_scored_with_one_objective_call_per_block():
         assert 0 < len(scored) < len(family)
         assert found["brute"][len(scan):] == by_size(scored, grid_rows)
         read = by_size(family, scan_rows)  # budget // max(samples, 6)
-        assert found["exact"] == read[:len(found["exact"])]
-        assert (len(found["exact"]) < len(read)) == stops
+        if stops:
+            assert found["exact"] == read[:len(found["exact"])]
+            assert len(found["exact"]) < len(read)
+        else:
+            assert found["exact"] == read + read
         assert evaluated[0] == full and len(evaluated) % 2 == 1
         assert evaluated[1:] == [s for e in range(len(evaluated) // 2)
                                  for s in (frozenset({e}), full - {e})]
