@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,45 +49,23 @@ batch; additive_error is the curvature-driven additive bound term."""
 # manifests and writers
 # --------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    instance_seed: int | None
-    version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, argv: list[str], hash_payload, instance_seed: int | None) -> "RunManifest":
-        canonical = json.dumps(hash_payload, sort_keys=True, default=str)
-        return cls(
-            command="cvargreedy " + " ".join(argv),
-            config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
-            instance_seed=instance_seed,
-            version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "config_hash": self.config_hash,
-                "instance_seed": self.instance_seed, "version": self.version,
-                "timestamp": self.timestamp}
-
-    def comment_lines(self) -> list[str]:
-        return [f"# {k}: {v}" for k, v in self.to_dict().items()]
+def _manifest(argv: list[str], hash_payload, instance_seed: int | None) -> dict:
+    """The manifest of an output: the command line, a hash of ``hash_payload``,
+    the instance seed, the library version and the time."""
+    canonical = json.dumps(hash_payload, sort_keys=True, default=str)
+    return {"command": "cvargreedy " + " ".join(argv),
+            "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
+            "instance_seed": instance_seed, "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
 
 
-def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
-    doc = {"manifest": manifest.to_dict()}
-    doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+def _write_json(path: Path, manifest: dict, payload: dict) -> None:
+    path.write_text(json.dumps({"manifest": manifest, **payload}, indent=2) + "\n")
 
 
-def _write_csv(path: Path, manifest: RunManifest, header: list[str], rows) -> None:
-    lines = manifest.comment_lines()
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
+def _write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
+    lines = [f"# {k}: {v}" for k, v in manifest.items()] + [",".join(header)]
+    lines += [",".join(str(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -148,7 +125,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         summary = (f"sensor instance: {instance.ground.size} candidates, uniform "
                    f"matroid (k={instance.select}), {instance.free_cell_count} "
                    f"free cells, gamma hint {instance.gamma_hint:.4g}")
-    manifest = RunManifest.create(args.argv, instance.to_json(), instance.seed)
+    manifest = _manifest(args.argv, instance.to_json(), instance.seed)
     out = Path(args.out)
     _write_json(out, manifest, instance.to_json())
     print(summary)
@@ -250,7 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.verify:
         block, passed = verification(objective, cfg, scenarios, result)
         payload["verification"] = block
-    manifest = RunManifest.create(
+    manifest = _manifest(
         args.argv, {"config": _config_dict(cfg), "instance": instance_data},
         instance_data.get("seed"))
     out = Path(args.out)
@@ -274,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args, objective, alphas[0])
     table = alpha_sweep(objective, objective.matroid, cfg, alphas,
                         eval_samples=args.eval_samples)
-    manifest = RunManifest.create(
+    manifest = _manifest(
         args.argv,
         {"config": _config_dict(cfg), "alphas": alphas, "instance": instance_data},
         instance_data.get("seed"))
@@ -329,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           f"(delta {cfg.delta:g})")
     print(f"guarantee: {'PASS' if passed else 'FAIL'}")
     if args.out:
-        manifest = RunManifest.create(
+        manifest = _manifest(
             args.argv, {"config": _config_dict(cfg), "instance": instance_data},
             instance_data.get("seed"))
         _write_json(Path(args.out), manifest,

@@ -7,7 +7,7 @@ set. Negative gains are accepted; for monotone objectives they do not occur.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -54,9 +54,12 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     whose rules leave candidates unscored, and takes each function's pick
     from one column maximum over the step. Per function this makes the same
     picks as a greedy of its own (ties go to the smallest element id); its
-    trace counts the empty set and every candidate. A step whose candidates
-    all score NaN (or -inf) for some function raises ``ValueError``.
-    Returns the sets, values and traces.
+    trace counts the empty set and every candidate. The points of a group
+    then join the groups of its set plus their picks, in the order of the
+    first point to make each pick. A step whose candidates all score NaN (or
+    -inf) for some function raises ``ValueError``, with the scores of that
+    function's candidates from one more ``score`` call. Returns the sets,
+    values and traces.
 
     By default every candidate of a group is scored in the first call. Two
     rules skip candidates that cannot be a pick. Their groups score some
@@ -99,8 +102,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     it at a larger id, so it is no pick. Any other group takes the steps
     above. Candidate sets shrink along the loop, so the functions of a
     group below ``lazy_size`` stay below it, and their gains are not kept.
-    ``counts``, if given, adds the candidates skipped by stale bounds, once
-    per group step, under "stale".
+    ``counts``, if given, adds the candidates skipped by stale bounds under
+    "stale", once per group step, as the second call's rows are chosen.
     """
     values = np.array(initial, dtype=float)
     if bounds is not None:
@@ -114,13 +117,13 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     settled = np.zeros(count, dtype=np.int64)
     skipped = np.zeros(count, dtype=np.int64)
     gains = None  # (ground x functions) last kept gain; NaN where there is none
-    # each unfinished set: its extension candidates and the parts of its points
+    # each unfinished set: its extension candidates and the pieces of its points
     groups = ({frozenset(): (sorted(matroid._extension_candidates(frozenset())),
                              [np.arange(count)])} if count else {})
     while groups:
         step = []
-        for current, (candidates, parts) in groups.items():
-            at = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for current, (candidates, pieces) in groups.items():
+            at = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             if candidates:
                 step.append(_Group(current, at, candidates))
             else:
@@ -164,7 +167,10 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
                 more = np.arange(1, len(g.candidates))
             elif g.ub is not None:
                 more = _needed(g.ub, best[a:b], pick[a:b], g.rows)
-                g.ub, g.lazy = None, True
+                g.ub = None
+                if counts is not None:
+                    counts["stale"] = (counts.get("stale", 0) + len(g.candidates)
+                                       - len(g.rows) - len(more))
             else:
                 continue
             if len(more):
@@ -182,7 +188,7 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
         if not comparable.all():
             c = int(comparable.argmin())
             k = int(np.searchsorted(starts, c, side="right")) - 1
-            raise _incomparable(step[k], c - spans[k][0])
+            raise _incomparable(score, step[k], c - spans[k][0])
         scored = np.array([n if g.rows is None else len(g.rows)
                            for g, n in zip(step, total.tolist())])
         first = scored < total  # settled by the first call
@@ -192,39 +198,24 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
         evaluations[at] += np.repeat(total, widths)
         settled[at] += np.repeat(first, widths)
         skipped[at] += np.repeat(total - scored, widths)
-        if counts is not None:
-            for g, n in zip(step, (total - scored).tolist()):
-                if g.lazy:
-                    counts["stale"] = counts.get("stale", 0) + n
         ids = np.fromiter(chain.from_iterable(g.candidates for g in step), dtype=np.intp,
                           count=int(total.sum()))
         elements = ids[np.repeat(np.cumsum(total) - total, widths) + pick]
         for i, e, gain in zip(at.tolist(), elements.tolist(), (best - values[at]).tolist()):
             traces[i].picks.append((e, gain))
         values[at] = best
-        groups = {}
-        heads = elements[starts]
-        alike = np.logical_and.reduceat(elements == np.repeat(heads, widths), starts)
-        for g, e, same, (a, b) in zip(step, heads.tolist(), alike.tolist(), spans):
-            if same:
-                _join(groups, matroid, g, e, g.at)
-            else:
-                picked = elements[a:b]
-                for e in dict.fromkeys(picked.tolist()):
-                    _join(groups, matroid, g, e, g.at[picked == e])
+        groups = {}  # a point of group g that picked e joins the group of g's set + e
+        for g, (a, b) in zip(step, spans):
+            picked = elements[a:b]
+            for e in dict.fromkeys(picked.tolist()):
+                child = g.current | {e}
+                if child not in groups:
+                    groups[child] = (matroid._next_candidates(g.candidates, e, child), [])
+                groups[child][1].append(g.at[picked == e])
     for trace, n, s, k in zip(traces, evaluations.tolist(), settled.tolist(),
                               skipped.tolist()):
         trace.evaluations, trace.settled, trace.skipped = n, s, k
     return selected, values, traces
-
-
-def _join(groups: dict, matroid: Matroid, g: _Group, e: int, at: np.ndarray) -> None:
-    """Add the points ``at`` of group g that picked e to the group of g's
-    set plus e; a new group takes its candidates from g's."""
-    child = g.current | {e}
-    if child not in groups:
-        groups[child] = (matroid._next_candidates(g.candidates, e, child), [])
-    groups[child][1].append(at)
 
 
 @dataclass(eq=False)
@@ -236,9 +227,7 @@ class _Group:
     candidates: list
     rows: np.ndarray | None = None  # the candidates of the first call; None: all
     keep: bool = False  # keeps its gains
-    lazy: bool = False  # skipped candidates by stale bounds
     ub: np.ndarray | None = None  # the stale bounds, until the second call
-    parts: list = field(default_factory=list)  # (rows, table) of each call, for errors
 
 
 def _chosen(candidates: list, rows: np.ndarray | None) -> list:
@@ -252,8 +241,7 @@ def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: 
     with ``floors[k]`` (default -inf) for each group that keeps gains, and
     keep those groups' gains (upper end minus the value before the step).
     Returns ``_first_max`` over the groups' columns side by side, its rows
-    read as candidate indices. A group keeps a table in its parts only while
-    some column of it has no comparable value, for the error message."""
+    read as candidate indices."""
     calls = [(g.at, g.current, _chosen(g.candidates, r),
               None if not g.keep else np.full(g.at.size, -np.inf) if floors is None
               else floors[k])
@@ -268,37 +256,34 @@ def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: 
             gains[np.ix_(_chosen(g.candidates, r), g.at)] = upper
         tables.append(table)
     del upper  # the loop's gains are kept; free the last upper ends
+    ends = list(accumulate(t.shape[1] for t in tables))  # the groups' columns
     table = tables[0]
     if len(tables) > 1:  # one column maximum: the tables padded to one height with
         # NaN, which is never a column's first maximum (a -inf pad would be
         # one in a column whose own rows are all NaN)
-        table = np.full((max(map(len, tables)), sum(t.shape[1] for t in tables)), np.nan)
-        c = 0
-        for t in tables:
-            table[:len(t), c:c + t.shape[1]] = t
-            c += t.shape[1]
+        table = np.full((max(map(len, tables)), ends[-1]), np.nan)
+        for t, b in zip(tables, ends):
+            table[:len(t), b - t.shape[1]:b] = t
     first, best = _first_max(table)
-    lost = (best == -np.inf).tolist()
-    c = 0
-    for g, r, t in zip(groups, rows, tables):
+    for r, t, b in zip(rows, tables, ends):
         if r is not None:
-            first[c:c + t.shape[1]] = r[first[c:c + t.shape[1]]]
-        if any(lost[c:c + t.shape[1]]):
-            g.parts.append((r, t))
-        c += t.shape[1]
+            first[b - t.shape[1]:b] = r[first[b - t.shape[1]:b]]
     return first, best
 
 
-def _incomparable(g: _Group, j: int) -> ValueError:
-    """The error of a step in which member j of group g has no comparable score."""
-    scored = sorted((r, table[k, j]) for rows, table in g.parts
-                    for k, r in enumerate(range(len(g.candidates)) if rows is None
-                                          else rows.tolist()))
+def _incomparable(score: GroupScores, g: _Group, j: int) -> ValueError:
+    """The error of a step in which member j of group g has no comparable score.
+
+    Both rules send every candidate they left out to the second call once a
+    column has no comparable value (its best is -inf, below every bound and
+    every stale bound), so the step scored all of g's candidates for member
+    j. They are scored once more, as in a first call, for the message."""
+    floor = np.full(g.at.size, -np.inf) if g.keep else None
+    [(table, _)] = score([(g.at, g.current, g.candidates, floor)])
     return ValueError(
         f"greedy step from {sorted(g.current)}: no candidate has a "
-        f"comparable score; the scores of "
-        f"{[g.candidates[r] for r, _ in scored]} are "
-        f"{[float(v) for _, v in scored]} (NaN or -inf)")
+        f"comparable score; the scores of {g.candidates} are "
+        f"{np.asarray(table, dtype=float)[:, j].tolist()} (NaN or -inf)")
 
 
 def _first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# enumerate_feasible scans the full powerset; past 16 elements that is 65k+
-# subsets and almost certainly a mistake by the caller.
+# the feasible family (_feasible_masks) is built from a bit table of the full
+# powerset; past 16 elements that is 65k+ subsets and almost certainly a
+# mistake by the caller.
 ENUMERATION_CAP = 16
 
 

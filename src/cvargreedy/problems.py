@@ -85,6 +85,7 @@ class VehicleAssignment(StochasticObjective):
     def generate(cls, vehicles: int, demands: int, side: float = 10.0,
                  seed: int = 0) -> "VehicleAssignment":
         """Vehicles and demands placed independently uniformly in a side x side square."""
+        vehicles, demands = _integer(vehicles, "vehicles"), _integer(demands, "demands")
         if vehicles < 1 or demands < 1:
             raise ValueError("need at least one vehicle and one demand")
         if not (math.isfinite(side) and side > 0):
@@ -234,9 +235,12 @@ class OccupancyGrid:
     obstacles: frozenset[int]
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
-        object.__setattr__(self, "obstacles", frozenset(int(c) for c in self.obstacles))
+        object.__setattr__(self, "obstacles",
+                           frozenset(_integer(c, "obstacle cell") for c in self.obstacles))
         for c in self.obstacles:
             if not 0 <= c < self.rows * self.cols:
                 raise ValueError(f"obstacle cell {c} outside the grid")
@@ -403,6 +407,7 @@ class SensorCoverage(StochasticObjective):
     def generate(cls, candidates: int, select: int, grid: OccupancyGrid,
                  seed: int = 0) -> "SensorCoverage":
         """Sample distinct candidate sites among the free cells, then trace visibility."""
+        candidates = _integer(candidates, "candidates")
         free = grid.free_cells()
         if not free:
             raise ValueError("the grid has no free cells")

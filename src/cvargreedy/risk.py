@@ -34,12 +34,23 @@ def check_risk_level(alpha: float) -> float:
 
 
 def required_sample_count(epsilon: float, delta: float) -> int:
-    """Samples sufficient for cvar error below epsilon with confidence 1 - delta."""
+    """Samples sufficient for cvar error below epsilon with confidence 1 - delta:
+    ceil(ln(1/delta) / epsilon^2), and at least 1. A count past the float
+    range is a ValueError."""
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0.0 < epsilon:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(math.log(1.0 / delta) / (epsilon * epsilon))
+    # past 1e300 one sample suffices, and an int that large may not convert to float
+    epsilon = float(min(epsilon, 1e300))
+    try:  # a divide that overflows, or by a square that underflowed to 0, raises
+        return max(1, math.ceil(-math.log(delta) / (epsilon * epsilon)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"epsilon={epsilon} and delta={delta} need a sample count "
+                         f"past the float range") from None
 
 
 def _values(sample) -> np.ndarray:

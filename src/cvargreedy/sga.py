@@ -242,29 +242,25 @@ def _batch_scores(rows: np.ndarray, batch: list[tuple], taus: np.ndarray,
 
     A group of at least _SCREEN_MIN_FLOATS (member taus x samples) floats
     gets its own ``_group_scores`` call, so its screen compares the pairs of
-    one group, and so does a batch's only smaller group, which that call
-    scores exactly. Every pair of two or more smaller groups is scored
-    exactly, row by row and member by member, in one ``_exact_pairs`` pass;
-    each such table is its own upper end.
+    one group. Every pair of the smaller groups is scored exactly, row by
+    row and member by member, in one ``_exact_pairs`` pass; each such table
+    is its own upper end.
     """
     n = rows.shape[1]
     heights = [len(candidates) for _, _, candidates, _ in batch]
     widths = [members.size for members, _, _, _ in batch]
     starts = np.cumsum(heights) - heights
-    below = [w * n < _SCREEN_MIN_FLOATS for w in widths]
-    pooled = sum(below) > 1
     counts["pairs"] += sum(h * w for h, w in zip(heights, widths))
-    counts["small"] += sum(below)
-    out, small = [], []
+    out, small = [None] * len(batch), []
     for k, (members, _, _, floor) in enumerate(batch):
-        if below[k] and pooled:
+        if widths[k] * n < _SCREEN_MIN_FLOATS:
             small.append(k)
-            out.append(None)
             continue
         block = rows[starts[k]:starts[k] + heights[k]]
         table, exact, upper = _group_scores(block, taus[members], alphas[members], floor)
         counts["exact"] += int(np.count_nonzero(exact))
-        out.append((table, upper))
+        out[k] = (table, upper)
+    counts["small"] += len(small)
     if small:
         # pair p of a group is its row p // width and its member p % width
         sizes = np.array([heights[k] * widths[k] for k in small])

@@ -137,6 +137,44 @@ def test_grid_validation():
         OccupancyGrid(2, 2, frozenset({4}))
 
 
+@pytest.mark.parametrize("rows, cols, obstacles, message", [
+    (2.5, 3, frozenset(), r"rows must be an integer, got 2.5"),
+    (True, 3, frozenset(), r"rows must be an integer, got True"),
+    (2, 3.5, frozenset(), r"cols must be an integer, got 3.5"),
+    (2, 3, frozenset({1.5}), r"obstacle cell must be an integer, got 1.5"),
+])
+def test_grid_sizes_and_obstacles_are_integers(rows, cols, obstacles, message):
+    with pytest.raises(ValueError, match=message):
+        OccupancyGrid(rows, cols, obstacles)
+    # integral floats and numpy ints are read as ints
+    grid = OccupancyGrid(2.0, np.int64(3), frozenset({1.0, np.int32(4)}))
+    assert (grid.rows, grid.cols, grid.obstacles) == (2, 3, frozenset({1, 4}))
+    assert type(grid.rows) is type(grid.cols) is int
+    assert grid.free_cells() == [0, 2, 3, 5]
+
+
+@pytest.mark.parametrize("vehicles, demands, message", [
+    (2.5, 3, r"vehicles must be an integer, got 2.5"),
+    (True, 3, r"vehicles must be an integer, got True"),
+    (3, 1.5, r"demands must be an integer, got 1.5"),
+    (3, True, r"demands must be an integer, got True"),
+])
+def test_generated_vehicle_counts_are_integers(vehicles, demands, message):
+    with pytest.raises(ValueError, match=message):
+        VehicleAssignment.generate(vehicles, demands)
+    assert (VehicleAssignment.generate(3.0, 2.0, seed=5).to_json()
+            == VehicleAssignment.generate(3, 2, seed=5).to_json())
+
+
+@pytest.mark.parametrize("candidates", [2.5, True])
+def test_generated_sensor_candidate_count_is_an_integer(candidates):
+    grid = OccupancyGrid.from_rows(["000", "000"])
+    with pytest.raises(ValueError, match=f"candidates must be an integer, got {candidates}"):
+        SensorCoverage.generate(candidates=candidates, select=1, grid=grid)
+    assert (SensorCoverage.generate(candidates=2.0, select=1, grid=grid, seed=3).to_json()
+            == SensorCoverage.generate(candidates=2, select=1, grid=grid, seed=3).to_json())
+
+
 def test_visibility_open_grid():
     grid = OccupancyGrid.from_rows(["0000", "0000", "0000"])
     assert visible_cells(grid, 5) == list(range(12))

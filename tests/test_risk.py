@@ -3,6 +3,8 @@ in conftest, order identities and the inner-max link between the scalarized
 objective and cvar."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,18 @@ def test_required_sample_count():
         required_sample_count(0.0, 0.1)
     with pytest.raises(ValueError):
         required_sample_count(0.1, 1.0)
+    # a huge epsilon still needs one sample; a tiny delta has a finite count
+    assert required_sample_count(float("inf"), 0.1) == 1
+    assert required_sample_count(1e200, 0.1) == required_sample_count(10**400, 1e-300) == 1
+    assert required_sample_count(0.1, 1e-320) == math.ceil(-math.log(1e-320) / 0.01)
+    # a count past the float range, and bools, are refused
+    for epsilon in (1e-200, 1e-160):  # epsilon^2 underflows to 0, or to a subnormal
+        with pytest.raises(ValueError, match="past the float range"):
+            required_sample_count(epsilon, 0.5)
+    with pytest.raises(ValueError, match="epsilon must be a number"):
+        required_sample_count(True, 0.5)
+    with pytest.raises(ValueError, match="delta must be a number"):
+        required_sample_count(0.1, False)
 
 
 # -------------------------------------------------------------- identities
