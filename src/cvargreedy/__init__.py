@@ -20,7 +20,7 @@ from .objective import (ScenarioSet, StochasticObjective, check_sample_count,
 from .problems import (OccupancyGrid, SensorCoverage, VehicleAssignment,
                        load_instance, visible_cells)
 from .risk import (auxiliary_from_values, check_risk_level, cvar_of_set,
-                   empirical_cvar, empirical_var, required_sample_count)
+                   empirical_cvar, required_sample_count)
 from .sga import (AlphaSweepPoint, AlphaSweepTable, BoundReport,
                   BruteForceResult, Curvature, SgaConfig, SgaResult, SweepPoint,
                   additive_penalty, alpha_sweep, approximation_bound,
@@ -36,7 +36,7 @@ __all__ = [
     "VehicleAssignment", "additive_penalty", "alpha_sweep",
     "approximation_bound", "auxiliary_curvature", "auxiliary_from_values",
     "brute_force_opt", "check_risk_level", "check_sample_count", "child_seed",
-    "cvar_of_set", "empirical_cvar", "empirical_var", "greedy_maximize",
+    "cvar_of_set", "empirical_cvar", "greedy_maximize",
     "load_instance", "matroid_from_json", "matroid_to_json", "random_instance",
     "random_matroid", "required_sample_count", "run_sga", "visible_cells",
     "__version__",

@@ -174,11 +174,6 @@ class Matroid:
         masks.flags.writeable = False
         return masks
 
-    def enumerate_feasible(self) -> list[frozenset[int]]:
-        """``feasible_masks`` as frozensets, empty set first."""
-        return [frozenset(row) for ids in _mask_ids(self.feasible_masks(), self.ground.size)
-                for row in ids.tolist()]
-
     def fragment(self) -> dict:
         """JSON-serializable description of the independence rule."""
         raise NotImplementedError

@@ -39,7 +39,8 @@ class VehicleAssignment(StochasticObjective):
     """Stochastic vehicle-to-demand assignment utility.
 
     Ground element i*R + j stands for the pair (demand i, vehicle j).
-    Scenario payload: an (N, R) matrix of drawn efficiencies.
+    Scenario payload: an (N, R) matrix of drawn efficiencies; a batch from
+    ``sample_scenarios`` stores each pair's samples contiguously.
 
     A utility is a float sum of at most N nonnegative per-demand maxima,
     each exact, so it errs by at most gamma_{N-1} times the real sum of
@@ -111,14 +112,36 @@ class VehicleAssignment(StochasticObjective):
         return divmod(element, self.vehicles)
 
     def sample_scenarios(self, count: int, seed: int) -> ScenarioSet:
+        """The (count, N, R) efficiencies of ``rng.random((count, N, R))``,
+        scaled to each pair's interval, stored pair-major.
+
+        The batch is a (count, N, R) view of an (N*R, count) buffer whose
+        row e holds the samples of pair e (``_pairs``). It is filled from
+        the same ``rng.random`` stream in draws of whole samples within
+        ``sga._GROUP_FLOATS`` floats (at least one sample), each scaled in
+        place, so its bits are those of one draw of the whole batch.
+        """
         count = check_sample_count(count)
         rng = np.random.default_rng(_u64(seed))
-        # in place: batch-sized temporaries fragment the heap, so the peak
-        # RSS of a process that draws many batches would keep creeping up
-        data = rng.random((count, self.demands, self.vehicles))
-        data *= self.eff_high - self.eff_low
-        data += self.eff_low
+        size = self.ground.size
+        pairs = np.empty((size, count))
+        step = max(1, sga._GROUP_FLOATS // size)
+        draw = np.empty((min(step, count), size))
+        span, low = (self.eff_high - self.eff_low).ravel(), self.eff_low.ravel()
+        for lo in range(0, count, step):
+            chunk = rng.random(out=draw[:count - lo])
+            chunk *= span
+            chunk += low
+            pairs[:, lo:lo + step] = chunk.T
+        data = pairs.reshape(self.demands, self.vehicles, count).transpose(2, 0, 1)
         return ScenarioSet(data, count, int(seed))
+
+    def _pairs(self, scenarios: ScenarioSet) -> np.ndarray:
+        """The batch as C-ordered (N*R, samples) rows, row e the samples of
+        pair e: a view of a batch from ``sample_scenarios``, a copy of any
+        other."""
+        pairs = scenarios.data.transpose(1, 2, 0).reshape(self.ground.size, len(scenarios))
+        return np.ascontiguousarray(pairs)
 
     def _by_demand(self, subset) -> dict[int, list[int]]:
         grouped: dict[int, list[int]] = defaultdict(list)
@@ -138,52 +161,59 @@ class VehicleAssignment(StochasticObjective):
         reproduces it.
         """
         subset = self.ground.check_subset(subset)
-        eff = scenarios.data
+        pairs = self._pairs(scenarios)
         total = np.zeros(len(scenarios))
         for i, js in self._by_demand(subset).items():
-            total += eff[:, i, js].max(axis=1)
+            total += pairs[[i * self.vehicles + j for j in js]].max(axis=0)
         return total
 
     def extension_utilities(self, groups, scenarios: ScenarioSet) -> np.ndarray:
         """The rows of every group, one group at a time (see ``_extend``),
         each group's subset validated with ``check_subset``."""
         out = np.zeros((sum(len(c) for _, c in groups), len(scenarios)))
+        pairs = self._pairs(scenarios)
         start = 0
         for subset, candidates in groups:
-            self._extend(self.ground.check_subset(subset), candidates, scenarios.data,
+            self._extend(self.ground.check_subset(subset), candidates, pairs,
                          out[start:start + len(candidates)])
             start += len(candidates)
         return out
 
-    def _extend(self, subset: frozenset, candidates, eff: np.ndarray,
+    def _extend(self, subset: frozenset, candidates, pairs: np.ndarray,
                 out: np.ndarray) -> None:
         """Add to the zero rows ``out`` the rows ``utilities(subset | {e})``,
         bit for bit, for every candidate e.
 
-        The per-demand maxima of ``subset`` are taken once. A candidate's
+        ``pairs`` is the batch as ``_pairs`` gives it: the samples of pair e
+        are its contiguous row e, so each candidate's samples are one row
+        gathered by ``np.take``. A batch that ``sample_scenarios`` did not
+        make, such as a sample-major (samples, N, R) array, is copied to
+        that layout once per hook call and scores the same bits. The
+        per-demand maxima of ``subset`` are taken once. A candidate's
         demand gets its new maximum by ``np.maximum``, which is exact, and
-        each row adds its per-demand columns in the order in which iterating
+        each row adds its per-demand rows in the order in which iterating
         ``subset | {e}`` visits the demands, one position at a time over all
-        rows; a row with one demand fewer adds a zero column last, which
+        rows; a row with one demand fewer adds a zero row last, which
         changes no bit (a running sum from +0.0 is never -0.0). Candidates go
         in chunks whose (candidates x samples) temporaries stay within
         ``sga._GROUP_FLOATS`` floats.
         """
-        n, r = len(eff), self.vehicles
+        n, r = pairs.shape[1], self.vehicles
         by_demand = self._by_demand(subset)
         slot = {i: p for p, i in enumerate(by_demand)}
         served = len(slot)
         step = max(1, sga._GROUP_FLOATS // n)
         # rows 0..served-1: the subset's maxima; row served: zeros; then the
-        # chunk's candidate columns
+        # chunk's candidate rows
         bank = np.zeros((served + 1 + min(step, len(candidates)), n))
         for i, js in by_demand.items():
-            bank[slot[i]] = eff[:, i, js].max(axis=1)
+            bank[slot[i]] = pairs[[i * r + j for j in js]].max(axis=0)
         for lo in range(0, len(candidates), step):
             chunk = candidates[lo:lo + step]
-            demand, vehicle = np.divmod(np.asarray(chunk, dtype=np.intp), r)
+            ids = np.asarray(chunk, dtype=np.intp)
+            demand = ids // r
             fresh = bank[served + 1:served + 1 + len(chunk)]
-            fresh[:] = eff[:, demand, vehicle].T
+            np.take(pairs, ids, axis=0, out=fresh)
             held = np.array([slot.get(i, -1) for i in demand.tolist()], dtype=np.intp)
             old = held >= 0
             fresh[old] = np.maximum(fresh[old], bank[held[old]])
@@ -251,7 +281,12 @@ class OccupancyGrid:
         parsed = []
         for r, row in enumerate(rows):
             if isinstance(row, str):
-                parsed.append([int(ch) for ch in row.strip()])
+                row = row.strip()
+                bad = [ch for ch in row if ch not in "01"]
+                if bad:
+                    raise ValueError(f"grid row {r} {row!r}: a cell must be '0' (free) "
+                                     f"or '1' (obstacle), got {bad[0]!r}")
+                parsed.append([int(ch) for ch in row])
             else:
                 parsed.append([_integer(v, f"grid[{r}] cell") for v in row])
         if not parsed or not parsed[0]:

@@ -72,11 +72,6 @@ def _cvar_var(sample, alpha: float) -> tuple[float, float]:
     return float(cvar[0]), float(var[0])
 
 
-def empirical_var(sample, alpha: float) -> float:
-    """Left endpoint of the alpha-quantile of the sample."""
-    return _cvar_var(sample, alpha)[1]
-
-
 def empirical_cvar(sample, alpha: float) -> float:
     """Mean of the worst alpha-fraction of the sample (fractional tail weighting)."""
     return _cvar_var(sample, alpha)[0]
@@ -85,9 +80,9 @@ def empirical_cvar(sample, alpha: float) -> float:
 def sorted_rows_cvar_var(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(cvar, var) of every row of a (rows x n) array sorted ascending along rows.
 
-    The one VaR/CVaR estimator: ``empirical_cvar``, ``empirical_var`` and
-    ``cvar_of_set`` read it on one row. Each tail sum is numpy's pairwise sum
-    over one row, so a row of a block gets the same bits as the row alone.
+    The one VaR/CVaR estimator: ``empirical_cvar`` and ``cvar_of_set`` read
+    it on one row. Each tail sum is numpy's pairwise sum over one row, so a
+    row of a block gets the same bits as the row alone.
     """
     n = v.shape[1]
     k = _tail_index(alpha, n)

@@ -353,20 +353,29 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
     value: the value itself where it was computed, the screen's upper end
     H~ + M' (below) elsewhere. Without a floor they are None.
 
-    Rank. With each row sorted (s_0 <= ... <= s_{n-1}), P its cumsum and
-    k = #{s < tau} (``np.searchsorted``), sum (tau - u)+ = k*tau - P[k]
-    (Rockafellar & Uryasev 2000), so H~ = tau - (k*tau - P[k]) / d with
-    d = alpha*n rounded, the divisor of the exact kernel too. The chunk of
-    candidates that is sorted at once stays within _GROUP_FLOATS floats.
+    Rank. With each row sorted (s_0 <= ... <= s_{n-1}), P[k] the sum of
+    its k smallest samples and k = #{s < tau} (``np.searchsorted``),
+    sum (tau - u)+ = k*tau - P[k] (Rockafellar & Uryasev 2000), so
+    H~ = tau - (k*tau - P[k]) / d with d = alpha*n rounded, the divisor of
+    the exact kernel too. P is read only at the member taus: with the taus
+    in ascending order (a stable argsort, once per group), one
+    ``np.add.reduceat`` per chunk sums each row's samples between
+    consecutive k, and a cumsum over those segments gives P[k]; no sample
+    past the largest k is summed. The chunk of candidates that is sorted at
+    once stays within _GROUP_FLOATS floats. The table, the margins and the
+    mask are computed once for the whole group from each pair's k and P[k]
+    and each row's minimum.
 
     Bound. Let u = 2**-53, gamma_m = m*u / (1 - m*u) (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3-4; n*u < 0.01 is assumed), S*
     the real hinge sum, W = k*(tau + |s_0|) and R = W/d. Every term of S*
     is tau - s_i <= tau + |s_0|, so S* <= W, and k*tau, sum_{i<k} |s_i| and
     |P*[k]| are <= W too (|s_i| <= max(|s_0|, tau) for s_i < tau).
-    - Screen: the sequential cumsum errs by at most gamma_{k-1}*W, and the
-      multiply k*tau and the subtract round once each, so
-      |S~ - S*| <= (u + gamma_{k-1})(1+u)W + u*S* <= gamma_{k+1}*W.
+    - Screen: P[k] adds k samples in some order (pairwise within a
+      segment, then segment by segment), and a sum of k terms in any order
+      errs by at most gamma_{k-1} times the sum of their magnitudes, so by
+      at most gamma_{k-1}*W. The multiply k*tau and the subtract round once
+      each, so |S~ - S*| <= (u + gamma_{k-1})(1+u)W + u*S* <= gamma_{k+1}*W.
     - Exact kernel: each hinge term tau - u_i rounds once (the terms with
       u_i >= tau are exactly 0), and a sum of n terms in any order, numpy's
       pairwise sum included, errs by at most gamma_{n-1} times the sum of
@@ -381,8 +390,9 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
     so the computed ends still enclose [H~ - M, H~ + M]. The smallest normal
     float is added to cover the absolute error (at most 2**-1075) of a
     divide that underflows. At k = 0 both sides compute exactly tau, and
-    the bound is 0. An overflow makes the entries that use it non-finite,
-    which sends every pair of the group to the exact kernel.
+    the bound is 0. An overflow, of a segment sum too, makes the entries
+    that use it non-finite, which sends every pair of the group to the
+    exact kernel.
 
     Score. A column's exact maximum is at least its largest lower end
     L = max(H~ - M'). A pair whose upper end H~ + M' is below L, or below
@@ -393,36 +403,14 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
     already.
     """
     n = rows.shape[1]
-    table = np.empty((len(rows), taus.size))
-    exact = np.ones(table.shape, dtype=bool)
-    bound = None
-    step = max(1, _GROUP_FLOATS // n)
+    screened = None
     if taus.size * n >= _SCREEN_MIN_FLOATS:
-        divisor = alphas * n
-        margin = 10 * _gamma(n + 1)
-        bound = np.empty_like(table)
-        low = np.full(taus.size, -np.inf) if floor is None else floor.copy()
-        for lo in range(0, len(rows), step):
-            ordered = np.sort(rows[lo:lo + step], axis=1)
-            if not np.isfinite(ordered[:, [0, -1]]).all():
-                bound[:] = np.nan  # the proof needs finite rows
-                break
-            prefix = np.zeros((len(ordered), n + 1))
-            k = np.array([np.searchsorted(row, taus) for row in ordered])
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                np.cumsum(ordered, axis=1, out=prefix[:, 1:])
-                at_k = np.take_along_axis(prefix, k, axis=1)
-                table[lo:lo + step] = taus - (k * taus - at_k) / divisor
-                reach = k * (taus + np.abs(ordered[:, :1])) / divisor
-                bound[lo:lo + step] = np.where(k > 0, margin * (reach + taus) + _TINY, 0.0)
-                ends = table[lo:lo + step] - bound[lo:lo + step]
-                np.maximum(low, ends.max(axis=0), out=low)
-        if np.isfinite(bound).all() and np.isfinite(table).all():
-            exact = bound > 0
-            np.add(table, bound, out=bound)  # now the upper ends
-            exact &= bound >= low
-        else:
-            bound = None
+        screened = _screen(rows, taus, alphas, floor)
+    if screened is None:
+        table, bound = np.empty((len(rows), taus.size)), None
+        exact = np.ones(table.shape, dtype=bool)
+    else:
+        table, bound, exact = screened
     r, c = np.nonzero(exact)
     table[r, c] = _exact_pairs(rows, r, c, taus, alphas)
     if floor is None:
@@ -431,6 +419,67 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
         return table, exact, table
     np.copyto(bound, table, where=exact)
     return table, exact, bound
+
+
+def _screen(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
+            floor: np.ndarray | None) -> tuple | None:
+    """The screen of ``_group_scores``: (H~, upper ends H~ + M', mask of the
+    pairs to score exactly), or None for a group with a non-finite row or
+    an overflow. Its buffers are freed before the exact kernel runs."""
+    n = rows.shape[1]
+    step = max(1, _GROUP_FLOATS // n)
+    order = np.argsort(taus, kind="stable")
+    ascending = taus[order]
+    table = np.empty((len(rows), taus.size))  # P[k] until H~ is computed
+    k = np.empty(table.shape)  # exact as floats; reused as a work buffer below
+    least = np.empty(len(rows))
+    # a chunk's sorted rows, one after the other, and a 0.0 that k = n on its
+    # last row may index
+    flat = np.empty(min(step, len(rows)) * n + 1)
+    for lo in range(0, len(rows), step):
+        size = min(step, len(rows) - lo) * n
+        ordered = flat[:size].reshape(-1, n)
+        ordered[:] = rows[lo:lo + step]
+        ordered.sort(axis=1)
+        if not np.isfinite(ordered[:, [0, -1]]).all():
+            return None  # the proof needs finite rows
+        flat[size] = 0.0
+        ends = np.array([row.searchsorted(ascending) for row in ordered])
+        # row i's segments between its consecutive k, then its tail
+        cuts = np.zeros((len(ordered), taus.size + 1), dtype=np.intp)
+        cuts[:, 1:] = ends
+        cuts += np.arange(0, size, n)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            parts = np.add.reduceat(flat[:size + 1], cuts.ravel())
+            parts = parts.reshape(cuts.shape)[:, :-1]
+            parts[cuts[:, 1:] == cuts[:, :-1]] = 0.0
+            table[lo:lo + step, order] = np.cumsum(parts, axis=1)
+        k[lo:lo + step, order] = ends
+        least[lo:lo + step] = ordered[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # M' = 10*gamma_{n+1}*(k*(tau + |s_0|) / d + tau) + tiny where k > 0,
+        # and H~ = tau - (k*tau - P[k]) / d
+        divisor = alphas * n
+        bound = np.add.outer(np.abs(least), taus)
+        bound *= k
+        bound /= divisor
+        bound += taus
+        bound *= 10 * _gamma(n + 1)
+        bound += _TINY
+        bound[k == 0] = 0.0
+        k *= taus
+        np.subtract(k, table, out=table)
+        table /= divisor
+        np.subtract(taus, table, out=table)
+    if not (np.isfinite(bound).all() and np.isfinite(table).all()):
+        return None
+    low = np.subtract(table, bound, out=k).max(axis=0, initial=-np.inf)
+    if floor is not None:
+        np.maximum(low, floor, out=low)
+    exact = bound > 0
+    np.add(table, bound, out=bound)  # now the upper ends
+    exact &= bound >= low
+    return table, bound, exact
 
 
 def _exact_pairs(rows: np.ndarray, r: np.ndarray, c: np.ndarray, taus: np.ndarray,

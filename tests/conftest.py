@@ -15,8 +15,9 @@ import pytest
 from cvargreedy import (BruteForceResult, Curvature, EnumerationCapError,
                         ScenarioSet, SgaResult, StochasticObjective, SweepPoint)
 from cvargreedy.greedy import greedy_sweep
+from cvargreedy.matroid import _mask_ids
 from cvargreedy.problems import _GEOM_EPS, SensorCoverage, VehicleAssignment
-from cvargreedy.risk import auxiliary_scores
+from cvargreedy.risk import _cvar_var, auxiliary_scores
 from cvargreedy.synthetic import RandomCoverageObjective
 
 
@@ -24,6 +25,17 @@ def powerset(elements):
     elements = list(elements)
     return chain.from_iterable(combinations(elements, r)
                                for r in range(len(elements) + 1))
+
+
+def enumerate_feasible(matroid) -> list[frozenset[int]]:
+    """The matroid's ``feasible_masks`` as frozensets, empty set first."""
+    return [frozenset(row) for ids in _mask_ids(matroid.feasible_masks(), matroid.ground.size)
+            for row in ids.tolist()]
+
+
+def empirical_var(sample, alpha: float) -> float:
+    """Left endpoint of the alpha-quantile of the sample, the estimator's VaR."""
+    return _cvar_var(sample, alpha)[1]
 
 
 def brute_force_max(fn, matroid):
@@ -353,7 +365,7 @@ def reference_solve(objective, matroid, scenarios, points) -> list[SweepPoint]:
 def reference_brute_force_opt(objective, matroid, scenarios, alpha, taus) -> BruteForceResult:
     """``brute_force_opt`` scoring one feasible set at a time."""
     taus = np.asarray(list(taus), dtype=float)
-    feasible = matroid.enumerate_feasible()
+    feasible = enumerate_feasible(matroid)
     n = len(scenarios)
     best_set = best_cvar_set = frozenset()
     best_tau = cvar_tau = 0.0
@@ -389,7 +401,7 @@ def reference_auxiliary_curvature(objective, matroid, scenarios, taus,
         pairs = [(full, e) for e in ground.elements]
         family = [full] + [full - {e} for e in ground.elements]
     else:
-        feasible = matroid.enumerate_feasible()
+        feasible = enumerate_feasible(matroid)
         pairs = [(s, e) for s in feasible if s for e in s]
         family = feasible
     needed = set(family) | set(singletons)
@@ -447,7 +459,7 @@ def matroid_curvature(fn, matroid) -> Curvature:
     is feasible. Refuses oversized ground sets; use ``total_curvature`` then.
     """
     try:
-        feasible = matroid.enumerate_feasible()
+        feasible = enumerate_feasible(matroid)
     except EnumerationCapError as err:
         raise EnumerationCapError(
             f"{err}; total_curvature avoids the enumeration entirely") from err

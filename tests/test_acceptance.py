@@ -20,11 +20,12 @@ import pytest
 import cvargreedy
 from cvargreedy import (SgaConfig, alpha_sweep, approximation_bound,
                         auxiliary_curvature, auxiliary_from_values,
-                        brute_force_opt, empirical_cvar, empirical_var,
-                        greedy_maximize, run_sga)
+                        brute_force_opt, empirical_cvar, greedy_maximize,
+                        run_sga)
 from cvargreedy.cli import main as cli_main
 from cvargreedy.problems import VehicleAssignment
 from cvargreedy.synthetic import random_instance
+from conftest import empirical_var, enumerate_feasible
 
 TOL = 1e-9
 
@@ -101,7 +102,7 @@ def test_criterion_3_greedy_ratio(capsys):
             return float(np.minimum(obj.utilities(s, sc), tau).sum())
 
         chosen, _ = greedy_maximize(clipped_total, obj.matroid)
-        best = max(clipped_total(s) for s in obj.matroid.enumerate_feasible())
+        best = max(clipped_total(s) for s in enumerate_feasible(obj.matroid))
         assert best > 0.0
         ratio = clipped_total(chosen) / best
         worst_all = min(worst_all, ratio)

@@ -102,6 +102,17 @@ def test_gen_sensor_from_grid_file(tmp_path):
     assert doc["free_cell_count"] == 9
 
 
+@pytest.mark.parametrize("text, cell", [("00\n0\u0661\n", "\u0661"), ("0a\n00\n", "a")])
+def test_gen_sensor_rejects_a_grid_file_cell(tmp_path, capsys, text, cell):
+    grid_file = tmp_path / "grid.txt"
+    grid_file.write_text(text, encoding="utf-8")
+    code = main(["gen", "sensor", "--grid", str(grid_file),
+                 "--out", str(tmp_path / "sen.json")])
+    assert code == 2
+    assert f"got {cell!r}" in capsys.readouterr().err
+    assert not (tmp_path / "sen.json").exists()
+
+
 def test_gen_is_reproducible(tmp_path):
     # identical flags, same target: whole file identical minus the timestamp
     path = gen_vehicle(tmp_path, "a.json")

@@ -13,7 +13,7 @@ from cvargreedy import (EnumerationCapError, GroundSet, PartitionMatroid,
                         UniformMatroid, matroid_from_json, matroid_to_json)
 from cvargreedy.synthetic import random_matroid
 
-from conftest import powerset
+from conftest import enumerate_feasible, powerset
 
 
 def uniform(n, k, labels=None):
@@ -190,18 +190,18 @@ def test_extension_candidates_require_independent_input():
 
 def test_enumerate_feasible_uniform_order():
     m = uniform(2, 2)
-    assert m.enumerate_feasible() == [frozenset(), {0}, {1}, {0, 1}]
+    assert enumerate_feasible(m) == [frozenset(), {0}, {1}, {0, 1}]
 
 
 def test_enumerate_feasible_partition():
     m = partition(3, [{0, 1}, {2}], [1, 1])
-    assert m.enumerate_feasible() == [frozenset(), {0}, {1}, {2}, {0, 2}, {1, 2}]
+    assert enumerate_feasible(m) == [frozenset(), {0}, {1}, {2}, {0, 2}, {1, 2}]
 
 
 def test_enumerate_feasible_cap():
     m = uniform(17, 3)
     with pytest.raises(EnumerationCapError, match="17 elements"):
-        m.enumerate_feasible()
+        enumerate_feasible(m)
     with pytest.raises(EnumerationCapError, match="17 elements"):
         m.feasible_masks()
 
@@ -295,13 +295,13 @@ def test_next_candidates_match_the_extension_rule(seed, n, kind):
         s = s | {e}
         candidates = m._next_candidates(candidates, e, s)
         assert candidates == sorted(m._extension_candidates(s))
-    assert len(s) == len(max(m.enumerate_feasible(), key=len))  # a basis
+    assert len(s) == len(max(enumerate_feasible(m), key=len))  # a basis
 
 
 def _assert_family_matches_powerset_filter(m):
     expected = [frozenset(c) for c in powerset(m.ground.elements)
                 if m.is_independent(frozenset(c))]
-    family, masks = m.enumerate_feasible(), m.feasible_masks()
+    family, masks = enumerate_feasible(m), m.feasible_masks()
     # same sets in the same order: size-major, lexicographic inside each size
     assert family == expected
     assert family == sorted(family, key=lambda s: (len(s), sorted(s)))

@@ -73,6 +73,36 @@ def test_vehicle_structure():
     assert np.all(full <= inst.gamma_hint + 1e-9)
 
 
+# 16,384 // (3 x 4) = 1,365 samples per draw of sample_scenarios
+@pytest.mark.parametrize("count", [1, 1364, 1365, 1366, 2731])
+@pytest.mark.parametrize("budget", [None, 5])
+def test_vehicle_batch_is_one_draw_stored_pair_major(count, budget):
+    # a budget below one sample draws one sample at a time
+    inst = VehicleAssignment.generate(4, 3, seed=2)
+    with mock.patch.object(sga, "_GROUP_FLOATS", budget or sga._GROUP_FLOATS):
+        sc = inst.sample_scenarios(count, seed=8)
+    u = np.random.default_rng(8).random((count, 3, 4))
+    assert np.array_equal(sc.data, u * (inst.eff_high - inst.eff_low) + inst.eff_low)
+    pairs = inst._pairs(sc)
+    assert pairs.flags.c_contiguous and np.shares_memory(pairs, sc.data)
+    assert np.array_equal(pairs[inst.pair_id(2, 1)], sc.data[:, 2, 1])
+
+
+def test_vehicle_rows_of_a_sample_major_batch():
+    # a batch not made by sample_scenarios scores through a copy, bit for bit
+    inst = VehicleAssignment.generate(5, 4, seed=3)
+    sc = inst.sample_scenarios(300, seed=1)
+    copy = ScenarioSet(np.ascontiguousarray(sc.data), 300, 1)
+    assert not np.shares_memory(inst._pairs(copy), copy.data)
+    rng = np.random.default_rng(0)
+    for size in (0, 1, 3, 6):
+        subset = frozenset(rng.choice(20, size, replace=False).tolist())
+        candidates = [e for e in range(20) if e not in subset]
+        assert np.array_equal(inst.utilities(subset, copy), inst.utilities(subset, sc))
+        assert np.array_equal(inst.extension_utilities([(subset, candidates)], copy),
+                              inst.extension_utilities([(subset, candidates)], sc))
+
+
 def test_vehicle_generate_deterministic():
     a = VehicleAssignment.generate(2, 2, seed=5)
     b = VehicleAssignment.generate(2, 2, seed=5)
@@ -135,6 +165,17 @@ def test_grid_validation():
         OccupancyGrid.from_rows(["02"])
     with pytest.raises(ValueError):
         OccupancyGrid(2, 2, frozenset({4}))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["00", "0\u0661"], r"grid row 1 '0\u0661': .* got '\u0661'"),  # an Arabic-Indic one
+    (["0a"], r"grid row 0 '0a': .* got 'a'"),
+    (["01", " 1 0"], r"grid row 1 '1 0': .* got ' '"),
+    (["0+"], r"grid row 0 '0\+': .* got '\+'"),
+])
+def test_grid_string_rows_hold_only_0_and_1(rows, message):
+    with pytest.raises(ValueError, match=message):
+        OccupancyGrid.from_rows(rows)
 
 
 @pytest.mark.parametrize("rows, cols, obstacles, message", [

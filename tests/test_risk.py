@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvargreedy import (auxiliary_from_values, check_risk_level, cvar_of_set,
-                        empirical_cvar, empirical_var, required_sample_count)
+                        empirical_cvar, required_sample_count)
 from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import random_instance
-from conftest import plain_cvar_var, plain_h
+from conftest import empirical_var, plain_cvar_var, plain_h
 
 value_arrays = st.lists(
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),

@@ -24,7 +24,7 @@ from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import (RandomCoverageObjective, random_instance,
                                   random_matroid)
 from conftest import (ClonedObjective, ModularDeterministic, Offset, ShiftedRows,
-                      matroid_curvature, random_sensor,
+                      enumerate_feasible, matroid_curvature, random_sensor,
                       reference_auxiliary_curvature, reference_brute_force_opt,
                       reference_run_sga, reference_solve, total_curvature,
                       with_failed_rows)
@@ -771,6 +771,91 @@ def test_upper_ends_bound_every_exact_value(seed, copies, n, m):
     assert np.array_equal(upper[exact], expected[exact])
 
 
+def check_screen(rows, taus, alphas) -> np.ndarray:
+    """``_group_scores`` gives the exact table's picks and picked values, the
+    exact value at every pair it marks, and upper ends at or above every
+    exact value; returns the mask."""
+    expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
+    assert taus.size * rows.shape[1] >= sga._SCREEN_MIN_FLOATS  # screened
+    table, exact, upper = sga._group_scores(rows, taus, alphas, np.full(taus.size, -np.inf))
+    assert np.array_equal(table.argmax(axis=0), expected.argmax(axis=0))
+    assert np.array_equal(table.max(axis=0), expected.max(axis=0))
+    assert np.array_equal(table[exact], expected[exact])
+    assert (upper >= expected).all()
+    return exact
+
+
+def test_screen_of_repeated_member_taus():
+    # an alpha sweep at alphas [0.05, 0.05] puts every tau of a group twice
+    rng = np.random.default_rng(4)
+    rows = rng.random((40, 1000)) * 10
+    grid = np.linspace(0.0, 8.0, 12)
+    taus = np.concatenate([grid, grid[::-1]])
+    exact = check_screen(rows, taus, np.full(taus.size, 0.05))
+    assert not exact.all()
+    # and through the solver: one group holds both alphas' points
+    obj = VehicleAssignment.generate(6, 4, seed=3)
+    sc = obj.sample_scenarios(1000, 5)
+    points = [(0.05, tau) for tau in np.linspace(0.0, obj.gamma_hint, 12).tolist()] * 2
+    seen, group_scores = [], sga._group_scores
+
+    def record(rows, taus, *args):
+        seen.append(taus.size)
+        return group_scores(rows, taus, *args)
+
+    with mock.patch.object(sga, "_group_scores", record):
+        ours = sga._solve(obj, obj.matroid, sc, points)
+    assert max(seen) == 24
+    assert ours == reference_solve(obj, obj.matroid, sc, points)
+    assert ours[:12] == ours[12:]
+
+
+def test_screen_of_taus_above_a_chunks_last_row():
+    # rows 15 and 19 close the two chunks of 16 rows (_GROUP_FLOATS // 1000);
+    # the top taus sit at and above every one of their samples, so k = n on
+    # the last row of each chunk
+    assert sga._GROUP_FLOATS // 1000 == 16
+    rng = np.random.default_rng(5)
+    rows = rng.random((20, 1000)) * 10
+    rows[[15, 19]] *= 0.5
+    top = rows[[15, 19]].max(axis=1)
+    taus = np.concatenate([np.linspace(0.0, 4.0, 9), top, [5.0, 10.0]])
+    for row in rows[[15, 19]]:
+        counts = np.searchsorted(np.sort(row), taus)
+        assert 999 in counts and 1000 in counts
+    check_screen(rows, taus, np.resize([0.05, 0.5, 1.0], taus.size))
+    # one row alone: k = n on the chunk's only row
+    check_screen(rows[15:16], taus, np.full(taus.size, 0.1))
+
+
+def test_screen_of_equal_k_at_consecutive_taus():
+    # integer samples: every row has one k for the taus 10.25, 10.5 and 10.75,
+    # and ties within a row
+    rng = np.random.default_rng(6)
+    rows = rng.integers(0, 30, (24, 1000)).astype(float)
+    taus = np.array([0.0, 10.25, 10.5, 10.75, 11.0, 20.5, 20.75, 29.5, 30.0, 31.0])
+    counts = np.array([np.searchsorted(np.sort(u), taus) for u in rows])
+    assert (counts[:, 1] == counts[:, 3]).all() and (counts[:, 5] == counts[:, 6]).all()
+    exact = check_screen(rows, taus, np.full(taus.size, 0.2))
+    assert not exact.all()
+
+
+def test_screen_sends_an_overflowing_segment_sum_to_the_exact_kernel():
+    # two samples of -1e308 below every tau overflow the first segment's sum;
+    # the exact hinge sum stays finite at tau = 0
+    rng = np.random.default_rng(7)
+    rows = rng.random((20, 1000)) * 10
+    taus = np.linspace(0.0, 9.0, 10)
+    rows[17, 5:7] = -1e308
+    with np.errstate(over="ignore"):  # the hinge terms past tau = 0 overflow too
+        assert check_screen(rows, taus, np.full(taus.size, 0.5)).all()
+    # a sum past the largest k overflows too, but no k reads it: the group
+    # is screened as usual
+    rows[17, 5:7] = 1e308
+    with np.errstate(over="ignore"):
+        assert not check_screen(rows, taus, np.full(taus.size, 0.5)).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        family=st.sampled_from(["vehicle", "sensor", "coverage"]),
@@ -1047,7 +1132,7 @@ def test_pruned_brute_force_matches_per_set_reference(caplog):
             for field in dataclasses.fields(ref):
                 assert getattr(ours, field.name) == getattr(ref, field.name), field.name
             feasible, scored = _grid_scored(caplog.records)
-            assert feasible == len(obj.matroid.enumerate_feasible())
+            assert feasible == len(enumerate_feasible(obj.matroid))
             assert 0 < scored < feasible
             u = np.sort(obj.utilities(ours.best_set, sc))
             flat += np.count_nonzero((u[8] <= taus) & (taus <= u[9])) > 1
@@ -1067,7 +1152,7 @@ def test_pruned_brute_force_matches_on_near_ties(seed, family, samples, alpha, g
     rng = np.random.default_rng(seed)
     obj = differential_objective(family, rng, seed)
     sc = obj.sample_scenarios(samples, seed)
-    rows = np.array([obj.utilities(s, sc) for s in obj.matroid.enumerate_feasible()])
+    rows = np.array([obj.utilities(s, sc) for s in enumerate_feasible(obj.matroid)])
     taus = set(np.linspace(0.0, 1.05 * rows.max(), grid).tolist())
     for _ in range(hits):
         value = float(rows[rng.integers(len(rows)), rng.integers(samples)])
@@ -1113,7 +1198,7 @@ def test_infinite_utilities_are_scored_on_the_grid(caplog):
         assert np.isfinite(ours.cvar_star) and ours.cvar_best_set != {1, 3}
         for field in dataclasses.fields(ref):
             assert getattr(ours, field.name) == getattr(ref, field.name), field.name
-        assert _grid_scored(caplog.records)[1] < len(matroid.enumerate_feasible())
+        assert _grid_scored(caplog.records)[1] < len(enumerate_feasible(matroid))
 
 
 @pytest.mark.parametrize("budget", [None, 1, 50 * 3])
@@ -1123,7 +1208,7 @@ def test_brute_force_names_the_earliest_nan_set_after_the_cvar_optimum(budget):
     sc = base.sample_scenarios(50, 0)
     taus = SgaConfig(alpha=0.3, gamma=base.gamma_hint, delta=base.gamma_hint / 4,
                      samples=50).tau_grid()
-    family = matroid.enumerate_feasible()
+    family = enumerate_feasible(matroid)
     clean = brute_force_opt(ClonedObjective(base, matroid), matroid, sc, 0.3, taus)
     assert family.index(clean.cvar_best_set) < family.index(frozenset({1, 3}))
     obj = NanInSet(base, matroid, {2, 3}, {1, 3})
@@ -1190,7 +1275,7 @@ def test_exact_curvature_stops_at_the_first_ratio_at_most_zero(caplog):
         assert calls == [obj.matroid]
         assert ours == reference_auxiliary_curvature(obj, obj.matroid, sc, taus,
                                                      method=ours.method)
-        assert family == len(obj.matroid.enumerate_feasible())
+        assert family == len(enumerate_feasible(obj.matroid))
         # the first pass (2 of 8 positive taus) stops where one pass over
         # every tau stopped; a call without a stop reads the family twice
         stopped.append(first < family and second == 0)
@@ -1209,7 +1294,7 @@ def test_exact_curvature_matches_reference_on_negative_utilities(caplog):
     assert _exact_curvature(obj, sc, taus, caplog)[0] == Curvature(
         1.0, "exact_matroid_enumeration")
     shifted = Offset(obj, -0.05)
-    family = obj.matroid.enumerate_feasible()
+    family = enumerate_feasible(obj.matroid)
     assert min(shifted.utilities(s, sc).min() for s in family) < 0
     ours, _ = _exact_curvature(shifted, sc, taus, caplog)
     assert ours == reference_auxiliary_curvature(shifted, obj.matroid, sc, taus,
@@ -1472,7 +1557,7 @@ def test_family_scored_with_one_objective_call_per_block():
     # and G(X - e), one set each (it stops after element 0 at 6 samples and
     # visits all 7 at 30).
     obj = random_instance(18, size=7, matroid_kind="uniform")
-    family = obj.matroid.enumerate_feasible()
+    family = enumerate_feasible(obj.matroid)
     full = frozenset(range(7))
     evaluated, blocks, total_reads = [], [], []
     utilities = RandomCoverageObjective.utilities
