@@ -11,7 +11,7 @@ approximation guarantees.
 
 __version__ = "0.1.0"
 
-from .greedy import GreedyTrace, greedy_maximize
+from .greedy import GreedyTrace
 from .matroid import (ENUMERATION_CAP, EnumerationCapError, GroundSet, Matroid,
                       PartitionMatroid, UniformMatroid, matroid_from_json,
                       matroid_to_json)
@@ -36,7 +36,7 @@ __all__ = [
     "VehicleAssignment", "additive_penalty", "alpha_sweep",
     "approximation_bound", "auxiliary_curvature", "auxiliary_from_values",
     "brute_force_opt", "check_risk_level", "check_sample_count", "child_seed",
-    "cvar_of_set", "empirical_cvar", "greedy_maximize",
+    "cvar_of_set", "empirical_cvar",
     "load_instance", "matroid_from_json", "matroid_to_json", "random_instance",
     "random_matroid", "required_sample_count", "run_sga", "visible_cells",
     "__version__",

@@ -14,9 +14,8 @@ import numpy as np
 
 from .matroid import Matroid
 
-SetFunction = Callable[[frozenset], float]
-# (members, current, candidates, floor) groups -> one (table, upper) per group
-GroupScores = Callable[[list[tuple]], list[tuple[np.ndarray, np.ndarray | None]]]
+# (members, current, candidates, floor) groups -> one table per group
+GroupScores = Callable[[list[tuple]], list[np.ndarray]]
 
 
 @dataclass
@@ -40,16 +39,17 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     """The one greedy loop, run for ``len(initial)`` set functions at once.
 
     ``initial[i]`` is the value of function i at the empty set. Each step
-    groups the unfinished functions by their current set S. The matroid
-    gives the extensions of the empty set once (unchecked), in ascending id
-    order; a group's candidates are then its parent's less the pick and,
-    if the pick fills its block, less the rest of that block
+    groups the unfinished functions by their current set S. The empty set's
+    candidates are the whole ground set in ascending id order, as the
+    matroid's blocks cover it and each has a capacity of at least 1; a
+    group's candidates are then its parent's less the pick and, if the
+    pick fills its block, less the rest of that block
     (``Matroid._next_candidates``), so they keep that order.
     ``score(groups)`` scores the groups of one call, a list of
-    (members, current, candidates, floor) tuples, and returns one (table,
-    upper) pair per group: entry [r, j] of the (candidates x members) table
-    is the value of function ``members[j]`` at ``current | {candidates[r]}``;
-    floor and upper are None unless the group keeps gains (below). A step
+    (members, current, candidates, floor) tuples, and returns one table per
+    group: entry [r, j] of the (candidates x members) table is the value of
+    function ``members[j]`` at ``current | {candidates[r]}``; floor is None
+    unless the group keeps gains (below). A step
     makes one call for all its groups, and at most one more for the groups
     whose rules leave candidates unscored, and takes each function's pick
     from one column maximum over the step. Per function this makes the same
@@ -67,7 +67,7 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     value of the two tables at the smallest id. That is the pick of one
     call as long as each table holds the exact value wherever that can be
     the maximum of both, and less than that maximum elsewhere, as exact
-    values and ``sga._group_scores`` do. A skipped candidate still counts in
+    values and ``sga._batch_scores`` do. A skipped candidate still counts in
     ``evaluations``; ``skipped`` counts it, and ``settled`` counts the steps
     that the first call settled.
 
@@ -87,12 +87,12 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     and e outside S, its value at S + e is at most its value at S plus
     value(S' + e) - value(S') plus ``margins[i]``, with value(S' + e) read
     as any upper bound on it. A group of at least ``lazy_size`` candidates
-    then keeps gains: its floor is an array of one value per member, and
-    its upper is an array the loop may overwrite, where upper[r, j] bounds
-    the exact value of table[r, j] from above, and the table need not be
-    exact where that value lies below ``floor[j]``, a value the group
-    already holds. The loop keeps each function's last gain upper[r, j] -
-    value(S') per candidate. An unsaturated group with a finite kept gain
+    then keeps gains: its floor is an array of one value per member, -inf
+    in the first call and in the second the member's best value of the
+    first, below which the table need not be exact; and every entry of its
+    table is at or above the exact value, an upper bound where it is not
+    exact. The loop keeps each function's last gain table[r, j] - value(S')
+    per candidate. An unsaturated group with a finite kept gain
     bounds every candidate by UB = min(bound, value(S) + gain + margin), or
     by its bound where no gain is kept. The first call scores, per member,
     the candidate with the largest UB (the smallest id among equals); the
@@ -118,8 +118,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     skipped = np.zeros(count, dtype=np.int64)
     gains = None  # (ground x functions) last kept gain; NaN where there is none
     # each unfinished set: its extension candidates and the pieces of its points
-    groups = ({frozenset(): (sorted(matroid._extension_candidates(frozenset())),
-                             [np.arange(count)])} if count else {})
+    groups = ({frozenset(): (list(matroid.ground.elements), [np.arange(count)])}
+              if count else {})
     while groups:
         step = []
         for current, (candidates, pieces) in groups.items():
@@ -239,7 +239,7 @@ def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: 
            floors=None) -> tuple[np.ndarray, np.ndarray]:
     """Score ``rows[k]`` of each group's candidates in one ``score`` call,
     with ``floors[k]`` (default -inf) for each group that keeps gains, and
-    keep those groups' gains (upper end minus the value before the step).
+    keep those groups' gains (table minus the value before the step).
     Returns ``_first_max`` over the groups' columns side by side, its rows
     read as candidate indices."""
     calls = [(g.at, g.current, _chosen(g.candidates, r),
@@ -247,15 +247,13 @@ def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: 
               else floors[k])
              for k, (g, r) in enumerate(zip(groups, rows))]
     tables = []
-    for g, r, (table, upper) in zip(groups, rows, score(calls)):
+    for g, r, table in zip(groups, rows, score(calls)):
         table = np.asarray(table, dtype=float)
-        if g.keep:  # in place where the loop owns the upper ends
-            upper = np.asarray(upper, dtype=float)
-            upper = np.subtract(upper, values[g.at], out=None if upper is table else upper)
-            upper[~np.isfinite(upper)] = np.nan
-            gains[np.ix_(_chosen(g.candidates, r), g.at)] = upper
+        if g.keep:
+            gain = table - values[g.at]
+            gain[~np.isfinite(gain)] = np.nan
+            gains[np.ix_(_chosen(g.candidates, r), g.at)] = gain
         tables.append(table)
-    del upper  # the loop's gains are kept; free the last upper ends
     ends = list(accumulate(t.shape[1] for t in tables))  # the groups' columns
     table = tables[0]
     if len(tables) > 1:  # one column maximum: the tables padded to one height with
@@ -279,7 +277,7 @@ def _incomparable(score: GroupScores, g: _Group, j: int) -> ValueError:
     every stale bound), so the step scored all of g's candidates for member
     j. They are scored once more, as in a first call, for the message."""
     floor = np.full(g.at.size, -np.inf) if g.keep else None
-    [(table, _)] = score([(g.at, g.current, g.candidates, floor)])
+    [table] = score([(g.at, g.current, g.candidates, floor)])
     return ValueError(
         f"greedy step from {sorted(g.current)}: no candidate has a "
         f"comparable score; the scores of {g.candidates} are "
@@ -306,17 +304,3 @@ def _needed(ub: np.ndarray, best: np.ndarray, lead: np.ndarray,
     need |= (ub == best) & (np.arange(len(ub))[:, None] < lead)
     need[scored] = False
     return np.flatnonzero(need.any(axis=1))
-
-
-def greedy_maximize(objective_fn: SetFunction, matroid: Matroid) -> tuple[frozenset[int], GreedyTrace]:
-    """Build a maximal independent set by repeated best-gain insertion.
-
-    Ties are broken toward the smallest element id. Every call to
-    ``objective_fn`` is counted in the trace.
-    """
-    def score(groups: list[tuple]) -> list[tuple[np.ndarray, None]]:
-        return [(np.array([[objective_fn(current | {e})] for e in candidates], dtype=float),
-                 None) for _, current, candidates, _ in groups]
-
-    selected, _, traces = greedy_sweep(score, matroid, [objective_fn(frozenset())])
-    return selected[0], traces[0]

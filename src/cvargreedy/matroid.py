@@ -102,8 +102,9 @@ class Matroid:
     """A set is independent iff it holds at most capacities[i] elements of blocks[i].
 
     A uniform matroid is one block of every element with capacity k.
-    Instances are immutable and pure; the public methods validate their
-    argument once and then apply the rule unchecked."""
+    Instances are immutable and pure; ``is_independent`` validates its
+    argument, and the greedy's ``_next_candidates`` takes valid ids
+    unchecked."""
 
     ground: GroundSet
     blocks: tuple[frozenset[int], ...]
@@ -112,36 +113,17 @@ class Matroid:
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         """Validate the element ids, then apply the independence rule."""
-        return self._independent(self.ground.check_subset(subset))
-
-    def _independent(self, s: frozenset[int]) -> bool:
-        """The independence rule on a frozenset of valid ids (not re-checked)."""
-        return all(u <= c for u, c in zip(self._used(s), self.capacities))
-
-    def _used(self, s: frozenset[int]) -> list[int]:
-        """How many elements of s each block holds."""
         used = [0] * len(self.blocks)
-        for e in s:
+        for e in self.ground.check_subset(subset):
             used[self._block_of[e]] += 1
-        return used
-
-    def extension_candidates(self, subset: Iterable[int]) -> frozenset[int]:
-        """The elements outside the (independent) subset whose block is below capacity."""
-        s = self.ground.check_subset(subset)
-        if not self._independent(s):
-            raise ValueError("extension candidates are defined for independent sets only")
-        return self._extension_candidates(s)
-
-    def _extension_candidates(self, s: frozenset[int]) -> frozenset[int]:
-        """The extension rule on an independent frozenset of valid ids (not re-checked)."""
-        return frozenset().union(*(b for b, u, c in zip(self.blocks, self._used(s),
-                                                         self.capacities) if u < c)) - s
+        return all(u <= c for u, c in zip(used, self.capacities))
 
     def _next_candidates(self, candidates: list[int], e: int,
                          child: frozenset[int]) -> list[int]:
-        """The extension candidates of ``child`` = S | {e}, from ``candidates``,
-        those of S, in their order: e goes, and the rest of e's block with it
-        if e fills the block."""
+        """The extension candidates of ``child`` = S | {e} (the elements
+        outside it whose block is below capacity), from ``candidates``,
+        those of S, in their order: e goes, and the rest of e's block with
+        it if e fills the block."""
         block = self._block_of
         b = block[e]
         if sum(block[x] == b for x in child) < self.capacities[b]:

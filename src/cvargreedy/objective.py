@@ -118,8 +118,8 @@ class StochasticObjective:
 
         ``groups`` is a list of (subset, candidates) pairs whose subsets have
         one size, as the sets of one greedy step do; the candidates are
-        element ids outside their subset (as the matroid's
-        ``extension_candidates`` gives them). Returns an (extensions x
+        element ids outside their subset (those that keep it independent,
+        in the greedy). Returns an (extensions x
         samples) array with the rows of each group after those of the group
         before: row i of a group is ``utilities(subset | {candidates[i]},
         scenarios)``. The default scores the sorted id rows of every S + e

@@ -49,7 +49,7 @@ _BLOCK_FLOATS = 2**16
 _GROUP_FLOATS = 2**14
 
 # (member taus x samples) from which a greedy group is screened before it is
-# scored (see _group_scores); smaller groups are scored exactly
+# scored (see _screen); smaller groups are scored exactly
 _SCREEN_MIN_FLOATS = 10_000
 
 # (candidates x samples) from which a greedy group of an objective that
@@ -169,17 +169,18 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     its rules leave unscored) takes the groups' utilities from
     ``extension_utilities``: one call per run of whole groups whose rows fit
     _BLOCK_FLOATS floats, so a larger group is a call of its own. The rows
-    are scored with ``_batch_scores``, which gives the greedy the picks and
-    values of the exact H table. The empty set is scored as a group of one
-    row: its ranked values at k = 0 are exact, and every other pair is
-    rescored. A point's evaluations add the final recomputation of
-    H(selected). H(S, tau) <= tau, so ``greedy_sweep`` settles a group whose
-    points all sit at their tau from its first candidate, computing one
-    row. If the objective declares its ``utility_rounding``, a group of at
-    least _LAZY_MIN_FLOATS (candidates x samples) floats also skips the
-    candidates whose stale gains rule them out, with the margins of
-    ``_stale_margins``; its scores return the upper ends of
-    ``_group_scores`` too. One DEBUG record of the ``cvargreedy`` logger
+    of each call are scored with one ``_batch_scores`` call, whose tables
+    give the greedy the picks and values of the exact H table and upper
+    ends of every other value. The empty set is scored the same way, as a
+    group of one row of every point, outside the counts below: its ranked
+    values at k = 0 are exact, and every other pair is rescored. A point's
+    evaluations add the final recomputation of H(selected). H(S, tau) <=
+    tau, so ``greedy_sweep`` settles a group whose points all sit at their
+    tau from its first candidate, computing one row. If the objective
+    declares its ``utility_rounding``, a group of at least _LAZY_MIN_FLOATS
+    (candidates x samples) floats also skips the candidates whose stale
+    gains rule them out, with the margins of ``_stale_margins``. One DEBUG
+    record of the ``cvargreedy`` logger
     gives the pairs scored, those scored exactly and those skipped (every
     candidate of every step at every point is one of the two), the group
     scores below the screen's size rule, the candidate rows computed, the
@@ -195,7 +196,7 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     margins = None if rho is None else _stale_margins(taus, alphas, n, rho)
     counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0, "calls": 0, "stale": 0}
 
-    def score(groups: list[tuple]) -> list[tuple]:
+    def score(groups: list[tuple]) -> list[np.ndarray]:
         out = []
         for batch in _batches(groups, max(1, _BLOCK_FLOATS // n)):
             rows = objective.extension_utilities(
@@ -206,8 +207,10 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
         return out
 
     empty = objective.utilities(frozenset(), scenarios)[None]
-    initial = _group_scores(empty, taus, alphas)[0][0]
-    selected, values, traces = greedy_sweep(score, matroid, initial, taus, margins,
+    # one row, of no candidate, at every point
+    [initial] = _batch_scores(empty, [(np.arange(taus.size), frozenset(), [None], None)],
+                              taus, alphas, dict.fromkeys(counts, 0))
+    selected, values, traces = greedy_sweep(score, matroid, initial[0], taus, margins,
                                             -(-_LAZY_MIN_FLOATS // n), counts)
     log.debug("scored %d (candidate, tau) pairs, %d of them exactly, and "
               "skipped %d; %d group scores below the screen's size rule; computed "
@@ -236,47 +239,47 @@ def _batches(groups: list[tuple], budget: int):
 
 
 def _batch_scores(rows: np.ndarray, batch: list[tuple], taus: np.ndarray,
-                  alphas: np.ndarray, counts: dict) -> list[tuple]:
-    """The (table, upper) of every (members, current, candidates, floor)
-    group of ``rows``, the groups' candidate rows one after the other.
+                  alphas: np.ndarray, counts: dict) -> list[np.ndarray]:
+    """The H table of every (members, current, candidates, floor) group of
+    ``rows``, the groups' candidate rows one after the other.
 
-    A group of at least _SCREEN_MIN_FLOATS (member taus x samples) floats
-    gets its own ``_group_scores`` call, so its screen compares the pairs of
-    one group. Every pair of the smaller groups is scored exactly, row by
-    row and member by member, in one ``_exact_pairs`` pass; each such table
-    is its own upper end.
+    A group of at least _SCREEN_MIN_FLOATS (member taus x samples) floats is
+    screened on its own (``_screen``), so its screen compares the pairs of
+    one group, and marks the pairs it cannot rule out. Every pair of a
+    smaller group, and of one the screen refuses, is marked. One
+    ``_exact_pairs`` pass then scores the marked pairs of every group, row
+    by row and member by member, and writes them into their tables. So an
+    entry is the exact value wherever it can equal the larger of its
+    column's maximum and the floor (per member, a value the caller holds
+    for another candidate; None stands for -inf), and elsewhere an upper
+    end of the exact value that lies below that larger value: the argmax,
+    its smallest-id tie-break and the picked values are those of the exact
+    table, and an entry that is not exact never reaches the floor.
     """
     n = rows.shape[1]
-    heights = [len(candidates) for _, _, candidates, _ in batch]
-    widths = [members.size for members, _, _, _ in batch]
-    starts = np.cumsum(heights) - heights
-    counts["pairs"] += sum(h * w for h, w in zip(heights, widths))
-    out, small = [None] * len(batch), []
-    for k, (members, _, _, floor) in enumerate(batch):
-        if widths[k] * n < _SCREEN_MIN_FLOATS:
-            small.append(k)
-            continue
-        block = rows[starts[k]:starts[k] + heights[k]]
-        table, exact, upper = _group_scores(block, taus[members], alphas[members], floor)
-        counts["exact"] += int(np.count_nonzero(exact))
-        out[k] = (table, upper)
-    counts["small"] += len(small)
-    if small:
-        # pair p of a group is its row p // width and its member p % width
-        sizes = np.array([heights[k] * widths[k] for k in small])
-        width = np.array([widths[k] for k in small])
-        ends = np.cumsum(sizes)
-        row, member = np.divmod(np.arange(ends[-1]) - np.repeat(ends - sizes, sizes),
-                                np.repeat(width, sizes))
-        row += np.repeat(starts[small], sizes)
-        member += np.repeat(np.cumsum(width) - width, sizes)
-        cols = np.concatenate([batch[k][0] for k in small])[member]
-        values = _exact_pairs(rows, row, cols, taus, alphas)
-        counts["exact"] += values.size
-        for k, b, size in zip(small, ends.tolist(), sizes.tolist()):
-            table = values[b - size:b].reshape(heights[k], widths[k])
-            out[k] = (table, None if batch[k][3] is None else table)
-    return out
+    tables, marks, rs, cs, start = [], [], [], [], 0
+    for members, _, candidates, floor in batch:
+        block = rows[start:start + len(candidates)]
+        screened = None
+        if members.size * n < _SCREEN_MIN_FLOATS:
+            counts["small"] += 1
+        else:
+            screened = _screen(block, taus[members], alphas[members], floor)
+        table, exact = screened or (np.empty((len(block), members.size)),
+                                    np.ones((len(block), members.size), dtype=bool))
+        r, c = np.nonzero(exact)
+        rs.append(r + start)
+        cs.append(members[c])
+        tables.append(table)
+        marks.append(exact)
+        counts["pairs"] += table.size
+        start += len(block)
+    values = _exact_pairs(rows, np.concatenate(rs), np.concatenate(cs), taus, alphas)
+    counts["exact"] += values.size
+    parts = np.split(values, np.cumsum([r.size for r in rs])[:-1])
+    for table, exact, part in zip(tables, marks, parts):
+        table[exact] = part
+    return tables
 
 
 def _stale_margins(taus: np.ndarray, alphas: np.ndarray, n: int,
@@ -286,14 +289,14 @@ def _stale_margins(taus: np.ndarray, alphas: np.ndarray, n: int,
     ``rho`` is the objective's ``utility_rounding``: each computed utility
     f~(X, y) lies within rho*f(X, y) of a real utility f that is
     nonnegative, monotone and submodular in X (so f~ >= 0 too). Let u =
-    2**-53, gamma_m as in ``_group_scores``, d = alpha*n rounded (the
+    2**-53, gamma_m as in ``_screen``, d = alpha*n rounded (the
     kernel's divisor), T = tau/alpha, eta <= 2**-1075 the absolute error of
     a divide that underflows, r = rho/(1 - rho), and H*(X) = tau -
     sum_y (tau - f(X, y))+ / d. As tau - (tau - f)+ = min(f, tau), H* is
     monotone submodular.
 
     Error of a computed value H^(X), the exact kernel on the computed row:
-    - Kernel (the Higham bound of ``_group_scores``): with f~ >= 0 each
+    - Kernel (the Higham bound of ``_screen``): with f~ >= 0 each
       hinge term is at most tau, so their real sum S* <= n*tau and S*/d <=
       1.01*T. The sum errs by gamma_n*S*, and the divide and the subtract
       from tau round once each, so H^ lies within (gamma_n + u(1 +
@@ -308,7 +311,7 @@ def _stale_margins(taus: np.ndarray, alphas: np.ndarray, n: int,
     The rule. A point at S with computed value V = H^(S) keeps for a
     candidate e the gain g = W - V' (rounded) from an earlier set S' within
     S, where V' = H^(S') and W >= H^(S' + e): the exact value, or for a
-    screened pair its upper end H~ + M', which ``_group_scores`` proves.
+    screened pair its upper end H~ + M', which ``_screen`` proves.
     Submodularity of H* and the four H values give H^(S + e) <= H*(S) +
     H*(S' + e) - H*(S') + E <= V + W - V' + 4E. Every H^ and W has
     magnitude at most 1.04*T, so the three roundings of V + g + m add at
@@ -333,25 +336,19 @@ def _gamma(m: int) -> float:
     return m * u / (1 - m * u)
 
 
-def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
-                  floor: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The (candidates x taus) H table for the greedy, ranked before it is scored.
+def _screen(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
+            floor: np.ndarray | None) -> tuple | None:
+    """A (candidates x taus) H table of one greedy group, ranked before it
+    is scored, and the mask of the pairs to score exactly; None for a group
+    with a non-finite row or an overflow.
 
-    Returns (table, exact pairs, upper ends): the mask marks the pairs
-    scored with ``auxiliary_scores``. Every entry that can equal its
-    column's maximum is such a value, and every other entry lies below
-    that maximum, so the argmax, its smallest-id tie-break and the picked
-    values are those of the exact table. A group of fewer than
-    _SCREEN_MIN_FLOATS (taus x samples) floats, one with a non-finite row
-    and one whose screen overflows are scored exactly at every pair.
-
-    With a ``floor`` (per tau, a value the caller holds for another
-    candidate, or -inf), a pair is exact only where it can equal the larger
-    of its column's maximum and the floor, and lies below that elsewhere;
-    the upper ends are then returned too, each above its pair's exact
-    value: the value itself where it was computed, the screen's upper end
-    H~ + M' (below) elsewhere. Without a floor they are None.
+    The table holds, at each pair, its upper end H~ + M' (below). It bounds
+    the pair's exact value from above and equals it where k = 0. A pair left
+    out of the mask can neither equal nor pass the larger of its column's
+    exact maximum and the floor (per tau, a value the caller holds for
+    another candidate, or -inf); once the masked pairs hold their exact
+    values, the table's argmax, its smallest-id tie-break and its picked
+    values are those of the exact table.
 
     Rank. With each row sorted (s_0 <= ... <= s_{n-1}), P[k] the sum of
     its k smallest samples and k = #{s < tau} (``np.searchsorted``),
@@ -364,7 +361,8 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
     past the largest k is summed. The chunk of candidates that is sorted at
     once stays within _GROUP_FLOATS floats. The table, the margins and the
     mask are computed once for the whole group from each pair's k and P[k]
-    and each row's minimum.
+    and each row's minimum; the chunks' buffers are freed before the exact
+    kernel runs.
 
     Bound. Let u = 2**-53, gamma_m = m*u / (1 - m*u) (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3-4; n*u < 0.01 is assumed), S*
@@ -391,41 +389,14 @@ def _group_scores(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
     float is added to cover the absolute error (at most 2**-1075) of a
     divide that underflows. At k = 0 both sides compute exactly tau, and
     the bound is 0. An overflow, of a segment sum too, makes the entries
-    that use it non-finite, which sends every pair of the group to the
-    exact kernel.
+    that use it non-finite, and the screen returns None.
 
-    Score. A column's exact maximum is at least its largest lower end
+    Mask. A column's exact maximum is at least its largest lower end
     L = max(H~ - M'). A pair whose upper end H~ + M' is below L, or below
     the floor, can neither reach the larger of that maximum and the floor
-    nor, keeping H~ below it, pass it. The other pairs with M' > 0 are
-    scored with ``auxiliary_scores`` on their unsorted rows, in chunks of
-    pairs within _GROUP_FLOATS floats; the pairs with k = 0 are exact
-    already.
+    nor pass it. The other pairs with M' > 0 are marked; the pairs with
+    k = 0 are exact already.
     """
-    n = rows.shape[1]
-    screened = None
-    if taus.size * n >= _SCREEN_MIN_FLOATS:
-        screened = _screen(rows, taus, alphas, floor)
-    if screened is None:
-        table, bound = np.empty((len(rows), taus.size)), None
-        exact = np.ones(table.shape, dtype=bool)
-    else:
-        table, bound, exact = screened
-    r, c = np.nonzero(exact)
-    table[r, c] = _exact_pairs(rows, r, c, taus, alphas)
-    if floor is None:
-        return table, exact, None
-    if bound is None:
-        return table, exact, table
-    np.copyto(bound, table, where=exact)
-    return table, exact, bound
-
-
-def _screen(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
-            floor: np.ndarray | None) -> tuple | None:
-    """The screen of ``_group_scores``: (H~, upper ends H~ + M', mask of the
-    pairs to score exactly), or None for a group with a non-finite row or
-    an overflow. Its buffers are freed before the exact kernel runs."""
     n = rows.shape[1]
     step = max(1, _GROUP_FLOATS // n)
     order = np.argsort(taus, kind="stable")
@@ -477,9 +448,9 @@ def _screen(rows: np.ndarray, taus: np.ndarray, alphas: np.ndarray,
     if floor is not None:
         np.maximum(low, floor, out=low)
     exact = bound > 0
-    np.add(table, bound, out=bound)  # now the upper ends
-    exact &= bound >= low
-    return table, bound, exact
+    table += bound  # now the upper ends
+    exact &= table >= low
+    return table, exact
 
 
 def _exact_pairs(rows: np.ndarray, r: np.ndarray, c: np.ndarray, taus: np.ndarray,

@@ -1,18 +1,20 @@
 """Shared test helpers: tiny deterministic objectives and reference oracles
 written independently of the library code paths they check (brute force,
 per-segment visibility, per-scenario utilities, per-sample sensor coverage,
-the plain greedy and estimators, generic curvature, the per-tau solver
-sweep, the exactly scored batched sweep, the per-set brute-force optimum and
-scalarized curvature)."""
+the plain greedy and estimators, the extension rule and the greedy on one
+set function, generic curvature, the per-tau solver sweep, the exactly
+scored batched sweep, the per-set brute-force optimum and scalarized
+curvature)."""
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from cvargreedy import (BruteForceResult, Curvature, EnumerationCapError,
+from cvargreedy import (BruteForceResult, Curvature, EnumerationCapError, GreedyTrace,
                         ScenarioSet, SgaResult, StochasticObjective, SweepPoint)
 from cvargreedy.greedy import greedy_sweep
 from cvargreedy.matroid import _mask_ids
@@ -296,6 +298,31 @@ def plain_greedy(fn, matroid):
         current = best_value
 
 
+def extension_candidates(matroid, subset) -> frozenset[int]:
+    """The elements outside the independent ``subset`` whose block is below
+    capacity, by the block rule; a dependent subset raises ``ValueError``."""
+    s = matroid.ground.check_subset(subset)
+    if not matroid.is_independent(s):
+        raise ValueError("extension candidates are defined for independent sets only")
+    used = [len(b & s) for b in matroid.blocks]
+    return frozenset().union(*(b for b, u, c in zip(matroid.blocks, used, matroid.capacities)
+                               if u < c)) - s
+
+
+SetFunction = Callable[[frozenset], float]
+
+
+def greedy_maximize(objective_fn: SetFunction, matroid) -> tuple[frozenset[int], GreedyTrace]:
+    """``greedy_sweep`` of one set function: its set and trace. Ties go to
+    the smallest element id; every call to ``objective_fn`` is counted."""
+    def score(groups):
+        return [np.array([[objective_fn(current | {e})] for e in candidates], dtype=float)
+                for _, current, candidates, _ in groups]
+
+    selected, _, traces = greedy_sweep(score, matroid, [objective_fn(frozenset())])
+    return selected[0], traces[0]
+
+
 def plain_h(values, tau, alpha):
     """tau - sum(max(tau - v, 0)) / (alpha * n) of a 1-d sample."""
     values = np.asarray(values, dtype=float)
@@ -349,8 +376,8 @@ def reference_solve(objective, matroid, scenarios, points) -> list[SweepPoint]:
         out = []
         for members, current, candidates, _ in groups:
             rows = objective.extension_utilities([(current, candidates)], scenarios)
-            out.append((np.array([auxiliary_scores(u, taus[members], alphas[members])
-                                  for u in rows]), None))
+            out.append(np.array([auxiliary_scores(u, taus[members], alphas[members])
+                                 for u in rows]))
         return out
 
     initial = auxiliary_scores(objective.utilities(frozenset(), scenarios), taus, alphas)

@@ -20,12 +20,11 @@ import pytest
 import cvargreedy
 from cvargreedy import (SgaConfig, alpha_sweep, approximation_bound,
                         auxiliary_curvature, auxiliary_from_values,
-                        brute_force_opt, empirical_cvar, greedy_maximize,
-                        run_sga)
+                        brute_force_opt, empirical_cvar, run_sga)
 from cvargreedy.cli import main as cli_main
 from cvargreedy.problems import VehicleAssignment
 from cvargreedy.synthetic import random_instance
-from conftest import empirical_var, enumerate_feasible
+from conftest import empirical_var, enumerate_feasible, greedy_maximize
 
 TOL = 1e-9
 

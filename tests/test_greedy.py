@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvargreedy import (Curvature, EnumerationCapError, GroundSet,
-                        PartitionMatroid, UniformMatroid, greedy_maximize)
+                        PartitionMatroid, UniformMatroid)
 from cvargreedy.greedy import greedy_sweep
 from cvargreedy.synthetic import random_instance, random_matroid
-from conftest import (UndefinedCurvatureError, brute_force_max,
+from conftest import (UndefinedCurvatureError, brute_force_max, greedy_maximize,
                       matroid_curvature, plain_greedy, total_curvature)
 
 
@@ -191,7 +191,7 @@ def one_step_sweep(table, bounds):
         out = []
         for members, _, candidates, _ in groups:
             scored.append(list(candidates))
-            out.append((table[np.ix_(candidates, members)], None))
+            out.append(table[np.ix_(candidates, members)])
         return out
 
     matroid = UniformMatroid(GroundSet(len(table)), 1)
@@ -200,7 +200,7 @@ def one_step_sweep(table, bounds):
 
 def assert_same_as_without_bounds(sweep, table, bounds):
     table = np.array(table, dtype=float)
-    plain = greedy_sweep(lambda groups: [(table[np.ix_(c, m)], None) for m, _, c, _ in groups],
+    plain = greedy_sweep(lambda groups: [table[np.ix_(c, m)] for m, _, c, _ in groups],
                          UniformMatroid(GroundSet(len(table)), 1), bounds)
     assert sweep[0] == plain[0]
     assert np.array_equal(sweep[1], plain[1])
@@ -249,8 +249,8 @@ def test_settle_falls_back_beside_a_taller_group():
         out = []
         for members, current, candidates, _ in groups:
             scored.append((sorted(current), list(candidates)))
-            out.append((np.array([[values[i][tuple(sorted(current | {e}))]
-                                   for i in members.tolist()] for e in candidates]), None))
+            out.append(np.array([[values[i][tuple(sorted(current | {e}))]
+                                  for i in members.tolist()] for e in candidates]))
         return out
 
     matroid = UniformMatroid(GroundSet(3), 2)
@@ -275,10 +275,9 @@ def two_step_sweep(values, margin=0.0, lazy_size=0):
 
     def score(groups):
         out = []
-        for _, current, candidates, floor in groups:
+        for _, current, candidates, _ in groups:
             scored.append(list(candidates))
-            table = np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])
-            out.append((table, None if floor is None else table))
+            out.append(np.array([[values[tuple(sorted(current | {e}))]] for e in candidates]))
         return out
 
     sweep = greedy_sweep(score, UniformMatroid(GroundSet(ground), 2), [0.0],
@@ -370,7 +369,7 @@ def test_nan_rows_lose_or_raise_with_stale_gains(where):
 
 
 def test_no_margins_scores_as_before():
-    # without margins no group keeps gains or asks for upper ends
+    # without margins no group keeps gains or gets a floor
     values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
     scored = []
 
@@ -378,7 +377,7 @@ def test_no_margins_scores_as_before():
         [(_, current, candidates, floor)] = groups
         assert floor is None
         scored.append(list(candidates))
-        return [(np.array([[values[tuple(sorted(current | {e}))]] for e in candidates]), None)]
+        return [np.array([[values[tuple(sorted(current | {e}))]] for e in candidates])]
 
     counts = {}
     sweep = greedy_sweep(score, UniformMatroid(GroundSet(3), 2), [0.0], [float("inf")],
@@ -397,8 +396,8 @@ def test_sweep_checks_no_set_it_built(monkeypatch, kind):
     weights = rng.random((9, 3))
 
     def score(groups):
-        return [(np.array([[sum(weights[e, j] for e in current | {c}) for j in members]
-                           for c in candidates]), None)
+        return [np.array([[sum(weights[e, j] for e in current | {c}) for j in members]
+                          for c in candidates])
                 for members, current, candidates, _ in groups]
 
     checked = []

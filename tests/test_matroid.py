@@ -13,7 +13,7 @@ from cvargreedy import (EnumerationCapError, GroundSet, PartitionMatroid,
                         UniformMatroid, matroid_from_json, matroid_to_json)
 from cvargreedy.synthetic import random_matroid
 
-from conftest import enumerate_feasible, powerset
+from conftest import enumerate_feasible, extension_candidates, powerset
 
 
 def uniform(n, k, labels=None):
@@ -80,8 +80,8 @@ def test_numpy_integer_ids_count_as_ints():
         assert s == {int(e) for e in ids} and {type(e) for e in s} == {int}
     assert uniform(3, 2).is_independent({np.int64(1)})
     assert not uniform(3, 2).is_independent(np.arange(3))
-    assert PartitionMatroid(g, ({0, 1}, {2}), (1, 1)).extension_candidates(
-        {np.int32(2)}) == {0, 1}
+    assert extension_candidates(PartitionMatroid(g, ({0, 1}, {2}), (1, 1)),
+                                {np.int32(2)}) == {0, 1}
     with pytest.raises(ValueError, match="outside ground set"):
         g.check_subset({np.int64(3)})
 
@@ -171,19 +171,19 @@ def test_partition_validation():
 
 def test_extension_candidates_uniform():
     m = uniform(4, 2)
-    assert m.extension_candidates({0}) == {1, 2, 3}
-    assert m.extension_candidates({0, 1}) == frozenset()
+    assert extension_candidates(m, {0}) == {1, 2, 3}
+    assert extension_candidates(m, {0, 1}) == frozenset()
 
 
 def test_extension_candidates_partition():
     m = partition(4, [{0, 1}, {2, 3}], [1, 1])
-    assert m.extension_candidates({0}) == {2, 3}
+    assert extension_candidates(m, {0}) == {2, 3}
 
 
 def test_extension_candidates_require_independent_input():
     m = uniform(4, 1)
     with pytest.raises(ValueError):
-        m.extension_candidates({0, 1})
+        extension_candidates(m, {0, 1})
 
 
 # -------------------------------------------------------------- enumeration
@@ -253,7 +253,7 @@ def test_extension_candidates_match_definition(m):
             continue
         expected = frozenset(e for e in m.ground.elements
                              if e not in s and m.is_independent(s | {e}))
-        assert m.extension_candidates(s) == expected
+        assert extension_candidates(m, s) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -268,33 +268,33 @@ def test_extension_rule_matches_the_generic_rule(seed, n, kind, fill):
     for e in rng.permutation(n).tolist():
         if rng.random() < fill and m.is_independent(s | {e}):
             s = s | {e}
-    got = m.extension_candidates(s)
+    got = extension_candidates(m, s)
     assert type(got) is frozenset
     assert got == frozenset(e for e in range(n)
                             if e not in s and m.is_independent(s | {e}))
-    assert m._extension_candidates(s) == got  # the unchecked rule the greedy calls
     dependent = next((s | {e} for e in range(n) if e not in s
                       and not m.is_independent(s | {e})), None)
     if dependent is not None:
         with pytest.raises(ValueError, match="independent sets only"):
-            m.extension_candidates(dependent)
+            extension_candidates(m, dependent)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
        kind=st.sampled_from(["uniform", "partition"]))
 def test_next_candidates_match_the_extension_rule(seed, n, kind):
-    # the greedy derives a child set's candidates from its parent's; along a
-    # random chain of picks from the empty set to a basis they must be the
-    # rule's own, in ascending order
+    # the greedy derives a child set's candidates from its parent's, starting
+    # from the whole ground set; along a random chain of picks from the
+    # empty set to a basis they must be the rule's own, in ascending order
     rng = np.random.default_rng(seed)
     m = random_matroid(rng, GroundSet(n), kind)
-    s, candidates = frozenset(), sorted(m._extension_candidates(frozenset()))
+    s, candidates = frozenset(), list(m.ground.elements)
+    assert candidates == sorted(extension_candidates(m, s))
     while candidates:
         e = candidates[int(rng.integers(len(candidates)))]
         s = s | {e}
         candidates = m._next_candidates(candidates, e, s)
-        assert candidates == sorted(m._extension_candidates(s))
+        assert candidates == sorted(extension_candidates(m, s))
     assert len(s) == len(max(enumerate_feasible(m), key=len))  # a basis
 
 

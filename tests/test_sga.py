@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 from cvargreedy import (BoundReport, Curvature, GroundSet, ScenarioSet, SgaConfig,
                         StochasticObjective, UniformMatroid, additive_penalty, alpha_sweep,
                         approximation_bound, auxiliary_curvature,
-                        brute_force_opt, empirical_cvar, greedy_maximize,
-                        run_sga, sga)
+                        brute_force_opt, empirical_cvar, run_sga, sga)
 from cvargreedy.problems import SensorCoverage, VehicleAssignment
 from cvargreedy.risk import auxiliary_scores
 from cvargreedy.synthetic import (RandomCoverageObjective, random_instance,
                                   random_matroid)
 from conftest import (ClonedObjective, ModularDeterministic, Offset, ShiftedRows,
-                      enumerate_feasible, matroid_curvature, random_sensor,
+                      enumerate_feasible, extension_candidates, greedy_maximize,
+                      matroid_curvature, random_sensor,
                       reference_auxiliary_curvature, reference_brute_force_opt,
                       reference_run_sga, reference_solve, total_curvature,
                       with_failed_rows)
@@ -329,6 +329,36 @@ def test_screened_solve_matches_exact_scoring(seed, family, samples, alphas, gri
     assert ours == reference_solve(obj, obj.matroid, sc, points)
 
 
+def batch_scores(rows, batch, taus, alphas):
+    """``_batch_scores`` of ``batch``, whose groups' members are ascending:
+    its tables, the masks of the pairs that its one ``_exact_pairs`` pass
+    scored, and its counts."""
+    marked, exact_pairs = [], sga._exact_pairs
+
+    def record(rows, r, c, *args):
+        marked.append((r, c))
+        return exact_pairs(rows, r, c, *args)
+
+    counts = dict.fromkeys(("pairs", "exact", "small"), 0)
+    with mock.patch.object(sga, "_exact_pairs", record):
+        tables = sga._batch_scores(rows, batch, taus, alphas, counts)
+    [(r, c)] = marked
+    masks, start = [], 0
+    for (members, _, candidates, _), table in zip(batch, tables):
+        mine = (start <= r) & (r < start + len(candidates))
+        masks.append(np.zeros(table.shape, dtype=bool))
+        masks[-1][r[mine] - start, np.searchsorted(members, c[mine])] = True
+        start += len(candidates)
+    return tables, masks, counts
+
+
+def group_scores(rows, taus, alphas, floor=None):
+    """The table and mask of ``batch_scores`` for one group of every point."""
+    group = (np.arange(taus.size), frozenset(), [None] * len(rows), floor)
+    [table], [exact], _ = batch_scores(rows, [group], taus, alphas)
+    return table, exact
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), copies=st.integers(2, 8),
        n=st.sampled_from([50, 1000]), m=st.integers(1, 4))
@@ -346,7 +376,7 @@ def test_screen_keeps_the_exact_winner_of_near_ties(seed, copies, n, m):
         row[i] += rng.integers(-200, 201) * np.spacing(row[i])
     expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
     with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
-        table, exact, _ = sga._group_scores(rows, taus, alphas)
+        table, exact = group_scores(rows, taus, alphas)
     assert np.array_equal(table.argmax(axis=0), expected.argmax(axis=0))
     assert np.array_equal(table.max(axis=0), expected.max(axis=0))
     assert np.array_equal(table[exact], expected[exact])
@@ -369,7 +399,7 @@ def test_small_and_non_finite_groups_are_scored_exactly(bad):
         rows[4, 10:14] = bad  # four samples of -1e308 overflow the prefix sum
     with np.errstate(invalid="ignore", over="ignore"):  # in the exact kernel too
         expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
-        table, exact, _ = sga._group_scores(rows, taus, alphas)
+        table, exact = group_scores(rows, taus, alphas)
     assert exact.all()
     assert np.array_equal(table, expected, equal_nan=True)
 
@@ -391,7 +421,7 @@ def test_one_row_group_matches_the_one_vector_kernel(samples, pairs, bad):
     alphas = np.resize([0.05, 0.3, 1.0], pairs)
     with np.errstate(invalid="ignore"):
         expected = auxiliary_scores(row, taus, alphas)
-        table, exact, _ = sga._group_scores(row[None], taus, alphas)
+        table, exact = group_scores(row[None], taus, alphas)
     assert np.array_equal(table[0], expected, equal_nan=True)
     screened = pairs * samples >= sga._SCREEN_MIN_FLOATS and bad is None
     assert exact.all() != screened
@@ -509,7 +539,7 @@ def test_saturated_group_computes_only_its_first_candidate(monkeypatch):
     assert ours == reference_solve(obj, obj.matroid, sc, points)
     assert len(calls) == len(ours[0].selected) > 1
     for subset, candidates in calls:
-        assert candidates == [min(obj.matroid.extension_candidates(subset))]
+        assert candidates == [min(extension_candidates(obj.matroid, subset))]
 
 
 def test_saturated_first_step_of_a_lazy_sweep():
@@ -751,7 +781,7 @@ def test_declared_rounding_is_checked(rho):
 def test_upper_ends_bound_every_exact_value(seed, copies, n, m):
     # near-tied rows, as in the screen test above: the screen ranks them in
     # another order than the exact kernel, so only H~ + M' bounds the
-    # screened pairs
+    # screened pairs; the table holds it wherever it holds no exact value
     rng = np.random.default_rng(seed)
     base = rng.random(n) * 100
     taus = np.quantile(base, rng.uniform(0.0, 1.0, m))
@@ -765,23 +795,63 @@ def test_upper_ends_bound_every_exact_value(seed, copies, n, m):
     rows = np.vstack([rows, rows * rng.uniform(0.2, 0.9, (copies, 1))])
     expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
     with mock.patch.object(sga, "_SCREEN_MIN_FLOATS", 0):
-        table, exact, upper = sga._group_scores(rows, taus, alphas, np.full(m, -np.inf))
-        assert sga._group_scores(rows, taus, alphas)[2] is None
-    assert (upper >= expected).all()
-    assert np.array_equal(upper[exact], expected[exact])
+        table, exact = group_scores(rows, taus, alphas, np.full(m, -np.inf))
+        assert np.array_equal(group_scores(rows, taus, alphas)[0], table)
+    assert (table >= expected).all()
+    assert np.array_equal(table[exact], expected[exact])
+
+
+def test_one_exact_pass_scores_every_kind_of_group():
+    # one hook call of four groups: screened with a floor, screened without
+    # one, and two below the size rule; the groups' points are disjoint
+    rng = np.random.default_rng(8)
+    base = rng.random(1000) * 10
+    rows = np.vstack([rng.random((20, 1000)) * 10,
+                      [rng.permutation(base) for _ in range(6)],  # near ties
+                      rng.random((9, 1000)) * 10,
+                      rng.random((4, 1000)) * 10, rng.random((3, 1000)) * 10])
+    taus = rng.uniform(2.0, 8.0, 29)
+    alphas = rng.choice([0.05, 0.2, 1.0], 29)
+    members = [np.arange(12), np.arange(12, 24), np.arange(24, 27), np.arange(27, 29)]
+    heights = [20, 15, 4, 3]
+    starts = np.cumsum(heights) - heights
+    expected = [np.array([auxiliary_scores(u, taus[m], alphas[m])
+                          for u in rows[a:a + h]])
+                for m, a, h in zip(members, starts, heights)]
+    # the floor: below the group's exact maximum, at it, and above it
+    top = expected[0].max(axis=0)
+    floor = np.resize([-np.inf, 0.0, 1.0], 12) + top
+    floor[0::3] = np.sort(expected[0], axis=0)[-2, 0::3]
+    assert members[0].size * 1000 >= sga._SCREEN_MIN_FLOATS > members[2].size * 1000
+    batch = [(m, frozenset(), [None] * h, f)
+             for m, h, f in zip(members, heights, [floor, None, None, None])]
+    tables, masks, counts = batch_scores(rows, batch, taus, alphas)  # one exact pass
+    assert counts == {"pairs": 12 * 35 + 3 * 4 + 2 * 3,
+                      "exact": sum(map(np.count_nonzero, masks)), "small": 2}
+    for k, (table, exact, mask) in enumerate(zip(tables, expected, masks)):
+        assert (table >= exact).all()
+        assert np.array_equal(table[mask], exact[mask])
+        reach = exact.max(axis=0) >= (floor if k == 0 else -np.inf)
+        assert np.array_equal(table.argmax(axis=0)[reach], exact.argmax(axis=0)[reach])
+        assert np.array_equal(table.max(axis=0)[reach], exact.max(axis=0)[reach])
+        if k == 0:  # where nothing reaches the floor, nothing passes it
+            assert reach.any() and not reach.all()
+            assert (table.max(axis=0)[~reach] < floor[~reach]).all()
+            assert not mask[:, 2::3].any()  # nothing near a floor above the top
+        assert mask.all() == (k >= 2)
 
 
 def check_screen(rows, taus, alphas) -> np.ndarray:
-    """``_group_scores`` gives the exact table's picks and picked values, the
-    exact value at every pair it marks, and upper ends at or above every
-    exact value; returns the mask."""
+    """A screened group's table gives the exact table's picks and picked
+    values, the exact value at every pair it marks, and elsewhere upper ends
+    at or above the exact values; returns the mask."""
     expected = np.array([auxiliary_scores(u, taus, alphas) for u in rows])
     assert taus.size * rows.shape[1] >= sga._SCREEN_MIN_FLOATS  # screened
-    table, exact, upper = sga._group_scores(rows, taus, alphas, np.full(taus.size, -np.inf))
+    table, exact = group_scores(rows, taus, alphas, np.full(taus.size, -np.inf))
     assert np.array_equal(table.argmax(axis=0), expected.argmax(axis=0))
     assert np.array_equal(table.max(axis=0), expected.max(axis=0))
     assert np.array_equal(table[exact], expected[exact])
-    assert (upper >= expected).all()
+    assert (table >= expected).all()
     return exact
 
 
@@ -793,19 +863,20 @@ def test_screen_of_repeated_member_taus():
     taus = np.concatenate([grid, grid[::-1]])
     exact = check_screen(rows, taus, np.full(taus.size, 0.05))
     assert not exact.all()
-    # and through the solver: one group holds both alphas' points
+    # and through the solver: one candidate group holds both alphas' points
     obj = VehicleAssignment.generate(6, 4, seed=3)
     sc = obj.sample_scenarios(1000, 5)
     points = [(0.05, tau) for tau in np.linspace(0.0, obj.gamma_hint, 12).tolist()] * 2
-    seen, group_scores = [], sga._group_scores
+    seen, screen = [], sga._screen
 
     def record(rows, taus, *args):
-        seen.append(taus.size)
-        return group_scores(rows, taus, *args)
+        seen.append((len(rows), taus.size))
+        return screen(rows, taus, *args)
 
-    with mock.patch.object(sga, "_group_scores", record):
+    with mock.patch.object(sga, "_screen", record):
         ours = sga._solve(obj, obj.matroid, sc, points)
-    assert max(seen) == 24
+    assert seen[0] == (1, 24)  # the empty set's one row, scored before the sweep
+    assert max(taus for _, taus in seen[1:]) == 24
     assert ours == reference_solve(obj, obj.matroid, sc, points)
     assert ours[:12] == ours[12:]
 
