@@ -20,16 +20,10 @@ GroupScores = Callable[[list[tuple]], list[np.ndarray]]
 
 @dataclass
 class GreedyTrace:
-    """Pick order with value gains, plus the number of oracle evaluations.
-
-    ``settled`` counts the steps settled by their group's first score call
-    (see ``greedy_sweep``), and ``skipped`` the evaluations whose value was
-    never computed."""
+    """Pick order with value gains, plus the number of oracle evaluations."""
 
     picks: list[tuple[int, float]] = field(default_factory=list)
     evaluations: int = 0
-    settled: int = 0
-    skipped: int = 0
 
 
 def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
@@ -49,7 +43,7 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     (members, current, candidates, floor) tuples, and returns one table per
     group: entry [r, j] of the (candidates x members) table is the value of
     function ``members[j]`` at ``current | {candidates[r]}``; floor is None
-    unless the group keeps gains (below). A step
+    but in the second call of a group that keeps gains (below). A step
     makes one call for all its groups, and at most one more for the groups
     whose rules leave candidates unscored, and takes each function's pick
     from one column maximum over the step. Per function this makes the same
@@ -68,8 +62,7 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     call as long as each table holds the exact value wherever that can be
     the maximum of both, and less than that maximum elsewhere, as exact
     values and ``sga._batch_scores`` do. A skipped candidate still counts in
-    ``evaluations``; ``skipped`` counts it, and ``settled`` counts the steps
-    that the first call settled.
+    ``evaluations``.
 
     Settle rule. ``bounds[i]``, if given, is an upper bound on every value
     of function i. A group of several candidates whose functions all sit at
@@ -87,14 +80,15 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     and e outside S, its value at S + e is at most its value at S plus
     value(S' + e) - value(S') plus ``margins[i]``, with value(S' + e) read
     as any upper bound on it. A group of at least ``lazy_size`` candidates
-    then keeps gains: its floor is an array of one value per member, -inf
-    in the first call and in the second the member's best value of the
-    first, below which the table need not be exact; and every entry of its
-    table is at or above the exact value, an upper bound where it is not
-    exact. The loop keeps each function's last gain table[r, j] - value(S')
-    per candidate. An unsaturated group with a finite kept gain
-    bounds every candidate by UB = min(bound, value(S) + gain + margin), or
-    by its bound where no gain is kept. The first call scores, per member,
+    then keeps gains: its floor in the second call is an array of one value
+    per member, the member's best value of the first, below which the table
+    need not be exact; and every entry of its table is at or above the
+    exact value, an upper bound where it is not exact. The loop keeps each
+    function's last gain table[r, j] - value(S') per candidate, from the
+    first step of a group that keeps gains on. After that step an
+    unsaturated group bounds every candidate by UB = min(bound, value(S) +
+    gain + margin), or by its bound where no finite gain is kept (NaN marks
+    none, as after a NaN or infinite value). The first call scores, per member,
     the candidate with the largest UB (the smallest id among equals); the
     second scores only the candidates whose UB exceeds some member's best
     value of the first call, or equals it at a smaller id than that best's.
@@ -102,9 +96,13 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     it at a larger id, so it is no pick. Any other group takes the steps
     above. Candidate sets shrink along the loop, so the functions of a
     group below ``lazy_size`` stay below it, and their gains are not kept.
-    ``counts``, if given, adds the candidates skipped by stale bounds under
-    "stale", once per group step, as the second call's rows are chosen.
+    ``counts``, if given, is the dict that gathers the sweep's work. Each
+    step adds, summed over its points, the picks settled by the first call
+    under "settled" and the candidates never scored under "skipped"; each
+    group step of the stale-bound rule adds the candidates it skips under
+    "stale", as the second call's rows are chosen.
     """
+    counts = {} if counts is None else counts
     values = np.array(initial, dtype=float)
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
@@ -114,8 +112,6 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
     selected: list[frozenset[int]] = [frozenset()] * count
     traces = [GreedyTrace() for _ in range(count)]
     evaluations = np.ones(count, dtype=np.int64)  # the empty set
-    settled = np.zeros(count, dtype=np.int64)
-    skipped = np.zeros(count, dtype=np.int64)
     gains = None  # (ground x functions) last kept gain; NaN where there is none
     # each unfinished set: its extension candidates and the pieces of its points
     groups = ({frozenset(): (list(matroid.ground.elements), [np.arange(count)])}
@@ -148,9 +144,6 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
                 gains = np.full((matroid.ground.size, count), np.nan)
             elif g.keep and not full:
                 g.ub = gains[np.ix_(g.candidates, g.at)]  # no local: the step frees it
-                if np.isnan(g.ub).all():
-                    g.ub = None
-                    continue
                 g.ub += values[g.at]
                 g.ub += margins[g.at]
                 np.fmin(np.inf if bounds is None else bounds[g.at], g.ub, out=g.ub)
@@ -168,9 +161,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
             elif g.ub is not None:
                 more = _needed(g.ub, best[a:b], pick[a:b], g.rows)
                 g.ub = None
-                if counts is not None:
-                    counts["stale"] = (counts.get("stale", 0) + len(g.candidates)
-                                       - len(g.rows) - len(more))
+                counts["stale"] = (counts.get("stale", 0) + len(g.candidates)
+                                   - len(g.rows) - len(more))
             else:
                 continue
             if len(more):
@@ -196,8 +188,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
             scored[again] += [len(more) for more in rest]
             first[again] = False
         evaluations[at] += np.repeat(total, widths)
-        settled[at] += np.repeat(first, widths)
-        skipped[at] += np.repeat(total - scored, widths)
+        counts["settled"] = counts.get("settled", 0) + int(first @ widths)
+        counts["skipped"] = counts.get("skipped", 0) + int((total - scored) @ widths)
         ids = np.fromiter(chain.from_iterable(g.candidates for g in step), dtype=np.intp,
                           count=int(total.sum()))
         elements = ids[np.repeat(np.cumsum(total) - total, widths) + pick]
@@ -212,9 +204,8 @@ def greedy_sweep(score: GroupScores, matroid: Matroid, initial, bounds=None,
                 if child not in groups:
                     groups[child] = (matroid._next_candidates(g.candidates, e, child), [])
                 groups[child][1].append(g.at[picked == e])
-    for trace, n, s, k in zip(traces, evaluations.tolist(), settled.tolist(),
-                              skipped.tolist()):
-        trace.evaluations, trace.settled, trace.skipped = n, s, k
+    for trace, n in zip(traces, evaluations.tolist()):
+        trace.evaluations = n
     return selected, values, traces
 
 
@@ -238,13 +229,12 @@ def _chosen(candidates: list, rows: np.ndarray | None) -> list:
 def _score(score: GroupScores, groups: list[_Group], rows: list, gains, values: np.ndarray,
            floors=None) -> tuple[np.ndarray, np.ndarray]:
     """Score ``rows[k]`` of each group's candidates in one ``score`` call,
-    with ``floors[k]`` (default -inf) for each group that keeps gains, and
+    with ``floors[k]`` (default None) for each group that keeps gains, and
     keep those groups' gains (table minus the value before the step).
     Returns ``_first_max`` over the groups' columns side by side, its rows
     read as candidate indices."""
     calls = [(g.at, g.current, _chosen(g.candidates, r),
-              None if not g.keep else np.full(g.at.size, -np.inf) if floors is None
-              else floors[k])
+              floors[k] if g.keep and floors is not None else None)
              for k, (g, r) in enumerate(zip(groups, rows))]
     tables = []
     for g, r, table in zip(groups, rows, score(calls)):
@@ -276,8 +266,7 @@ def _incomparable(score: GroupScores, g: _Group, j: int) -> ValueError:
     column has no comparable value (its best is -inf, below every bound and
     every stale bound), so the step scored all of g's candidates for member
     j. They are scored once more, as in a first call, for the message."""
-    floor = np.full(g.at.size, -np.inf) if g.keep else None
-    [table] = score([(g.at, g.current, g.candidates, floor)])
+    [table] = score([(g.at, g.current, g.candidates, None)])
     return ValueError(
         f"greedy step from {sorted(g.current)}: no candidate has a "
         f"comparable score; the scores of {g.candidates} are "

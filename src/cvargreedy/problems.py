@@ -277,9 +277,14 @@ class OccupancyGrid:
 
     @classmethod
     def from_rows(cls, rows) -> "OccupancyGrid":
-        """Parse rows of 0/1 characters (strings) or 0/1 integers (lists)."""
+        """Parse a list of rows: strings of 0/1 characters or lists of 0/1 integers."""
+        if not isinstance(rows, list):
+            raise ValueError(f"the grid must be a list of rows, got {type(rows).__name__}")
         parsed = []
         for r, row in enumerate(rows):
+            if not isinstance(row, (str, list)):
+                raise ValueError(f"grid row {r} must be a string or a list of cells, "
+                                 f"got {type(row).__name__}")
             if isinstance(row, str):
                 row = row.strip()
                 bad = [ch for ch in row if ch not in "01"]
@@ -356,16 +361,21 @@ def visible_cells(grid: OccupancyGrid, origin: int) -> list[int]:
 # sensor coverage
 # --------------------------------------------------------------------------
 
+def _check_cell(c: int, grid: OccupancyGrid | None, name: str) -> None:
+    """A cell id must be nonnegative, and a free cell of the grid if there is one."""
+    if grid is None and c < 0:
+        raise ValueError(f"{name} cell {c} is negative")
+    if grid is not None and not grid.is_free(c):
+        raise ValueError(f"{name} cell {c} is not a free cell "
+                         f"of the {grid.rows}x{grid.cols} grid")
+
+
 def _sensor_cells(cells, grid: OccupancyGrid | None) -> list[int]:
     """Sensor sites as ints: free cells of the grid, or without one any
     nonnegative cell ids. A ValueError names the first bad entry."""
     cells = [_integer(c, f"sensor_cells[{i}]") for i, c in enumerate(cells)]
     for i, c in enumerate(cells):
-        if grid is None and c < 0:
-            raise ValueError(f"sensor_cells[{i}] cell {c} is negative")
-        if grid is not None and not grid.is_free(c):
-            raise ValueError(f"sensor_cells[{i}] cell {c} is not a free cell "
-                             f"of the {grid.rows}x{grid.cols} grid")
+        _check_cell(c, grid, f"sensor_cells[{i}]")
     return cells
 
 
@@ -391,11 +401,7 @@ class SensorCoverage(StochasticObjective):
             raise ValueError("at least one candidate sensor is required")
         for i, s in enumerate(sets):
             for c in s:
-                if grid is None and c < 0:
-                    raise ValueError(f"coverage_sets[{i}] cell {c} is negative")
-                if grid is not None and not grid.is_free(c):
-                    raise ValueError(f"coverage_sets[{i}] cell {c} is not a free cell "
-                                     f"of the {grid.rows}x{grid.cols} grid")
+                _check_cell(c, grid, f"coverage_sets[{i}]")
         n = len(sets)
         select = _integer(select, "select")
         if not 1 <= select <= n:

@@ -171,17 +171,17 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     _BLOCK_FLOATS floats, so a larger group is a call of its own. The rows
     of each call are scored with one ``_batch_scores`` call, whose tables
     give the greedy the picks and values of the exact H table and upper
-    ends of every other value. The empty set is scored the same way, as a
-    group of one row of every point, outside the counts below: its ranked
-    values at k = 0 are exact, and every other pair is rescored. A point's
+    ends of every other value. The empty set's one row is scored at every
+    point by the exact kernel, outside the counts below. A point's
     evaluations add the final recomputation of H(selected). H(S, tau) <=
     tau, so ``greedy_sweep`` settles a group whose points all sit at their
     tau from its first candidate, computing one row. If the objective
     declares its ``utility_rounding``, a group of at least _LAZY_MIN_FLOATS
     (candidates x samples) floats also skips the candidates whose stale
-    gains rule them out, with the margins of ``_stale_margins``. One DEBUG
-    record of the ``cvargreedy`` logger
-    gives the pairs scored, those scored exactly and those skipped (every
+    gains rule them out, with the margins of ``_stale_margins``. The score
+    calls, ``_batch_scores`` and ``greedy_sweep`` add their work to one
+    ``counts`` dict, and one DEBUG record of the ``cvargreedy`` logger gives
+    it: the pairs scored, those scored exactly and those skipped (every
     candidate of every step at every point is one of the two), the group
     scores below the screen's size rule, the candidate rows computed, the
     ``extension_utilities`` calls that computed them and the rows skipped
@@ -194,7 +194,8 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
     n = len(scenarios)
     rho = objective.utility_rounding
     margins = None if rho is None else _stale_margins(taus, alphas, n, rho)
-    counts = {"pairs": 0, "exact": 0, "small": 0, "rows": 0, "calls": 0, "stale": 0}
+    # the work counts, in the order of the DEBUG record
+    counts = dict.fromkeys("pairs exact skipped small rows calls stale settled".split(), 0)
 
     def score(groups: list[tuple]) -> list[np.ndarray]:
         out = []
@@ -207,18 +208,15 @@ def _solve(objective: StochasticObjective, matroid: Matroid,
         return out
 
     empty = objective.utilities(frozenset(), scenarios)[None]
-    # one row, of no candidate, at every point
-    [initial] = _batch_scores(empty, [(np.arange(taus.size), frozenset(), [None], None)],
-                              taus, alphas, dict.fromkeys(counts, 0))
-    selected, values, traces = greedy_sweep(score, matroid, initial[0], taus, margins,
+    initial = _exact_pairs(empty, np.zeros(taus.size, np.intp), np.arange(taus.size),
+                           taus, alphas)
+    selected, values, traces = greedy_sweep(score, matroid, initial, taus, margins,
                                             -(-_LAZY_MIN_FLOATS // n), counts)
     log.debug("scored %d (candidate, tau) pairs, %d of them exactly, and "
               "skipped %d; %d group scores below the screen's size rule; computed "
               "%d candidate rows in %d extension_utilities calls and skipped %d by "
               "stale bounds; settled %d (point, step) picks by their group's first call",
-              counts["pairs"], counts["exact"], sum(t.skipped for t in traces),
-              counts["small"], counts["rows"], counts["calls"], counts["stale"],
-              sum(t.settled for t in traces))
+              *counts.values())
     return [SweepPoint(tau=tau, selected=selected[i], h_value=float(values[i]),
                        evaluations=traces[i].evaluations + 1)
             for i, (_, tau) in enumerate(points)]
@@ -240,8 +238,10 @@ def _batches(groups: list[tuple], budget: int):
 
 def _batch_scores(rows: np.ndarray, batch: list[tuple], taus: np.ndarray,
                   alphas: np.ndarray, counts: dict) -> list[np.ndarray]:
-    """The H table of every (members, current, candidates, floor) group of
-    ``rows``, the groups' candidate rows one after the other.
+    """The H table of every (members, current, candidates, floor) candidate
+    group of one ``_solve`` score call, ``rows`` holding the groups'
+    candidate rows one after the other. Adds the pairs, those scored exactly
+    and the groups below the size rule to ``counts``.
 
     A group of at least _SCREEN_MIN_FLOATS (member taus x samples) floats is
     screened on its own (``_screen``), so its screen compares the pairs of

@@ -262,6 +262,27 @@ def test_sweep_outputs(tmp_path, capsys, caplog):
     assert len(hist) == 1 + 2 * 5
 
 
+def test_sweep_out_suffix_is_dropped(tmp_path, capsys):
+    # --out names a prefix: a suffix on it is stripped before the three
+    # file names are built
+    instance = gen_sensor(tmp_path)
+    code = main(["sweep", str(instance), "--alphas", "0.5", "--delta", "4",
+                 "--samples", "20", "--bins", "3", "--out", str(tmp_path / "sw.csv")])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.glob("sw*")) == [
+        "sw_alpha_table.csv", "sw_histograms.csv", "sw_tau_curves.csv"]
+    assert "wrote " + str(tmp_path / "sw_alpha_table.csv") in capsys.readouterr().out
+
+
+def test_sweep_rejects_an_empty_alpha_list(tmp_path, capsys):
+    instance = gen_sensor(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", str(instance), "--alphas", ",", "--out", str(tmp_path / "sw")])
+    assert exit_info.value.code == 2
+    assert "at least one alpha is required" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sw*"))
+
+
 def test_sweep_rejects_zero_eval_samples(tmp_path, capsys):
     instance = gen_sensor(tmp_path)
     code = main(["sweep", str(instance), "--alphas", "0.5", "--delta", "4",
@@ -454,6 +475,8 @@ def _list_grid_rows(doc):
     ("vehicle", _put(True, "matroid", "capacities", 1),
      "matroid capacities[1] must be an integer, got True"),
     ("sensor", _list_grid_rows, "grid[1] cell must be an integer, got 0.7"),
+    ("sensor", _put("0101", "grid"), "the grid must be a list of rows, got str"),
+    ("sensor", _put(5, "grid", 0), "grid row 0 must be a string or a list of cells, got int"),
     ("vehicle", _put(5, "matroid"), "matroid must be a JSON object, got int"),
     ("vehicle", _put([], "matroid", "blocks", 0), "empty blocks are not allowed"),
     ("vehicle", _put([0, 1], "matroid", "blocks", 0),
@@ -466,6 +489,7 @@ def _list_grid_rows(doc):
 ], ids=["top-level-list", "null-select", "infinite-coverage", "infinite-position",
         "missing-select", "fractional-ground-size", "fractional-k", "fractional-block-id",
         "fractional-capacity", "boolean-capacity", "fractional-grid-cell",
+        "string-grid", "integer-grid-row",
         "matroid-not-an-object", "empty-block", "duplicate-block-element",
         "short-sensor-cells", "negative-sensor-cells"])
 def test_malformed_instance_file(tmp_path, capsys, problem, corrupt, message):

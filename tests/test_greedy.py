@@ -183,9 +183,10 @@ def test_all_nan_scores_rejected():
 def one_step_sweep(table, bounds):
     """greedy_sweep of len(bounds) functions over one pick among len(table)
     elements, each function at its bound on the empty set; entry [e, i] is
-    function i at {e}. Returns the sweep and the candidate lists scored."""
+    function i at {e}. Returns the sweep, the candidate lists scored and the
+    counts."""
     table = np.array(table, dtype=float)
-    scored = []
+    scored, counts = [], {}
 
     def score(groups):
         out = []
@@ -195,7 +196,7 @@ def one_step_sweep(table, bounds):
         return out
 
     matroid = UniformMatroid(GroundSet(len(table)), 1)
-    return greedy_sweep(score, matroid, bounds, bounds), scored
+    return greedy_sweep(score, matroid, bounds, bounds, counts=counts), scored, counts
 
 
 def assert_same_as_without_bounds(sweep, table, bounds):
@@ -212,10 +213,11 @@ def test_settled_group_scores_its_first_candidate_alone():
     # a NaN among the skipped candidates is never scored, so it changes nothing
     nan = float("nan")
     table = [[1.0, 2.0], [nan, nan], [1.0, 2.0]]
-    sweep, scored = one_step_sweep(table, [1.0, 2.0])
+    sweep, scored, counts = one_step_sweep(table, [1.0, 2.0])
     assert scored == [[0]]
     assert [t.picks for t in sweep[2]] == [[(0, 0.0)], [(0, 0.0)]]
-    assert [(t.evaluations, t.settled, t.skipped) for t in sweep[2]] == [(4, 1, 2)] * 2
+    assert [t.evaluations for t in sweep[2]] == [4, 4]
+    assert counts == {"settled": 2 * 1, "skipped": 2 * 2}
     assert_same_as_without_bounds(sweep, table, [1.0, 2.0])
 
 
@@ -223,10 +225,10 @@ def test_settled_group_scores_its_first_candidate_alone():
 def test_settle_falls_back_when_the_first_candidate_falls_short(first):
     # function 1's bound is reached first by element 2, function 0's by 0
     table = [[1.0, first], [0.9, 1.5], [1.0, 2.0]]
-    sweep, scored = one_step_sweep(table, [1.0, 2.0])
+    sweep, scored, counts = one_step_sweep(table, [1.0, 2.0])
     assert scored == [[0], [1, 2]]
     assert [t.picks for t in sweep[2]] == [[(0, 0.0)], [(2, 0.0)]]
-    assert [(t.settled, t.skipped) for t in sweep[2]] == [(0, 0)] * 2
+    assert counts == {"settled": 0, "skipped": 0}
     assert_same_as_without_bounds(sweep, table, [1.0, 2.0])
 
 
@@ -305,8 +307,8 @@ def test_stale_gain_below_the_best_is_skipped():
     assert scored == [[0, 1, 2], [1]]
     [trace] = sweep[2]
     assert trace.picks == [(0, 5.0), (1, 2.5)]
-    assert (trace.evaluations, trace.settled, trace.skipped) == (6, 1, 1)
-    assert counts == {"stale": 1}
+    assert trace.evaluations == 6
+    assert counts == {"settled": 1, "skipped": 1, "stale": 1}
     assert_same_as_plain(sweep, values)
 
 
@@ -321,8 +323,8 @@ def test_stale_gain_that_ties_the_best_at_a_smaller_id_is_scored():
     assert scored == [[0, 1, 2, 3], [1], [0]]
     [trace] = sweep[2]
     assert trace.picks == [(3, 5.0), (0, 2.0)]
-    assert (trace.evaluations, trace.settled, trace.skipped) == (8, 0, 1)
-    assert counts == {"stale": 1}
+    assert trace.evaluations == 8
+    assert counts == {"settled": 0, "skipped": 1, "stale": 1}
     assert_same_as_plain(sweep, values)
 
 
@@ -342,7 +344,7 @@ def test_group_below_the_size_rule_keeps_no_gains():
     # the first group (3 candidates) keeps its gains, the second (2) is
     # below the rule and is scored in one call
     assert scored == [[0, 1, 2], [1, 2]]
-    assert counts == {}
+    assert counts == {"settled": 0, "skipped": 0}  # no stale skips
     assert_same_as_plain(sweep, values)
 
 
@@ -368,6 +370,19 @@ def test_nan_rows_lose_or_raise_with_stale_gains(where):
         two_step_sweep(values)
 
 
+def test_group_whose_kept_gains_are_all_nan():
+    # elements 1 and 2 score NaN at the first step, so the second step's
+    # group keeps no gain at all: each candidate's bound is the function's
+    # (inf), the first call scores element 1 alone and the second the rest
+    nan = float("nan")
+    values = {(0,): 5.0, (1,): nan, (2,): nan, (0, 1): 6.0, (0, 2): 7.0, (1, 2): 4.0}
+    sweep, scored, counts = two_step_sweep(values)
+    assert scored == [[0, 1, 2], [1], [2]]
+    assert sweep[2][0].picks == [(0, 5.0), (2, 2.0)]
+    assert counts == {"settled": 0, "skipped": 0, "stale": 0}
+    assert_same_as_plain(sweep, values)
+
+
 def test_no_margins_scores_as_before():
     # without margins no group keeps gains or gets a floor
     values = {(0,): 5.0, (1,): 3.0, (2,): 1.0, (0, 1): 7.5, (0, 2): 5.5, (1, 2): 4.0}
@@ -383,7 +398,7 @@ def test_no_margins_scores_as_before():
     sweep = greedy_sweep(score, UniformMatroid(GroundSet(3), 2), [0.0], [float("inf")],
                          lazy_size=0, counts=counts)
     assert scored == [[0, 1, 2], [1, 2]]
-    assert counts == {}
+    assert counts == {"settled": 0, "skipped": 0}  # no stale skips
     assert_same_as_plain(sweep, values)
 
 

@@ -352,6 +352,11 @@ def sensor_doc():
     # a grid-only file traces each sensor's view from its cell
     ("grid-only sensor_cells", [0, 1, 2, 5], r"sensor_cells\[3\] cell 5 is not a free cell"),
     ("grid-only sensor_cells", [0, -1], r"sensor_cells\[1\] cell -1 is not a free cell"),
+    # a string is not read as rows of one character each
+    ("grid", "0101", r"the grid must be a list of rows, got str"),
+    ("grid", {"0": "01"}, r"the grid must be a list of rows, got dict"),
+    ("grid", [5], r"grid row 0 must be a string or a list of cells, got int"),
+    ("grid", ["0000", None], r"grid row 1 must be a string or a list of cells, got NoneType"),
 ])
 def test_sensor_file_values_are_checked(field, value, message):
     doc = sensor_doc()
@@ -367,6 +372,14 @@ def test_sensor_file_values_are_checked(field, value, message):
         doc[field] = value
     with pytest.raises(ValueError, match=message):
         load_instance(doc)
+
+
+def test_coverage_sets_on_a_grid_take_its_free_cell_count():
+    doc = sensor_doc()
+    del doc["free_cell_count"]
+    inst = load_instance(doc)
+    assert inst.free_cell_count == 11  # 3x4 cells, one obstacle
+    assert inst.to_json() == sensor_doc()
 
 
 def test_sensor_cells_without_a_grid_are_nonnegative_integers():

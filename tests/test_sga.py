@@ -408,9 +408,10 @@ def test_small_and_non_finite_groups_are_scored_exactly(bad):
                                              (1000, 9)])
 @pytest.mark.parametrize("bad", [None, float("inf"), -float("inf"), float("nan")])
 def test_one_row_group_matches_the_one_vector_kernel(samples, pairs, bad):
-    # the greedy scores its empty set as a group of one row: each pair is
-    # either k = 0 (taus at or below the row's minimum), where the screen is
-    # exact, or rescored by the kernel. The first two sizes are screened.
+    # a group of one row: each pair is either k = 0 (taus at or below the
+    # row's minimum), where the screen is exact, or rescored by the kernel,
+    # so the table is the one-vector kernel's whether the group is screened
+    # or not. The first two sizes are screened.
     rng = np.random.default_rng(samples + pairs)
     row = rng.uniform(1.0, 10.0, samples)
     if bad is not None:
@@ -443,7 +444,7 @@ class Baseline(StochasticObjective):
 
 
 @pytest.mark.parametrize("samples, grid", [(1000, 50), (1000, 2), (60, 100)])
-def test_empty_set_is_scored_as_a_group(samples, grid):
+def test_empty_set_is_scored_by_the_exact_kernel(samples, grid):
     # no output shows H(empty) but the first pick's gain, so check the
     # values _solve hands to greedy_sweep against the one-vector kernel
     base = VehicleAssignment.generate(3, 2, seed=samples)
@@ -875,8 +876,7 @@ def test_screen_of_repeated_member_taus():
 
     with mock.patch.object(sga, "_screen", record):
         ours = sga._solve(obj, obj.matroid, sc, points)
-    assert seen[0] == (1, 24)  # the empty set's one row, scored before the sweep
-    assert max(taus for _, taus in seen[1:]) == 24
+    assert max(taus for _, taus in seen) == 24
     assert ours == reference_solve(obj, obj.matroid, sc, points)
     assert ours[:12] == ours[12:]
 
